@@ -2,13 +2,14 @@
 """Walk one program document through the whole pipeline and print every
 intermediate product: loops, tree, formula, concrete WCET, oracle verdicts.
 
-    python3 scripts/run_example.py samples/fig2_symbolic.json --sweep x_b2=1..6
+    python3 scripts/run_example.py samples/fig2_symbolic.json
+
+To tabulate a symbolic WCET over a parameter range, use `symwcet sweep`.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -23,8 +24,6 @@ def main() -> int:
     ap.add_argument("document", nargs="?",
                     default=str(Path(__file__).resolve().parent.parent
                                 / "samples" / "fig2.json"))
-    ap.add_argument("--sweep", metavar="ID=LO..HI",
-                    help="tabulate the WCET over a parameter range")
     args = ap.parse_args()
 
     a = analyze_text(Path(args.document).read_text())
@@ -46,13 +45,6 @@ def main() -> int:
     free = sorted(symbolic.free_identifiers(w, a.forest))
     if free:
         print(f"  parameters: {' '.join(free)}")
-        if args.sweep:
-            name, _, rng_txt = args.sweep.partition("=")
-            lo, _, hi = rng_txt.partition("..")
-            print(f"\n{name},wcet")
-            for v in range(int(lo), int(hi) + 1):
-                val = symbolic.evaluate(w, {name: v}, a.forest)
-                print(f"{v},{ms_index(val.seq, 0)}")
         return 0
 
     value = gamma(a.tree, a.forest)

@@ -6,93 +6,4 @@ tree's abstract WCET directly (concrete inputs) or derive a symbolic
 formula, simplify it, and instantiate it per parameter binding.
 """
 
-from .awcet import (
-    ZERO,
-    ZERO_SEQ,
-    AbstractWcet,
-    WcetSeq,
-    abstract,
-    const_seq,
-    eval_seq,
-    gamma,
-    make_seq,
-    ms_group,
-    ms_index,
-    ms_merge,
-    ms_ranksum,
-    ms_restrict,
-    ms_scalar,
-    ms_scale_mult,
-    parse_abstract,
-    parse_seq,
-)
-from .cfg import (
-    BOT,
-    TOP,
-    Cfg,
-    LoopForest,
-    LoopInfo,
-    LoopRef,
-    Program,
-    build_loop_forest,
-    check_reducible,
-    dominators,
-    loop_join,
-    loop_leq,
-    loop_meet,
-    loop_ref,
-    parse_loop_ref,
-    parse_program,
-)
-from .cft import (
-    Alt,
-    Annotation,
-    Leaf,
-    Loop,
-    Seq,
-    attach_annotation,
-    rename_leaves,
-    split_leaf,
-    strip_annotations,
-    to_sexpr,
-)
-from .errors import (
-    AmbiguousTarget,
-    DocumentError,
-    DuplicateVariantId,
-    FuelExhausted,
-    IncomparableLoops,
-    IrreducibleLoop,
-    NonAncestorLoop,
-    NotMultiple,
-    PathBudgetExceeded,
-    SymbolicValuePresent,
-    SymwcetError,
-    TypeMismatch,
-    UnboundIdentifier,
-    UnknownBlock,
-)
-from .oracle import check_path_inclusion, check_soundness, gpaths_bounded, occ, prep, tpaths
-from .pipeline import Analysis, analyze, analyze_text
-from .restructure import build_cft, dag_to_cft, forced_passage, loop_to_dag
-from .symbolic import (
-    Const,
-    Formula,
-    Max,
-    Plus,
-    Power,
-    Restrict,
-    Scalar,
-    WcetId,
-    evaluate,
-    formula_order,
-    formula_size,
-    free_identifiers,
-    gamma_symbolic,
-    operand_count,
-    render,
-    simplify,
-    substitute,
-)
-
 __version__ = "0.1.0"

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import partial, reduce
 from typing import Iterable
 
 from .cfg import BOT, TOP, LoopForest, LoopRef, loop_meet, loop_ref, parse_loop_ref
@@ -77,14 +78,6 @@ def ms_merge(a: WcetSeq, b: WcetSeq) -> WcetSeq:
     """Multiset union: the larger tail swallows everything at or below it."""
     tail = max(a.tail, b.tail)
     return make_seq(a.prefix + b.prefix, tail)
-
-
-def ms_scale_mult(s: WcetSeq, k: int | None) -> WcetSeq:
-    """Multiply every cost's multiplicity by k (None = unbounded copies)."""
-    if k is None:
-        return const_seq(ms_index(s, 0))
-    assert k >= 0
-    return make_seq((e for e in s.prefix for _ in range(k)), s.tail)
 
 
 def ms_ranksum(a: WcetSeq, b: WcetSeq) -> WcetSeq:
@@ -222,24 +215,27 @@ def _concrete(value: int | str | None, what: str) -> int | None:
     return value
 
 
+def node_value(t: cft.Cft, kids: list[AbstractWcet],
+               f: LoopForest) -> AbstractWcet:
+    """Value of one tree node, its annotation aside, from the values of its
+    children (body, then exit, for a Loop).  The node's own leaf cost or
+    loop bound must be an integer."""
+    if isinstance(t, cft.Leaf):
+        return abstract(TOP, const_seq(t.wcet))
+    if isinstance(t, cft.Alt):
+        return reduce(partial(max_abstract, f=f), kids)
+    if isinstance(t, cft.Seq):
+        return reduce(partial(plus_abstract, f=f), kids, ZERO)
+    return loop_abstract(t.header, t.bound, kids[0], kids[1], f)
+
+
 def gamma(t: cft.Cft, f: LoopForest) -> AbstractWcet:
     """Abstract WCET of a fully concrete tree."""
     if isinstance(t, cft.Leaf):
-        w = _concrete(t.wcet, f"wcet of leaf {t.label}")
-        val = abstract(TOP, const_seq(w))
-    elif isinstance(t, cft.Alt):
-        parts = [gamma(c, f) for c in t.children]
-        val = parts[0]
-        for p in parts[1:]:
-            val = max_abstract(val, p, f)
-    elif isinstance(t, cft.Seq):
-        val = ZERO
-        for c in t.children:
-            val = plus_abstract(val, gamma(c, f), f)
-    else:
-        bound = _concrete(t.bound, f"bound of loop {t.header}")
-        val = loop_abstract(t.header, bound, gamma(t.body, f),
-                            gamma(t.exit, f), f)
+        _concrete(t.wcet, f"wcet of leaf {t.label}")
+    elif isinstance(t, cft.Loop):
+        _concrete(t.bound, f"bound of loop {t.header}")
+    val = node_value(t, [gamma(c, f) for c in cft.child_nodes(t)], f)
     if t.annotation is not None:
         m = _concrete(t.annotation.max, "annotation max")
         val = restrict_abstract(val, t.annotation.loop, m, f, strict=True)

@@ -14,7 +14,7 @@ import re
 import sys
 
 from . import cft, oracle, symbolic
-from .awcet import AbstractWcet, abstract, const_seq, ms_index
+from .awcet import abstract, const_seq, ms_index
 from .cfg import TOP, LoopForest
 from .errors import (
     FuelExhausted,
@@ -112,39 +112,8 @@ def _parse_bindings(pairs: list[str]) -> dict[str, int | str]:
 
 
 def _classify_identifiers(w: Formula, f: LoopForest):
-    """Identifier names by the positions they occur in."""
-    wcet_ids: set[str] = set()
-    int_ids: set[str] = set()
-    loop_ids: set[str] = set()
-
-    def loop_pos(name: str) -> None:
-        if name != "TOP" and name not in f.loops:
-            loop_ids.add(name)
-
-    def walk(node: Formula) -> None:
-        if isinstance(node, symbolic.WcetId):
-            wcet_ids.add(node.name)
-        elif isinstance(node, symbolic.Scalar):
-            if isinstance(node.coeff, str):
-                int_ids.add(node.coeff)
-            walk(node.operand)
-        elif isinstance(node, symbolic.Restrict):
-            loop_pos(node.loop)
-            if isinstance(node.count, str):
-                int_ids.add(node.count)
-            walk(node.operand)
-        elif isinstance(node, symbolic.Power):
-            if isinstance(node.header, str):
-                loop_pos(node.header)
-            if isinstance(node.count, str):
-                int_ids.add(node.count)
-            walk(node.body)
-            walk(node.exit)
-        elif isinstance(node, (symbolic.Plus, symbolic.Max)):
-            for op in node.operands:
-                walk(op)
-
-    walk(w)
+    """Identifier names by position; a name in two positions is an error."""
+    wcet_ids, int_ids, loop_ids = symbolic.identifiers(w, f)
     clash = (wcet_ids & int_ids) | (wcet_ids & loop_ids) | (int_ids & loop_ids)
     if clash:
         raise SymwcetError(f"identifiers used in conflicting positions: "

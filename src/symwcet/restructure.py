@@ -276,18 +276,12 @@ class _Builder:
         return cft.seq(children)
 
 
-def dag_to_cft(d: Dag, start: DagNode, end: DagNode, g: Cfg,
-               f: LoopForest) -> cft.Cft:
-    """Serialize the region between start and end into a tree.
-
-    Leaf labels are not deduplicated here; build_cft applies the renaming
-    pass once the full tree is assembled.
-    """
-    return _Builder(g, f).tree(d, start, end, include_start=True)
-
-
 def build_cft(g: Cfg, f: LoopForest) -> tuple[cft.Cft, dict[str, str]]:
-    """Whole-program control-flow tree plus the duplicate-leaf rename map."""
+    """Whole-program control-flow tree plus the duplicate-leaf rename map.
+
+    The builder does not deduplicate leaf labels; the renaming pass runs
+    once on the assembled tree.
+    """
     top, _, exit_node = loop_to_dag(g, f, TOP)
-    raw = dag_to_cft(top, top.start, exit_node, g, f)
+    raw = _Builder(g, f).tree(top, top.start, exit_node, include_start=True)
     return cft.rename_leaves(raw)

@@ -28,19 +28,19 @@ from .awcet import (
     ZERO_SEQ,
     AbstractWcet,
     abstract,
-    const_seq,
     loop_abstract,
-    make_seq,
+    max_abstract,
     ms_merge,
     ms_ranksum,
     ms_restrict,
-    ms_scalar,
+    node_value,
     parse_seq,
+    plus_abstract,
     restrict_abstract,
     scalar_abstract,
 )
 from .cfg import BOT, TOP, LoopForest, LoopRef, loop_meet, loop_ref, parse_loop_ref
-from .errors import FuelExhausted, SymbolicValuePresent, TypeMismatch, UnboundIdentifier
+from .errors import FuelExhausted, TypeMismatch, UnboundIdentifier
 
 Value = int | str  # concrete integer or identifier
 
@@ -95,8 +95,6 @@ class Restrict:
 Formula = Const | WcetId | Plus | Max | Scalar | Power | Restrict
 
 CONST_ZERO = Const(ZERO)
-
-_RANK = {Const: 0, WcetId: 1, Restrict: 2, Scalar: 3, Plus: 4, Max: 5, Power: 6}
 
 
 def _vkey(v: Value) -> tuple:
@@ -588,49 +586,20 @@ def gamma_symbolic(t: cft.Cft, f: LoopForest,
     equals gamma of the instantiated tree.
     """
 
-    def const_parts(parts: list[Formula]) -> list[AbstractWcet] | None:
-        if fold_concrete and all(isinstance(p, Const) for p in parts):
-            return [p.value for p in parts]  # type: ignore[union-attr]
-        return None
-
     def build(node: cft.Cft) -> Formula:
+        kids = [build(c) for c in cft.child_nodes(node)]
         if isinstance(node, cft.Leaf):
-            if isinstance(node.wcet, str):
-                base: Formula = WcetId(node.wcet)
-            else:
-                base = Const(abstract(TOP, const_seq(node.wcet)))
+            base: Formula = (WcetId(node.wcet) if isinstance(node.wcet, str)
+                             else Const(node_value(node, [], f)))
+        elif fold_concrete and all(isinstance(k, Const) for k in kids) and (
+                not isinstance(node, cft.Loop) or isinstance(node.bound, int)):
+            base = Const(node_value(node, [k.value for k in kids], f))
         elif isinstance(node, cft.Alt):
-            parts = [build(c) for c in node.children]
-            vals = const_parts(parts)
-            if vals is not None:
-                acc = vals[0]
-                for v in vals[1:]:
-                    acc = abstract(loop_meet(acc.loop, v.loop, f),
-                                   ms_merge(acc.seq, v.seq))
-                base = Const(acc)
-            else:
-                base = max_(parts)
+            base = max_(kids)
         elif isinstance(node, cft.Seq):
-            parts = [build(c) for c in node.children]
-            vals = const_parts(parts)
-            if vals is not None:
-                acc = ZERO
-                for v in vals:
-                    acc = abstract(loop_meet(acc.loop, v.loop, f),
-                                   ms_ranksum(acc.seq, v.seq))
-                base = Const(acc)
-            else:
-                base = plus(parts)
+            base = plus(kids)
         else:
-            body = build(node.body)
-            exit_ = build(node.exit)
-            if (fold_concrete and isinstance(body, Const)
-                    and isinstance(exit_, Const)
-                    and isinstance(node.bound, int)):
-                base = Const(loop_abstract(node.header, node.bound,
-                                           body.value, exit_.value, f))
-            else:
-                base = power(body, exit_, node.header, node.bound)
+            base = power(kids[0], kids[1], node.header, node.bound)
         ann = node.annotation
         if ann is not None and ann.max is not None:
             if fold_concrete and isinstance(base, Const) \
@@ -714,19 +683,14 @@ def evaluate(w: Formula, bindings: dict, f: LoopForest) -> AbstractWcet:
             raise TypeMismatch(f"WCET identifier {w.name!r} must bind an "
                                f"abstract WCET, got {val!r}")
         return val
-    if isinstance(w, Plus):
-        vals = [evaluate(op, bindings, f) for op in w.operands]
+    if isinstance(w, (Plus, Max)):
+        # A loop, not reduce(partial(...)): this is instantiation's hot
+        # path, and the partial's keyword call costs a few percent there.
+        op = plus_abstract if isinstance(w, Plus) else max_abstract
+        vals = [evaluate(x, bindings, f) for x in w.operands]
         acc = vals[0]
         for v in vals[1:]:
-            acc = abstract(loop_meet(acc.loop, v.loop, f),
-                           ms_ranksum(acc.seq, v.seq))
-        return acc
-    if isinstance(w, Max):
-        vals = [evaluate(op, bindings, f) for op in w.operands]
-        acc = vals[0]
-        for v in vals[1:]:
-            acc = abstract(loop_meet(acc.loop, v.loop, f),
-                           ms_merge(acc.seq, v.seq))
+            acc = op(acc, v, f)
         return acc
     if isinstance(w, Scalar):
         k = _bind_int(w.coeff, bindings, require=True)
@@ -744,39 +708,47 @@ def evaluate(w: Formula, bindings: dict, f: LoopForest) -> AbstractWcet:
                          evaluate(w.exit, bindings, f), f)
 
 
-def free_identifiers(w: Formula, f: LoopForest | None = None) -> set[str]:
-    """Identifiers a complete instantiation must bind."""
-    out: set[str] = set()
+def identifiers(w: Formula, f: LoopForest | None = None
+                ) -> tuple[set[str], set[str], set[str]]:
+    """Identifiers of w by position: (costs, counts, loops).
 
-    def loop_id(name: str) -> None:
-        if name != "TOP" and (f is None or name not in f.loops):
-            out.add(name)
+    Without a forest, loop headers cannot be told apart from identifiers
+    and count as loop identifiers.
+    """
+    costs: set[str] = set()
+    counts: set[str] = set()
+    loops: set[str] = set()
+
+    def loop_id(name: Value) -> None:
+        if isinstance(name, str) and name != "TOP" and (
+                f is None or name not in f.loops):
+            loops.add(name)
+
+    def count_id(v: Value) -> None:
+        if isinstance(v, str):
+            counts.add(v)
 
     def walk(node: Formula) -> None:
         if isinstance(node, WcetId):
-            out.add(node.name)
+            costs.add(node.name)
         elif isinstance(node, Scalar):
-            if isinstance(node.coeff, str):
-                out.add(node.coeff)
-            walk(node.operand)
+            count_id(node.coeff)
         elif isinstance(node, Restrict):
             loop_id(node.loop)
-            if isinstance(node.count, str):
-                out.add(node.count)
-            walk(node.operand)
+            count_id(node.count)
         elif isinstance(node, Power):
-            if isinstance(node.header, str):
-                loop_id(node.header)
-            if isinstance(node.count, str):
-                out.add(node.count)
-            walk(node.body)
-            walk(node.exit)
-        elif isinstance(node, (Plus, Max)):
-            for op in node.operands:
-                walk(op)
+            loop_id(node.header)
+            count_id(node.count)
+        for c in _children(node):
+            walk(c)
 
     walk(w)
-    return out
+    return costs, counts, loops
+
+
+def free_identifiers(w: Formula, f: LoopForest | None = None) -> set[str]:
+    """Identifiers a complete instantiation must bind."""
+    return set().union(*identifiers(w, f))
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,6 @@ from symwcet.awcet import (
     ms_ranksum,
     ms_restrict,
     ms_scalar,
-    ms_scale_mult,
     parse_abstract,
     parse_seq,
     plus_abstract,
@@ -106,12 +105,6 @@ def test_ms_group_pinned():
     assert ms_group(parse_seq("[5|1]"), 0) == ZERO_SEQ
 
 
-def test_ms_scale_mult():
-    assert ms_scale_mult(parse_seq("[5,4|3]"), 2) == parse_seq("[5,5,4,4|3]")
-    assert ms_scale_mult(parse_seq("[5,4|3]"), None) == parse_seq("[|5]")
-    assert ms_scale_mult(parse_seq("[5,4|3]"), 0) == parse_seq("[|3]")
-
-
 def test_ms_scalar():
     assert ms_scalar(3, parse_seq("[5,4|1]")) == parse_seq("[15,12|3]")
     assert ms_scalar(0, parse_seq("[5,4|1]")) == ZERO_SEQ
@@ -156,7 +149,6 @@ def test_restrict_properties(s, n, i):
 @PROPERTY_SETTINGS
 @given(s=seqs)
 def test_unit_scalings(s):
-    assert ms_scale_mult(s, 1) == s
     assert ms_group(s, 1) == s
     assert ms_scalar(1, s) == s
 

@@ -173,6 +173,17 @@ def test_unbound_identifier_exits_1(capsys, sym_path):
     assert code == 1 and "x_b2" in err
 
 
+def test_identifier_clash_exits_1(capsys, tmp_path):
+    doc = gen.running_example_doc(inner_bound="n")
+    doc["blocks"][0]["wcet"] = "n"  # a block cost and a loop bound at once
+    p = tmp_path / "clash.json"
+    p.write_text(json.dumps(doc))
+    code, out, err = _run(capsys, ["wcet", "--input", str(p),
+                                   "--bind", "n=2"])
+    assert code == 1 and out == ""
+    assert err == "error: identifiers used in conflicting positions: ['n']\n"
+
+
 def test_sweep_errors_exit_1(capsys, sym_path):
     for sweep in ["x_b2", "x_b2=9..2"]:
         code, _, err = _run(capsys, ["sweep", "--input", sym_path,

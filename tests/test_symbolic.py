@@ -29,6 +29,7 @@ from symwcet.symbolic import (
     formula_size,
     free_identifiers,
     gamma_symbolic,
+    identifiers,
     max_,
     operand_count,
     parse,
@@ -236,6 +237,18 @@ def test_gamma_symbolic_concrete_tree_folds():
     w = gamma_symbolic(a.tree, a.forest)
     assert w == Const(gamma(a.tree, a.forest))
     assert w == Const(parse_abstract("(loop=TOP, [|60])"))
+    # Differential gate: the constant fold and the rewrite system both land
+    # on gamma's value, annotated documents included.
+    rng = random.Random(11)
+    for i in range(300):
+        doc = gen.random_doc(rng)
+        if i % 2:
+            doc = gen.annotate_doc(rng, doc)
+        a = analyze_text(json.dumps(doc))
+        expected = Const(gamma(a.tree, a.forest))
+        assert gamma_symbolic(a.tree, a.forest) == expected, doc
+        raw = gamma_symbolic(a.tree, a.forest, fold_concrete=False)
+        assert simplify(raw, a.forest) == expected, doc
 
 
 def test_gamma_symbolic_unfolded_still_folds_by_rewriting():
@@ -299,8 +312,11 @@ def test_evaluate_requires_bindings(forest):
 
 def test_free_identifiers_classification(forest):
     w = parse("(+ w1 (* k1 (ann w2 lp1 k2)) (pow w3 (l=TOP,[|0]) h1 k1))")
+    assert identifiers(w, forest) == ({"w1", "w2", "w3"}, {"k1", "k2"},
+                                      {"lp1"})
     assert free_identifiers(w, forest) == {"w1", "w2", "w3", "k1", "k2", "lp1"}
     # Without a forest, loop headers cannot be told apart from identifiers.
+    assert identifiers(w, None)[2] == {"lp1", "h1"}
     assert "h1" in free_identifiers(w, None)
 
 
