@@ -379,13 +379,41 @@ def dominates(idom: dict[str, str | None], a: str, b: str) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def _dom_intervals(idom: dict[str, str | None]) -> dict[str, tuple[int, int]]:
+    """Pre- and post-order numbers on the dominator tree: a dominates b
+    exactly when a's interval encloses b's."""
+    kids: dict[str | None, list[str]] = {}
+    for b, d in idom.items():
+        kids.setdefault(d, []).append(b)
+    pre: dict[str, int] = {}
+    out: dict[str, tuple[int, int]] = {}
+    clock = 0
+    stack: list[tuple[str, bool]] = [(b, False) for b in kids[None]]
+    while stack:
+        node, done = stack.pop()
+        clock += 1
+        if done:
+            out[node] = (pre[node], clock)
+            continue
+        pre[node] = clock
+        stack.append((node, True))
+        stack.extend((c, False) for c in kids.get(node, ()))
+    return out
+
+
 def back_edges(g: Cfg, idom: dict[str, str | None]) -> list[Edge]:
-    return [(s, t) for s, t in g.edges if dominates(idom, t, s)]
+    """Edges whose target dominates their source."""
+    span = _dom_intervals(idom)
+    backs = []
+    for s, t in g.edges:
+        (s_pre, s_post), (t_pre, t_post) = span[s], span[t]
+        if t_pre <= s_pre and s_post <= t_post:
+            backs.append((s, t))
+    return backs
 
 
-def check_reducible(g: Cfg, idom: dict[str, str | None]) -> None:
+def check_reducible(g: Cfg, backs: set[Edge]) -> None:
     """Raise IrreducibleLoop when the graph minus back-edges has a cycle."""
-    backs = set(back_edges(g, idom))
     succs: dict[str, list[str]] = {b: [] for b in g.blocks}
     for e in g.edges:
         if e not in backs:
@@ -433,23 +461,11 @@ class LoopInfo:
 class LoopForest:
     loops: dict[str, LoopInfo]  # header -> LoopInfo, document order
     parent: dict[str, str | None]  # header -> enclosing header (None = top level)
-    _innermost: dict[str, str | None] = field(init=False)
-
-    def __post_init__(self) -> None:
-        inner: dict[str, str | None] = {}
-        for header, loop in self.loops.items():
-            for b in loop.body:
-                cur = inner.get(b)
-                if cur is None or len(loop.body) < len(self.loops[cur].body):
-                    inner[b] = header
-        self._innermost = inner
+    block_loop: dict[str, str]  # block -> smallest loop around it, if any
 
     def innermost(self, block: str) -> str | None:
         """Header of the smallest loop containing block, None when loop-free."""
-        return self._innermost.get(block)
-
-    def children(self, level: str | None) -> list[str]:
-        return [h for h, p in self.parent.items() if p == level]
+        return self.block_loop.get(block)
 
     def ancestors(self, header: str) -> list[str]:
         """Enclosing headers from the loop itself outward."""
@@ -468,8 +484,8 @@ def build_loop_forest(g: Cfg, bounds: dict[str, int | str] | None = None) -> Loo
     symbolic bound "x_<header>".
     """
     idom = dominators(g)
-    check_reducible(g, idom)
     backs = back_edges(g, idom)
+    check_reducible(g, set(backs))
     by_header: dict[str, list[Edge]] = {}
     for s, t in backs:
         by_header.setdefault(t, []).append((s, t))
@@ -479,8 +495,8 @@ def build_loop_forest(g: Cfg, bounds: dict[str, int | str] | None = None) -> Loo
         if header not in by_header:
             raise DocumentError(f"loop bound for {header!r}, which is not a loop header")
 
-    loops: dict[str, LoopInfo] = {}
     headers = sorted(by_header, key=g.block_index.__getitem__)
+    bodies: dict[str, set[str]] = {}
     for h in headers:
         body = {h}
         stack = [s for s, _ in by_header[h]]
@@ -490,28 +506,37 @@ def build_loop_forest(g: Cfg, bounds: dict[str, int | str] | None = None) -> Loo
                 continue
             body.add(n)
             stack.extend(g.preds[n])
-        entry = tuple((u, v) for u, v in g.edges if v == h and u not in body)
-        exits = tuple((u, v) for u, v in g.edges if u in body and v not in body)
-        bound = bounds.get(h, f"x_{h}")
-        loops[h] = LoopInfo(h, frozenset(body), tuple(by_header[h]), entry, exits,
-                            bound)
+        bodies[h] = body
 
-    # Reducible loops nest cleanly; anything else is a construction bug.
-    hs = list(loops)
-    for i, a in enumerate(hs):
-        for b in hs[i + 1:]:
-            ba, bb = loops[a].body, loops[b].body
-            assert ba <= bb or bb <= ba or not (ba & bb), (
-                f"overlapping loops {a} and {b}")
-
+    # Outermost loops first: when h comes up, the smallest loop seen so far
+    # around its header is its parent.  Reducible loops nest cleanly, so
+    # every block of h has that same innermost loop; anything else is a
+    # construction bug.
     parent: dict[str, str | None] = {}
-    for h in hs:
-        enclosing = [o for o in hs if o != h and loops[h].body < loops[o].body]
-        if enclosing:
-            parent[h] = min(enclosing, key=lambda o: len(loops[o].body))
-        else:
-            parent[h] = None
-    return LoopForest(loops, parent)
+    inner: dict[str, str] = {}
+    for h in sorted(headers, key=lambda h: -len(bodies[h])):
+        parent[h] = inner.get(h)
+        for b in bodies[h]:
+            assert inner.get(b) == parent[h], f"overlapping loops at {b}"
+            inner[b] = h
+
+    # One pass over the edges: an edge enters its target's loop from outside
+    # the body, and exits every loop around its source that lacks its target.
+    entries: dict[str, list[Edge]] = {h: [] for h in headers}
+    exits: dict[str, list[Edge]] = {h: [] for h in headers}
+    for u, v in g.edges:
+        if v in bodies and u not in bodies[v]:
+            entries[v].append((u, v))
+        level = inner.get(u)
+        while level is not None and v not in bodies[level]:
+            exits[level].append((u, v))
+            level = parent[level]
+
+    loops = {h: LoopInfo(h, frozenset(bodies[h]), tuple(by_header[h]),
+                         tuple(entries[h]), tuple(exits[h]),
+                         bounds.get(h, f"x_{h}"))
+             for h in headers}
+    return LoopForest(loops, {h: parent[h] for h in headers}, inner)
 
 
 # ---------------------------------------------------------------------------

@@ -197,12 +197,12 @@ def cmd_formula(args) -> int:
     a = _load(args)
     raw, simplified = _formula_of(a, _fuel(args))
     text = symbolic.render(simplified)
-    initial = symbolic.operand_count(
-        symbolic.gamma_symbolic(a.tree, a.forest, fold_concrete=False))
-    final = symbolic.operand_count(simplified)
     lines = [text]
     payload: dict = {"formula": text}
     if args.stats:
+        initial = symbolic.operand_count(
+            symbolic.gamma_symbolic(a.tree, a.forest, fold_concrete=False))
+        final = symbolic.operand_count(simplified)
         lines.append(f"operands: {initial} -> {final}")
         payload["initial_operands"] = initial
         payload["final_operands"] = final

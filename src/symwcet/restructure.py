@@ -11,13 +11,14 @@ forced-passage nodes; hierarchical nodes expand recursively into Loop nodes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .cfg import TOP, Cfg, LoopForest, LoopRef, loop_ref
 from . import cft
 
 
-@dataclass(frozen=True)
-class DagNode:
+class DagNode(NamedTuple):
+    # A tuple, not a dataclass: nodes are hashed and compared constantly.
     kind: str  # "block" | "loop" | "next" | "exit"
     id: str = ""
 
@@ -42,6 +43,7 @@ class Dag:
     exit: DagNode
     succs: dict[DagNode, tuple[DagNode, ...]] = field(init=False)
     preds: dict[DagNode, tuple[DagNode, ...]] = field(init=False)
+    idom: dict[DagNode, DagNode] = field(init=False)  # reachable nodes only
 
     def __post_init__(self) -> None:
         succs: dict[DagNode, list[DagNode]] = {n: [] for n in self.nodes}
@@ -51,6 +53,8 @@ class Dag:
             preds[t].append(s)
         self.succs = {n: tuple(v) for n, v in succs.items()}
         self.preds = {n: tuple(v) for n, v in preds.items()}
+        assert _is_acyclic(self), f"region graph for {self.level} has a cycle"
+        self.idom = _idoms(self.start, self.succs, self.preds)
 
 
 def _representative(block: str, level: str | None, f: LoopForest) -> DagNode:
@@ -67,61 +71,59 @@ def _representative(block: str, level: str | None, f: LoopForest) -> DagNode:
     return DagNode("loop", cur)  # type: ignore[arg-type]
 
 
-def loop_to_dag(g: Cfg, f: LoopForest, l: LoopRef) -> tuple[Dag, DagNode, DagNode]:
-    """Build the acyclic region graph for loop l (TOP = whole program)."""
-    if l == TOP:
-        level = None
-        members = set(g.blocks)
-        own_back: set[tuple[str, str]] = set()
-    else:
-        level = l.header
-        info = f.loops[level]
-        members = set(info.body)
-        own_back = set(info.back_edges)
+def region_dags(g: Cfg, f: LoopForest) -> dict[str | None, Dag]:
+    """The region graph of every loop (by header) and of the program (None).
+
+    One pass over the blocks and one over the edges place each block and
+    edge in the regions it belongs to, in document order.
+    """
+    levels: list[str | None] = [None, *f.loops]
+    nodes: dict[str | None, list[DagNode]] = {l: [] for l in levels}
+    placed: set[str] = set()
+    for b in g.blocks:
+        level = f.innermost(b)
+        nodes[level].append(DagNode("block", b))
+        # A loop's node goes to its parent region at its first block; the
+        # placed loops are closed under nesting, so the walk stops early.
+        while level is not None and level not in placed:
+            placed.add(level)
+            nodes[f.parent[level]].append(DagNode("loop", level))
+            level = f.parent[level]
 
     next_node = DagNode("next")
     exit_node = DagNode("exit")
-    nodes: list[DagNode] = []
-    seen: set[DagNode] = set()
+    edges: dict[str | None, dict[DagEdge, None]] = {l: {} for l in levels}
 
-    def add(n: DagNode) -> DagNode:
-        if n not in seen:
-            seen.add(n)
-            nodes.append(n)
-        return n
-
-    for b in g.blocks:
-        if b in members:
-            add(_representative(b, level, f))
-    add(next_node)
-    add(exit_node)
-
-    edges: list[DagEdge] = []
-    edge_seen: set[DagEdge] = set()
-
-    def connect(a: DagNode, b: DagNode) -> None:
-        if a != b and (a, b) not in edge_seen:
-            edge_seen.add((a, b))
-            edges.append((a, b))
+    def connect(level: str | None, a: DagNode, b: DagNode) -> None:
+        if a != b:
+            edges[level].setdefault((a, b), None)
 
     for u, v in g.edges:
-        if (u, v) in own_back:
-            connect(_representative(u, level, f), next_node)
-        elif u in members and v in members:
-            connect(_representative(u, level, f), _representative(v, level, f))
-        elif u in members:
-            connect(_representative(u, level, f), exit_node)
+        # The edge departs every loop around u that does not contain v, and
+        # lies inside the innermost region that contains both; there a back
+        # edge of the region's own loop goes to `next`.
+        rep = DagNode("block", u)
+        level = f.innermost(u)
+        while level is not None and v not in f.loops[level].body:
+            connect(level, rep, exit_node)
+            rep = DagNode("loop", level)
+            level = f.parent[level]
+        if level == v and (u, v) in f.loops[v].back_edges:
+            connect(level, rep, next_node)
+        else:
+            connect(level, rep, _representative(v, level, f))
+    # Program termination is the departure edge of the pseudo-loop.
+    connect(None, _representative(g.exit, None, f), exit_node)
 
-    if l == TOP:
-        # Program termination is the departure edge of the pseudo-loop.
-        connect(_representative(g.exit, level, f), exit_node)
-        start = _representative(g.entry, level, f)
-    else:
-        start = DagNode("block", level)
-
-    dag = Dag(l, tuple(nodes), tuple(edges), start, next_node, exit_node)
-    assert _is_acyclic(dag), f"region graph for {l} has a cycle"
-    return dag, next_node, exit_node
+    dags: dict[str | None, Dag] = {}
+    for level in levels:
+        if level is None:
+            ref, start = TOP, _representative(g.entry, None, f)
+        else:
+            ref, start = loop_ref(level), DagNode("block", level)
+        dags[level] = Dag(ref, (*nodes[level], next_node, exit_node),
+                          tuple(edges[level]), start, next_node, exit_node)
+    return dags
 
 
 def _is_acyclic(d: Dag) -> bool:
@@ -180,61 +182,30 @@ def _idoms(start: DagNode, succs: dict[DagNode, tuple[DagNode, ...]],
     return idom
 
 
-def _forced_between(d: Dag, start: DagNode, end: DagNode) -> list[DagNode]:
+def forced_passage(d: Dag, end: DagNode,
+                   start: DagNode | None = None) -> list[DagNode]:
     """Nodes every start-to-end walk must pass, ordered start-side first.
 
-    Includes end, excludes start.  Dominance is computed on the subgraph of
-    nodes lying on some start-to-end walk, which equals dominance from start
-    for these nodes and keeps the work proportional to the region.
+    Includes end, excludes start (default: the region start), which must
+    dominate end.  On a DAG these are exactly the dominators of end that
+    start dominates: the segment of end's idom chain below start.
     """
-    if start == end:
-        return []
-    fwd = {start}
-    stack = [start]
-    while stack:
-        for t in d.succs[stack[-1]]:
-            if t not in fwd:
-                fwd.add(t)
-                stack.append(t)
-                break
-        else:
-            stack.pop()
-    assert end in fwd, f"{end} unreachable from {start}"
-    region = {end}
-    work = [end]
-    while work:
-        for p in d.preds[work.pop()]:
-            if p in fwd and p not in region:
-                region.add(p)
-                work.append(p)
-    succs = {n: tuple(t for t in d.succs[n] if t in region) for n in region}
-    preds = {n: tuple(p for p in d.preds[n] if p in region) for n in region}
-    idom = _idoms(start, succs, preds)
+    start = d.start if start is None else start
     chain: list[DagNode] = []
     cur = end
     while cur != start:
         chain.append(cur)
-        cur = idom[cur]
+        assert cur != d.start, f"{start} does not dominate {end}"
+        cur = d.idom[cur]
     chain.reverse()
     return chain
 
 
-def forced_passage(d: Dag, end: DagNode) -> list[DagNode]:
-    """Forced-passage nodes from the region start to end (end included)."""
-    return _forced_between(d, d.start, end)
-
-
 class _Builder:
-    def __init__(self, g: Cfg, f: LoopForest):
+    def __init__(self, g: Cfg, f: LoopForest, dags: dict[str | None, Dag]):
         self.g = g
         self.f = f
-        self._dags: dict[str, Dag] = {}
-
-    def loop_dag(self, header: str) -> Dag:
-        if header not in self._dags:
-            self._dags[header], _, _ = loop_to_dag(self.g, self.f,
-                                                   loop_ref(header))
-        return self._dags[header]
+        self.dags = dags
 
     def node_key(self, n: DagNode):
         kind_rank = {"block": 0, "loop": 1, "next": 2, "exit": 3}[n.kind]
@@ -244,7 +215,7 @@ class _Builder:
         if n.kind == "block":
             return cft.Leaf(n.id, self.g.blocks[n.id].wcet)
         if n.kind == "loop":
-            d = self.loop_dag(n.id)
+            d = self.dags[n.id]
             body = self.tree(d, d.start, d.next, include_start=True)
             exit_tree = self.tree(d, d.start, d.exit, include_start=True)
             return cft.Loop(n.id, body, self.f.loops[n.id].bound, exit_tree)
@@ -258,7 +229,7 @@ class _Builder:
             if first is not None:
                 children.append(first)
         prev = start
-        for forced in _forced_between(d, start, end):
+        for forced in forced_passage(d, end, start):
             preds = sorted(d.preds[forced], key=self.node_key)
             if len(preds) >= 2:
                 children.append(cft.alt([
@@ -282,6 +253,8 @@ def build_cft(g: Cfg, f: LoopForest) -> tuple[cft.Cft, dict[str, str]]:
     The builder does not deduplicate leaf labels; the renaming pass runs
     once on the assembled tree.
     """
-    top, _, exit_node = loop_to_dag(g, f, TOP)
-    raw = _Builder(g, f).tree(top, top.start, exit_node, include_start=True)
+    dags = region_dags(g, f)
+    top = dags[None]
+    raw = _Builder(g, f, dags).tree(top, top.start, top.exit,
+                                    include_start=True)
     return cft.rename_leaves(raw)

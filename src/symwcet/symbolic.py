@@ -18,6 +18,7 @@ rule on maxima relies on this.
 from __future__ import annotations
 
 import re
+from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable
@@ -207,23 +208,26 @@ def _children(w: Formula) -> tuple[Formula, ...]:
     return ()
 
 
+def _with_children(w: Formula, kids: list[Formula]) -> Formula:
+    """w over new children, rebuilt through the canonical constructors."""
+    if isinstance(w, Plus):
+        return plus(kids)
+    if isinstance(w, Max):
+        return max_(kids)
+    if isinstance(w, Scalar):
+        return scalar(w.coeff, kids[0])
+    if isinstance(w, Restrict):
+        return restrict(kids[0], w.loop, w.count)
+    return power(kids[0], kids[1], w.header, w.count)
+
+
 def _rebuild(w: Formula, path: tuple[int, ...], new: Formula) -> Formula:
     if not path:
         return new
-    i, rest = path[0], path[1:]
-    kids = _children(w)
-    repl = _rebuild(kids[i], rest, new)
-    if isinstance(w, Plus):
-        return plus([*w.operands[:i], repl, *w.operands[i + 1:]])
-    if isinstance(w, Max):
-        return max_([*w.operands[:i], repl, *w.operands[i + 1:]])
-    if isinstance(w, Scalar):
-        return scalar(w.coeff, repl)
-    if isinstance(w, Restrict):
-        return restrict(repl, w.loop, w.count)
-    body = repl if i == 0 else w.body
-    exit_ = repl if i == 1 else w.exit
-    return power(body, exit_, w.header, w.count)
+    i = path[0]
+    kids = list(_children(w))
+    kids[i] = _rebuild(kids[i], path[1:], new)
+    return _with_children(w, kids)
 
 
 # ---------------------------------------------------------------------------
@@ -246,6 +250,18 @@ def _try_meet(a: LoopRef, b: LoopRef, f: LoopForest | None) -> LoopRef | None:
 def _merge_values(values: list[AbstractWcet], f: LoopForest | None,
                   op: Callable) -> list[AbstractWcet] | None:
     """Combine pairwise until no pair's loop meet is computable."""
+    if f is not None:
+        # With a forest every pair meets, so the first two values always
+        # combine and the merge goes to the back: a queue does the same
+        # pairing in linear time.
+        if len(values) < 2:
+            return None
+        queue = deque(values)
+        while len(queue) > 1:
+            a, b = queue.popleft(), queue.popleft()
+            queue.append(abstract(loop_meet(a.loop, b.loop, f),
+                                  op(a.seq, b.seq)))
+        return list(queue)
     vals = list(values)
     changed = False
     while True:
@@ -538,6 +554,15 @@ _RULES: tuple[tuple[str, Callable], ...] = (
 DEFAULT_FUEL = 10_000
 
 
+def _rewrite(w: Formula, f: LoopForest | None) -> Formula | None:
+    """The first rule's rewrite of w at its root, None when none applies."""
+    for _, rule in _RULES:
+        new = rule(w, f)
+        if new is not None and new != w:
+            return new
+    return None
+
+
 def _sites(w: Formula, f: LoopForest | None):
     found: list[tuple[tuple[int, ...], str, Formula]] = []
 
@@ -557,19 +582,54 @@ def simplify(w: Formula, f: LoopForest | None = None,
              fuel: int = DEFAULT_FUEL, rng=None) -> Formula:
     """Normal form of w under the rewrite system.
 
-    The result is independent of application order; `rng` picks a random
-    applicable rewrite each step (used to test exactly that).
+    Innermost: children are normalised first (each distinct node once per
+    call), then rules rewrite the rebuilt node until none applies.  The
+    result is independent of application order; `rng` instead applies a
+    random applicable rewrite anywhere in the formula each step (used to
+    test exactly that).  `fuel` bounds the number of rewrite steps.
     """
     steps = 0
-    while True:
-        sites = _sites(w, f)
-        if not sites:
-            return w
-        path, _, new = sites[rng.randrange(len(sites))] if rng else sites[0]
-        w = _rebuild(w, path, new)
+
+    def spend() -> None:
+        nonlocal steps
         steps += 1
         if steps > fuel:
             raise FuelExhausted(f"no normal form within {fuel} rewrite steps")
+
+    if rng is not None:
+        while True:
+            sites = _sites(w, f)
+            if not sites:
+                return w
+            path, _, new = sites[rng.randrange(len(sites))]
+            w = _rebuild(w, path, new)
+            spend()
+
+    # id(node) -> (node, normal form); the node is kept so its id stays
+    # unique for the call.
+    memo: dict[int, tuple[Formula, Formula]] = {}
+
+    def normal(node: Formula) -> Formula:
+        hit = memo.get(id(node))
+        if hit is not None:
+            return hit[1]
+        cur = node
+        while True:
+            kids = _children(cur)
+            if kids:
+                new_kids = [normal(k) for k in kids]
+                if any(a is not b for a, b in zip(new_kids, kids)):
+                    cur = _with_children(cur, new_kids)
+            new = _rewrite(cur, f)
+            if new is None:
+                break
+            spend()
+            cur = new
+        memo[id(node)] = (node, cur)
+        memo[id(cur)] = (cur, cur)
+        return cur
+
+    return normal(w)
 
 
 # ---------------------------------------------------------------------------

@@ -134,11 +134,14 @@ def test_dominates_matches_removal_oracle():
         doc = gen.random_doc(rng, depth=2, noise=2)
         g = parse_program(json.dumps(doc)).cfg
         idom = dominators(g)
+        cuts = {d: _reachable_without(g, d) for d in g.blocks}
         for d in g.blocks:
-            cut = _reachable_without(g, d)
             for n in g.blocks:
-                expected = n == d or n not in cut
+                expected = n == d or n not in cuts[d]
                 assert dominates(idom, d, n) == expected, (doc, d, n)
+        # back_edges tests dominance on the dominator tree's numbering.
+        assert back_edges(g, idom) == [
+            (s, t) for s, t in g.edges if s == t or s not in cuts[t]], doc
 
 
 # ---------------------------------------------------------------------------

@@ -77,6 +77,20 @@ def test_formula_stats(capsys, sym_path):
     assert "x_b2" in payload["formula"]
 
 
+def test_formula_builds_unfolded_formula_only_for_stats(capsys, monkeypatch,
+                                                        sym_path):
+    folds = []
+    build = cli.symbolic.gamma_symbolic
+    monkeypatch.setattr(cli.symbolic, "gamma_symbolic",
+                        lambda t, f, fold_concrete=True:
+                        folds.append(fold_concrete) or build(t, f, fold_concrete))
+    _run(capsys, ["formula", "--input", sym_path])
+    assert folds == [True]
+    folds.clear()
+    _run(capsys, ["formula", "--input", sym_path, "--stats"])
+    assert folds == [True, False]
+
+
 def test_wcet_concrete(capsys, fig2_path):
     code, out, _ = _run(capsys, ["wcet", "--input", fig2_path])
     assert code == 0 and out.strip() == "60"

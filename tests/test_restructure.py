@@ -8,9 +8,9 @@ import random
 import pytest
 
 import generators as gen
-from symwcet import cft
-from symwcet.cfg import TOP, build_loop_forest, loop_ref, parse_program
-from symwcet.restructure import build_cft, forced_passage, loop_to_dag
+from symwcet import cft, restructure
+from symwcet.cfg import build_loop_forest, parse_program
+from symwcet.restructure import build_cft, forced_passage, region_dags
 
 
 def _fig2():
@@ -31,7 +31,8 @@ def _shape(dag):
 
 def test_outer_loop_dag():
     g, f = _fig2()
-    dag, nxt, ext = loop_to_dag(g, f, loop_ref("b1"))
+    dag = region_dags(g, f)["b1"]
+    nxt, ext = dag.next, dag.exit
     nodes, edges = _shape(dag)
     assert nodes == ["L_b2", "b1", "b3", "b6", "exit", "next"]
     assert edges == [("L_b2", "b3"), ("b1", "L_b2"), ("b1", "b6"),
@@ -43,7 +44,8 @@ def test_outer_loop_dag():
 
 def test_inner_loop_dag():
     g, f = _fig2()
-    dag, nxt, ext = loop_to_dag(g, f, loop_ref("b2"))
+    dag = region_dags(g, f)["b2"]
+    nxt, ext = dag.next, dag.exit
     nodes, edges = _shape(dag)
     assert nodes == ["b2", "b4", "exit", "next"]
     assert edges == [("b2", "b4"), ("b2", "exit"), ("b4", "next")]
@@ -54,7 +56,8 @@ def test_inner_loop_dag():
 
 def test_top_level_dag():
     g, f = _fig2()
-    dag, nxt, ext = loop_to_dag(g, f, TOP)
+    dag = region_dags(g, f)[None]
+    nxt, ext = dag.next, dag.exit
     nodes, edges = _shape(dag)
     assert nodes == ["L_b1", "b5", "exit", "next"]
     assert edges == [("L_b1", "b5"), ("b5", "exit")]
@@ -68,9 +71,7 @@ def test_dags_are_acyclic_on_random_docs():
         doc = gen.random_doc(rng, depth=3, noise=3)
         p = parse_program(json.dumps(doc))
         f = build_loop_forest(p.cfg, p.loop_bounds)
-        for header in list(f.loops) + [None]:
-            l = TOP if header is None else loop_ref(header)
-            dag, _, _ = loop_to_dag(p.cfg, f, l)
+        for dag in region_dags(p.cfg, f).values():
             # Kahn: consuming every node proves acyclicity.
             indeg = {n: 0 for n in dag.nodes}
             for _, b in dag.edges:
@@ -85,6 +86,22 @@ def test_dags_are_acyclic_on_random_docs():
                     if indeg[s] == 0:
                         queue.append(s)
             assert seen == len(dag.nodes), doc
+
+
+def test_one_dominator_tree_per_region(monkeypatch):
+    calls = []
+    idoms = restructure._idoms
+    monkeypatch.setattr(restructure, "_idoms",
+                        lambda *args: calls.append(args[0]) or idoms(*args))
+    rng = random.Random(41)
+    docs = [gen.scaling_doc(60), gen.running_example_doc()]
+    docs += [gen.random_doc(rng, depth=3, noise=4) for _ in range(20)]
+    for doc in docs:
+        p = parse_program(json.dumps(doc))
+        f = build_loop_forest(p.cfg, p.loop_bounds)
+        calls.clear()
+        build_cft(p.cfg, f)
+        assert len(calls) == len(f.loops) + 1, doc
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,17 @@ import random
 import pytest
 
 import generators as gen
-from symwcet.awcet import ZERO, abstract, gamma, parse_abstract, parse_seq
-from symwcet.cfg import TOP, loop_ref
+from symwcet import symbolic
+from symwcet.awcet import (
+    ZERO,
+    abstract,
+    gamma,
+    ms_merge,
+    ms_ranksum,
+    parse_abstract,
+    parse_seq,
+)
+from symwcet.cfg import BOT, TOP, loop_ref
 from symwcet.errors import (
     FuelExhausted,
     TypeMismatch,
@@ -24,6 +33,8 @@ from symwcet.symbolic import (
     Restrict,
     Scalar,
     WcetId,
+    _merge_values,
+    _try_meet,
     evaluate,
     formula_order,
     formula_size,
@@ -225,6 +236,96 @@ def test_fuel_exhaustion(forest):
     w = parse("(+ (l=TOP,[|3]) (l=TOP,[|4]))")
     with pytest.raises(FuelExhausted):
         simplify(w, forest, fuel=0)
+
+
+def test_fuel_counts_rewrite_steps(forest):
+    # scalar-fold inside, then plus-const at the root: two steps.
+    w = parse("(+ (l=TOP,[|3]) (l=TOP,[|4]) (* 2 (l=TOP,[|1])))")
+    with pytest.raises(FuelExhausted):
+        simplify(w, forest, fuel=1)
+    assert simplify(w, forest, fuel=2) == parse("(l=TOP,[|9])")
+
+
+def _symbolic_scaling_doc(sections):
+    doc = gen.scaling_doc(sections)
+    for i, h in enumerate(sorted(doc["loop_bounds"])):
+        if i % 2:
+            doc["loop_bounds"][h] = f"n{i}"
+    return doc
+
+
+def test_innermost_matches_random_schedules_on_documents():
+    # The innermost normaliser against the random-site reference schedule,
+    # on the formulas the pipeline builds: the symbolic chain and a
+    # frozen-seed corpus, folded and unfolded.
+    rng = random.Random(31)
+    docs = [_symbolic_scaling_doc(40)]
+    for i in range(120):
+        doc = gen.random_doc(rng, symbolic_bounds=True)
+        docs.append(gen.annotate_doc(rng, doc) if i % 2 else doc)
+    for i, doc in enumerate(docs):
+        a = analyze_text(json.dumps(doc))
+        for fold in (True, False):
+            raw = gamma_symbolic(a.tree, a.forest, fold_concrete=fold)
+            nf = simplify(raw, a.forest)
+            assert simplify(raw, a.forest, rng=random.Random(i)) == nf, doc
+            assert simplify(nf, a.forest) is nf
+
+
+def _pairwise_scan(values, f, op):
+    """Reference merge: combine the first pair (in scan order) whose loop
+    meet is defined, append the result, and rescan until none is left."""
+    vals = list(values)
+    changed = False
+    while True:
+        hit = next(((i, j, m) for i in range(len(vals))
+                    for j in range(i + 1, len(vals))
+                    if (m := _try_meet(vals[i].loop, vals[j].loop, f))
+                    is not None), None)
+        if hit is None:
+            return vals if changed else None
+        i, j, m = hit
+        merged = abstract(m, op(vals[i].seq, vals[j].seq))
+        vals = [v for k, v in enumerate(vals) if k not in (i, j)] + [merged]
+        changed = True
+
+
+def test_merge_values_matches_pairwise_scan(forest):
+    rng = random.Random(37)
+    for _ in range(400):
+        values = [gen.random_const(rng).value
+                  for _ in range(rng.randint(0, 8))]
+        if values and rng.random() < 0.2:
+            values[0] = abstract(BOT, values[0].seq)
+        for op in (ms_ranksum, ms_merge):
+            assert (_merge_values(values, forest, op)
+                    == _pairwise_scan(values, forest, op)), values
+
+
+def test_simplify_rule_calls_linear_on_chain(monkeypatch):
+    # Work count, not time: each distinct node and each rewrite step tries
+    # the rules about once.  Recomputing every site after each step costs
+    # steps x nodes calls here (about 80 x 1000, unfolded 500 x 1500).
+    a = analyze_text(json.dumps(_symbolic_scaling_doc(500)))
+    rules = symbolic._RULES
+    for fold in (True, False):
+        w = gamma_symbolic(a.tree, a.forest, fold_concrete=fold)
+        calls = steps = 0
+
+        def counted(rule):
+            def call(node, f):
+                nonlocal calls, steps
+                calls += 1
+                new = rule(node, f)
+                steps += new is not None and new != node
+                return new
+            return call
+
+        monkeypatch.setattr(symbolic, "_RULES",
+                            tuple((name, counted(r)) for name, r in rules))
+        simplify(w, a.forest)
+        assert steps > 50
+        assert calls <= 2 * len(rules) * (formula_size(w) + steps)
 
 
 # ---------------------------------------------------------------------------
