@@ -6,6 +6,15 @@ sequence with an eventually-constant tail; `loop` records the innermost loop
 whose iteration count the ranking is relative to.  All tree-level evaluation
 (gamma) and the numeric instantiation helpers shared with the formula layer
 live here.
+
+A ranking's prefix is run-length encoded: (cost, multiplicity) runs with
+strictly decreasing costs, so a cap of 10^6 or a loop bound of 10^9 is one
+run, not a million or a billion elements.  Every operation walks runs and
+costs time in the number of distinct costs, never in bounds or caps.  The
+text form writes a run of k >= 2 equal costs as `v^k`, e.g. `[105^5|70]`
+for `[105,105,105,105,105|70]`; the parser accepts both.  Tuple order on
+runs equals the lexicographic order on the expanded sequences, so sorting
+by `prefix` orders rankings as before.
 """
 
 from __future__ import annotations
@@ -13,6 +22,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import partial, reduce
+from math import inf
 from typing import Iterable
 
 from .cfg import BOT, TOP, LoopForest, LoopRef, loop_meet, loop_ref, parse_loop_ref
@@ -20,29 +30,53 @@ from . import cft
 from .errors import IncomparableLoops, NotMultiple, SymbolicValuePresent
 
 
+Run = tuple[int, int]  # (cost, multiplicity)
+
+
 @dataclass(frozen=True)
 class WcetSeq:
-    """Non-increasing cost ranking: finite prefix, then `tail` forever."""
+    """Non-increasing cost ranking: finite prefix, then `tail` forever.
 
-    prefix: tuple[int, ...]
+    The prefix is stored as runs (cost, multiplicity): costs strictly
+    decreasing and above the tail, multiplicities at least 1.
+    """
+
+    prefix: tuple[Run, ...]
     tail: int
 
     def __post_init__(self) -> None:
         assert self.tail >= 0
         last = None
-        for e in self.prefix:
-            assert e > self.tail, f"prefix element {e} not above tail {self.tail}"
-            assert last is None or e <= last, "prefix must be non-increasing"
-            last = e
+        for v, k in self.prefix:
+            assert v > self.tail, f"prefix cost {v} not above tail {self.tail}"
+            assert last is None or v < last, "prefix costs must strictly decrease"
+            assert k >= 1, f"run of {v} has multiplicity {k}"
+            last = v
 
     def __str__(self) -> str:
-        return "[%s|%d]" % (",".join(str(e) for e in self.prefix), self.tail)
+        return "[%s|%d]" % (",".join(str(v) if k == 1 else f"{v}^{k}"
+                                     for v, k in self.prefix), self.tail)
+
+
+def _canon(runs: Iterable[Run], tail: int) -> WcetSeq:
+    """The one canonicaliser: runs listed greatest cost first, equal
+    neighbours coalesced, empty runs and costs at or below tail dropped."""
+    out: list[Run] = []
+    for v, k in runs:
+        if v <= tail:
+            break
+        if not k:
+            continue
+        if out and out[-1][0] == v:
+            out[-1] = (v, out[-1][1] + k)
+        else:
+            out.append((v, k))
+    return WcetSeq(tuple(out), tail)
 
 
 def make_seq(elems: Iterable[int], tail: int) -> WcetSeq:
-    """Canonical sequence: sorted descending, elements <= tail absorbed."""
-    kept = sorted((e for e in elems if e > tail), reverse=True)
-    return WcetSeq(tuple(kept), tail)
+    """Canonical sequence of the given costs, elements <= tail absorbed."""
+    return _canon(((e, 1) for e in sorted(elems, reverse=True)), tail)
 
 
 def const_seq(k: int) -> WcetSeq:
@@ -51,45 +85,115 @@ def const_seq(k: int) -> WcetSeq:
 
 ZERO_SEQ = const_seq(0)
 
-_SEQ_RE = re.compile(r"\[([0-9,]*)\|(\d+)\]\Z")
+_SEQ_RE = re.compile(r"\[([0-9,^]*)\|(\d+)\]\Z")
+_RUN_RE = re.compile(r"(\d+)(?:\^([1-9]\d*))?\Z")
 
 
 def parse_seq(text: str) -> WcetSeq:
+    """Inverse of str: costs greatest first, `v^k` for k copies of v."""
     m = _SEQ_RE.match(text)
     if not m:
         raise ValueError(f"bad sequence literal {text!r}")
-    elems = [int(x) for x in m.group(1).split(",") if x]
-    return make_seq(elems, int(m.group(2)))
+    runs: list[Run] = []
+    for item in m.group(1).split(","):
+        if not item:
+            continue
+        r = _RUN_RE.match(item)
+        if not r:
+            raise ValueError(f"bad run {item!r} in {text!r}")
+        v = int(r.group(1))
+        if runs and v > runs[-1][0]:
+            raise ValueError(f"costs not listed greatest first in {text!r}")
+        runs.append((v, int(r.group(2) or 1)))
+    return _canon(runs, int(m.group(2)))
 
 
 def ms_index(s: WcetSeq, i: int) -> int:
     """i-th greatest cost (0-based)."""
-    return s.prefix[i] if i < len(s.prefix) else s.tail
+    for v, k in s.prefix:
+        if i < k:
+            return v
+        i -= k
+    return s.tail
+
+
+def _top_sum(s: WcetSeq, n: int) -> int:
+    """Sum of the n greatest costs."""
+    total = 0
+    for v, k in s.prefix:
+        if n <= k:
+            return total + n * v
+        total += k * v
+        n -= k
+    return total + n * s.tail
 
 
 def ms_restrict(s: WcetSeq, n: int | None) -> WcetSeq:
     """Keep the n greatest costs, zero out the rest; None keeps everything."""
     if n is None:
         return s
-    return make_seq((ms_index(s, i) for i in range(n)), 0)
+    runs: list[Run] = []
+    for v, k in s.prefix:
+        if n <= k:
+            runs.append((v, n))
+            break
+        runs.append((v, k))
+        n -= k
+    else:
+        runs.append((s.tail, n))
+    return _canon(runs, 0)
+
+
+def _shift(s: WcetSeq, c: int) -> WcetSeq:
+    """s with c added to every cost."""
+    if not c:
+        return s
+    return WcetSeq(tuple((v + c, k) for v, k in s.prefix), s.tail + c)
 
 
 def ms_merge(a: WcetSeq, b: WcetSeq) -> WcetSeq:
     """Multiset union: the larger tail swallows everything at or below it."""
-    tail = max(a.tail, b.tail)
-    return make_seq(a.prefix + b.prefix, tail)
+    if not b.prefix and a.tail >= b.tail:
+        return a
+    if not a.prefix and b.tail >= a.tail:
+        return b
+    return _canon(sorted(a.prefix + b.prefix, reverse=True),
+                  max(a.tail, b.tail))
 
 
 def ms_ranksum(a: WcetSeq, b: WcetSeq) -> WcetSeq:
     """Rank-wise sum: i-th greatest of the result = a[i] + b[i]."""
-    n = max(len(a.prefix), len(b.prefix))
-    return make_seq((ms_index(a, i) + ms_index(b, i) for i in range(n)),
-                    a.tail + b.tail)
+    if not b.prefix:
+        return _shift(a, b.tail) if a.prefix else WcetSeq((), a.tail + b.tail)
+    if not a.prefix:
+        return _shift(b, a.tail)
+    # Walk both run lists in step, each tail an endless last run.  Every
+    # step ends a run of a or of b, so the sums strictly decrease.
+    pa, pb = a.prefix + ((a.tail, inf),), b.prefix + ((b.tail, inf),)
+    i = j = 0
+    (va, ra), (vb, rb) = pa[0], pb[0]
+    runs: list[Run] = []
+    while i < len(a.prefix) or j < len(b.prefix):
+        k = ra if ra < rb else rb
+        runs.append((va + vb, k))
+        ra -= k
+        rb -= k
+        if not ra:
+            i += 1
+            va, ra = pa[i]
+        if not rb:
+            j += 1
+            vb, rb = pb[j]
+    return WcetSeq(tuple(runs), a.tail + b.tail)
 
 
 def ms_scalar(k: int, s: WcetSeq) -> WcetSeq:
     assert k >= 0
-    return make_seq((k * e for e in s.prefix), k * s.tail)
+    if not k:
+        return ZERO_SEQ
+    if not s.prefix:
+        return WcetSeq((), k * s.tail)
+    return WcetSeq(tuple((k * v, m) for v, m in s.prefix), k * s.tail)
 
 
 def ms_group(s: WcetSeq, x: int) -> WcetSeq:
@@ -100,16 +204,28 @@ def ms_group(s: WcetSeq, x: int) -> WcetSeq:
     """
     if x == 0:
         return ZERO_SEQ
-    elems: list[int] = []
-    i = 0
-    while i < len(s.prefix):
-        chunk = sum(ms_index(s, j) for j in range(i, i + x))
-        if i + x <= len(s.prefix):
-            elems.append(chunk)
-            i += x
-        else:
-            return make_seq(elems, chunk)
-    return make_seq(elems, x * s.tail)
+    if not s.prefix:
+        return WcetSeq((), x * s.tail)
+    runs: list[Run] = []
+    acc, need = 0, x  # sum of the group being filled, costs it still lacks
+    for v, k in s.prefix:
+        if need < x:
+            took = min(need, k)
+            acc += took * v
+            need -= took
+            k -= took
+            if need:
+                continue
+            runs.append((acc, 1))
+            acc, need = 0, x
+        q, r = divmod(k, x)
+        if q:
+            runs.append((x * v, q))
+        if r:
+            acc, need = r * v, x - r
+    if need < x:
+        return _canon(runs, acc + need * s.tail)
+    return _canon(runs, x * s.tail)
 
 
 def eval_seq(s: WcetSeq, e: int, n: int) -> int:
@@ -118,7 +234,7 @@ def eval_seq(s: WcetSeq, e: int, n: int) -> int:
         raise NotMultiple(f"need e,n >= 1, got e={e}, n={n}")
     if n % e:
         raise NotMultiple(f"executions {n} not a multiple of entries {e}")
-    return e * sum(ms_index(s, j) for j in range(n // e))
+    return e * _top_sum(s, n // e)
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +261,7 @@ def abstract(loop: LoopRef, seq: WcetSeq) -> AbstractWcet:
 
 ZERO = abstract(TOP, ZERO_SEQ)
 
-_AW_RE = re.compile(r"\(loop=([^,]+),\s*(\[[0-9,]*\|\d+\])\)\Z")
+_AW_RE = re.compile(r"\(loop=([^,]+),\s*(\[[0-9,^]*\|\d+\])\)\Z")
 
 
 def parse_abstract(text: str) -> AbstractWcet:
@@ -197,7 +313,7 @@ def loop_abstract(
     if body.loop == loop_ref(header):
         # Body costs are ranked per iteration of this very loop: one entry
         # takes the `count` greatest, a constant total.
-        total = sum(ms_index(body.seq, i) for i in range(count))
+        total = _top_sum(body.seq, count)
         return abstract(exit_.loop, ms_ranksum(const_seq(total), exit_.seq))
     grouped = ms_group(body.seq, count)
     return abstract(loop_meet(body.loop, exit_.loop, f),

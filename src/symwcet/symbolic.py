@@ -583,10 +583,15 @@ def simplify(w: Formula, f: LoopForest | None = None,
     """Normal form of w under the rewrite system.
 
     Innermost: children are normalised first (each distinct node once per
-    call), then rules rewrite the rebuilt node until none applies.  The
-    result is independent of application order; `rng` instead applies a
-    random applicable rewrite anywhere in the formula each step (used to
-    test exactly that).  `fuel` bounds the number of rewrite steps.
+    call), then rules rewrite the rebuilt node until none applies.  With a
+    forest the result is independent of application order; `rng` instead
+    applies a random applicable rewrite anywhere in the formula each step
+    (used to test exactly that).  `fuel` bounds the number of rewrite steps.
+
+    Without a forest (`f=None`) the normal form can depend on the schedule:
+    a TOP constant meets every loop constant, so it may join either of two
+    constants whose loops cannot be compared, and different schedules can
+    end in different forms.  No pipeline caller passes None.
     """
     steps = 0
 
@@ -838,7 +843,11 @@ _INT_RE = re.compile(r"\d+\Z")
 
 
 def parse(text: str) -> Formula:
-    """Parse the textual formula form (inverse of render)."""
+    """Parse the textual formula form (inverse of render).
+
+    Constants may spell their rankings with runs (`[105^5|70]`) or
+    expanded (`[105,105,105,105,105|70]`); see `awcet.parse_seq`.
+    """
     tokens = _TOKEN_RE.findall(text)
     pos = 0
 

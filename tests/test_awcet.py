@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
@@ -33,6 +34,7 @@ from symwcet.awcet import (
     restrict_abstract,
     scalar_abstract,
 )
+from symwcet import symbolic
 from symwcet.cfg import BOT, TOP, build_loop_forest, loop_ref, parse_program
 from symwcet.errors import IncomparableLoops, NotMultiple, SymbolicValuePresent
 from symwcet.restructure import build_cft
@@ -43,6 +45,14 @@ seqs = st.builds(
     make_seq,
     st.lists(st.integers(min_value=0, max_value=60), max_size=6),
     st.integers(min_value=0, max_value=25),
+)
+
+# Costs from a narrow range, so equal costs (runs of multiplicity > 1) are
+# the rule rather than the exception.
+run_seqs = st.builds(
+    make_seq,
+    st.lists(st.integers(min_value=0, max_value=6), max_size=14),
+    st.integers(min_value=0, max_value=4),
 )
 
 
@@ -61,15 +71,22 @@ def fig2():
 
 def test_make_seq_canonicalizes():
     s = make_seq([2, 5, 4, 1, 1], 1)
-    assert s == WcetSeq((5, 4, 2), 1)
+    assert s == WcetSeq(((5, 1), (4, 1), (2, 1)), 1)
     assert str(s) == "[5,4,2|1]"
+    t = make_seq([7, 3, 7, 7, 2, 3], 2)
+    assert t == WcetSeq(((7, 3), (3, 2)), 2)
+    assert str(t) == "[7^3,3^2|2]"
 
 
 def test_raw_constructor_enforces_shape():
     with pytest.raises(AssertionError):
-        WcetSeq((1,), 2)  # prefix element not above tail
+        WcetSeq(((1, 1),), 2)  # prefix cost not above tail
     with pytest.raises(AssertionError):
-        WcetSeq((3, 5), 1)  # increasing prefix
+        WcetSeq(((3, 1), (5, 1)), 1)  # increasing prefix
+    with pytest.raises(AssertionError):
+        WcetSeq(((5, 1), (5, 1)), 1)  # equal neighbouring runs
+    with pytest.raises(AssertionError):
+        WcetSeq(((5, 0),), 1)  # empty run
 
 
 def test_parse_seq_roundtrip():
@@ -157,6 +174,167 @@ def test_unit_scalings(s):
 @given(s=seqs, n=st.integers(min_value=1, max_value=6))
 def test_eval_seq_single_entry_is_top_n_sum(s, n):
     assert eval_seq(s, 1, n) == sum(ms_index(s, i) for i in range(n))
+
+
+def test_run_syntax():
+    runs = parse_seq("[105^5|70]")
+    assert runs == parse_seq("[105,105,105,105,105|70]")
+    assert runs == WcetSeq(((105, 5),), 70)
+    assert str(runs) == "[105^5|70]"
+    assert parse_seq("[9,5^1,5,3^2,1|1]") == make_seq([9, 5, 5, 3, 3], 1)
+    for text in ["[5^0|1]", "[5^|1]", "[3^2,5|1]", "[^2|1]", "[5^2^2|1]"]:
+        with pytest.raises(ValueError):
+            parse_seq(text)
+
+
+def test_values_far_beyond_document_size():
+    cap = ms_restrict(const_seq(7), 2_000_000)
+    assert cap == WcetSeq(((7, 2_000_000),), 0)
+    assert str(ms_group(ms_ranksum(cap, const_seq(3)), 10)) == "[100^200000|30]"
+    assert eval_seq(cap, 1, 10**9) == 14_000_000
+    assert ms_index(cap, 1_999_999) == 7 and ms_index(cap, 2_000_000) == 0
+
+
+# ---------------------------------------------------------------------------
+# Runs against the expanded-list semantics
+# ---------------------------------------------------------------------------
+
+# The reference: the ranking operations as written over expanded prefixes,
+# one element per execution.  Every run-based operation must agree with it.
+
+
+class ListSeq(NamedTuple):
+    prefix: tuple[int, ...]
+    tail: int
+
+
+def expand(s: WcetSeq) -> ListSeq:
+    return ListSeq(tuple(v for v, k in s.prefix for _ in range(k)), s.tail)
+
+
+def ref_make_seq(elems, tail: int) -> ListSeq:
+    kept = sorted((e for e in elems if e > tail), reverse=True)
+    return ListSeq(tuple(kept), tail)
+
+
+def ref_index(s: ListSeq, i: int) -> int:
+    return s.prefix[i] if i < len(s.prefix) else s.tail
+
+
+def ref_restrict(s: ListSeq, n: int | None) -> ListSeq:
+    if n is None:
+        return s
+    return ref_make_seq((ref_index(s, i) for i in range(n)), 0)
+
+
+def ref_merge(a: ListSeq, b: ListSeq) -> ListSeq:
+    tail = max(a.tail, b.tail)
+    return ref_make_seq(a.prefix + b.prefix, tail)
+
+
+def ref_ranksum(a: ListSeq, b: ListSeq) -> ListSeq:
+    n = max(len(a.prefix), len(b.prefix))
+    return ref_make_seq((ref_index(a, i) + ref_index(b, i) for i in range(n)),
+                        a.tail + b.tail)
+
+
+def ref_scalar(k: int, s: ListSeq) -> ListSeq:
+    assert k >= 0
+    return ref_make_seq((k * e for e in s.prefix), k * s.tail)
+
+
+def ref_group(s: ListSeq, x: int) -> ListSeq:
+    if x == 0:
+        return ListSeq((), 0)
+    elems: list[int] = []
+    i = 0
+    while i < len(s.prefix):
+        chunk = sum(ref_index(s, j) for j in range(i, i + x))
+        if i + x <= len(s.prefix):
+            elems.append(chunk)
+            i += x
+        else:
+            return ref_make_seq(elems, chunk)
+    return ref_make_seq(elems, x * s.tail)
+
+
+def ref_eval_seq(s: ListSeq, e: int, n: int) -> int:
+    return e * sum(ref_index(s, j) for j in range(n // e))
+
+
+def ref_loop_seq(self_relative: bool, count: int, body: ListSeq,
+                 exit_: ListSeq) -> ListSeq:
+    if self_relative:
+        total = sum(ref_index(body, i) for i in range(count))
+        return ref_ranksum(ListSeq((), total), exit_)
+    return ref_ranksum(ref_group(body, count), exit_)
+
+
+@PROPERTY_SETTINGS
+@given(a=run_seqs, b=run_seqs, n=st.integers(min_value=0, max_value=16),
+       x=st.integers(min_value=0, max_value=7),
+       i=st.integers(min_value=0, max_value=16))
+def test_runs_match_list_semantics(a, b, n, x, i):
+    ea, eb = expand(a), expand(b)
+    assert ms_index(a, i) == ref_index(ea, i)
+    assert expand(ms_restrict(a, n)) == ref_restrict(ea, n)
+    assert ms_restrict(a, None) == a
+    assert expand(ms_merge(a, b)) == ref_merge(ea, eb)
+    assert expand(ms_ranksum(a, b)) == ref_ranksum(ea, eb)
+    assert expand(ms_scalar(x, a)) == ref_scalar(x, ea)
+    assert expand(ms_group(a, x)) == ref_group(ea, x)
+    for e in (1, 2, 3):
+        assert eval_seq(a, e, e * (n + 1)) == ref_eval_seq(ea, e, e * (n + 1))
+
+
+@PROPERTY_SETTINGS
+@given(body=run_seqs, exit_=run_seqs, count=st.integers(min_value=0, max_value=9))
+def test_loop_abstract_runs_match_list_semantics(fig2, body, exit_, count):
+    _, f = fig2
+    eb, ee = expand(body), expand(exit_)
+    exit_value = abstract(TOP, exit_)
+    self_rel = loop_abstract("b2", count, abstract(loop_ref("b2"), body),
+                             exit_value, f)
+    assert expand(self_rel.seq) == ref_loop_seq(body != ZERO_SEQ, count, eb, ee)
+    outer = loop_abstract("b2", count, abstract(loop_ref("b1"), body),
+                          exit_value, f)
+    assert expand(outer.seq) == ref_loop_seq(False, count, eb, ee)
+
+
+@PROPERTY_SETTINGS
+@given(ss=st.lists(run_seqs, max_size=8))
+def test_prefix_order_matches_expanded_order(ss):
+    # sort_key orders formula constants by (prefix, tail); runs must give
+    # the order the expanded sequences give.
+    by_runs = [expand(s) for s in sorted(ss, key=lambda s: (s.prefix, s.tail))]
+    assert by_runs == sorted(expand(s) for s in ss)
+    for a in ss:
+        for b in ss:
+            assert (a.prefix < b.prefix) == (expand(a).prefix < expand(b).prefix)
+
+
+@PROPERTY_SETTINGS
+@given(s=st.one_of(seqs, run_seqs))
+def test_text_form_roundtrip(s):
+    text = str(s)
+    assert parse_seq(text) == s
+    expanded = "[%s|%d]" % (",".join(str(e) for e in expand(s).prefix), s.tail)
+    assert parse_seq(expanded) == s
+    assert len(text) <= len(expanded)
+    assert parse_abstract(f"(loop=b1, {expanded})") == \
+        parse_abstract(f"(loop=b1, {text})")
+
+
+def test_formula_text_accepts_both_spellings():
+    runs = "(+ (l=TOP,[|4]) (pow (l=o,[105^5|70]) (l=TOP,[|0]) o n))"
+    expanded = runs.replace("105^5", "105,105,105,105,105")
+    assert symbolic.parse(runs) == symbolic.parse(expanded)
+    assert symbolic.render(symbolic.parse(expanded)) == runs
+    for bad in ["[5^0|1]", "[5^|1]", "[3^2,5|1]"]:
+        with pytest.raises(ValueError):
+            parse_abstract(f"(loop=TOP, {bad})")
+        with pytest.raises(ValueError):
+            symbolic.parse(f"(l=TOP,{bad})")
 
 
 # ---------------------------------------------------------------------------

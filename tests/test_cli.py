@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
 import generators as gen
 from symwcet import cli
 from symwcet.oracle import SoundnessReport
+
+SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
 
 @pytest.fixture()
@@ -248,3 +251,56 @@ def test_self_check_mismatch_exits_4(capsys, monkeypatch, sym_path):
     code, _, err = _run(capsys, ["wcet", "--input", sym_path,
                                  "--bind", "x_b2=2", "--self-check"])
     assert code == 4 and "self-check failed" in err
+
+
+# ---------------------------------------------------------------------------
+# Bounds and caps far beyond the document size: answers and formula sizes
+# must not grow with the values
+# ---------------------------------------------------------------------------
+
+
+def test_cap_of_two_million(capsys, tmp_path):
+    p = tmp_path / "cap.json"
+    p.write_text(json.dumps(gen.triangular_doc(cap=2_000_000)))
+    code, out, _ = _run(capsys, ["formula", "--input", str(p)])
+    assert code == 0
+    assert len(out) < 1000
+    # Per outer iteration: o and the inner exit test (2 + 3), then 10 inner
+    # iterations of i + c = 10 while c's cap lasts (200,000 outer iterations
+    # of 10 c each) and of i = 3 after it; s and x and the final o add 4.
+    for n in (150_000, 300_000):
+        code, out, _ = _run(capsys, ["wcet", "--input", str(p),
+                                     "--bind", f"n={n}"])
+        assert code == 0
+        assert int(out) == 4 + 5 * n + min(n, 200_000) * 100 \
+            + max(0, n - 200_000) * 30
+
+
+def test_loop_bound_of_a_billion(capsys, tmp_path):
+    b, h, c = 10**9, 3, 5
+    doc = {"name": "big-loop",
+           "blocks": [{"id": "h", "wcet": h}, {"id": "c", "wcet": c},
+                      {"id": "e", "wcet": 0}],
+           "edges": [["h", "c"], ["c", "h"], ["h", "e"]],
+           "entry": "h", "exit": "e", "loop_bounds": {"h": b},
+           # Capping c per entry of its own loop makes the body's ranking
+           # relative to that loop, so evaluation sums its b greatest costs.
+           "annotations": [{"target": "c", "loop": "h", "max": b}]}
+    p = tmp_path / "loop.json"
+    p.write_text(json.dumps(doc))
+    code, out, _ = _run(capsys, ["wcet", "--input", str(p)])
+    assert code == 0
+    assert int(out) == (b + 1) * h + b * c
+    code, out, _ = _run(capsys, ["formula", "--input", str(p)])
+    assert code == 0 and len(out) < 1000
+
+
+def test_triangular_sample_at_a_billion(capsys):
+    n = 10**9
+    code, out, err = _run(capsys, ["wcet", "--input",
+                                   str(SAMPLES / "triangular.json"),
+                                   "--bind", f"n={n}"])
+    assert code == 0, err
+    # s + x + the final o = 4; per the formula's [105^5|70] ranking, the
+    # five iterations with 10 c each cost 105 and every further one 70.
+    assert int(out) == 4 + 5 * 105 + (n - 5) * 70

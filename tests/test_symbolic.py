@@ -371,8 +371,10 @@ def test_gamma_symbolic_running_example_parametric():
 def test_gamma_symbolic_triangular_pinned():
     a = analyze_text(json.dumps(gen.triangular_doc()))
     w = simplify(gamma_symbolic(a.tree, a.forest), a.forest)
-    assert render(w) == ("(+ (l=TOP,[|4]) (pow (l=o,[105,105,105,105,105|70])"
-                         " (l=TOP,[|0]) o n))")
+    assert render(w) == "(+ (l=TOP,[|4]) (pow (l=o,[105^5|70]) (l=TOP,[|0]) o n))"
+    # The expanded spelling of the same ranking still parses.
+    assert parse("(+ (l=TOP,[|4]) (pow (l=o,[105,105,105,105,105|70])"
+                 " (l=TOP,[|0]) o n))") == w
     assert operand_count(w) == 3
     for n in (1, 3, 5, 10):
         concrete = analyze_text(json.dumps(gen.triangular_doc(outer_bound=n)))
