@@ -21,9 +21,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import partial, reduce
 from math import inf
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .cfg import BOT, TOP, LoopForest, LoopRef, loop_meet, loop_ref, parse_loop_ref
 from . import cft
@@ -279,6 +278,20 @@ def max_abstract(a: AbstractWcet, b: AbstractWcet, f: LoopForest) -> AbstractWce
     return abstract(loop_meet(a.loop, b.loop, f), ms_merge(a.seq, b.seq))
 
 
+def fold(values: Iterable[AbstractWcet],
+         op: Callable[[AbstractWcet, AbstractWcet, LoopForest], AbstractWcet],
+         f: LoopForest) -> AbstractWcet:
+    """Left fold of `plus_abstract` or `max_abstract`; ZERO, the identity
+    of both, when there are no values.  The order does not matter: the
+    loop meet is a lattice meet on the forest, and `ms_ranksum` and
+    `ms_merge` are associative and commutative."""
+    it = iter(values)
+    acc = next(it, ZERO)
+    for v in it:
+        acc = op(acc, v, f)
+    return acc
+
+
 def scalar_abstract(k: int, a: AbstractWcet) -> AbstractWcet:
     return abstract(a.loop, ms_scalar(k, a.seq))
 
@@ -339,9 +352,9 @@ def node_value(t: cft.Cft, kids: list[AbstractWcet],
     if isinstance(t, cft.Leaf):
         return abstract(TOP, const_seq(t.wcet))
     if isinstance(t, cft.Alt):
-        return reduce(partial(max_abstract, f=f), kids)
+        return fold(kids, max_abstract, f)
     if isinstance(t, cft.Seq):
-        return reduce(partial(plus_abstract, f=f), kids, ZERO)
+        return fold(kids, plus_abstract, f)
     return loop_abstract(t.header, t.bound, kids[0], kids[1], f)
 
 

@@ -11,12 +11,14 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
+from typing import Hashable, Mapping, Sequence, TypeVar
 
 from .errors import DocumentError, IrreducibleLoop
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 Edge = tuple[str, str]
+N = TypeVar("N", bound=Hashable)  # a graph node
 
 
 def is_identifier(s: object) -> bool:
@@ -311,36 +313,33 @@ def _check_connectivity(g: Cfg) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _reverse_postorder(g: Cfg) -> list[str]:
-    order: list[str] = []
-    seen: set[str] = set()
-    stack: list[tuple[str, int]] = [(g.entry, 0)]
-    seen.add(g.entry)
+def immediate_dominators(start: N, succs: Mapping[N, Sequence[N]],
+                         preds: Mapping[N, Sequence[N]]) -> dict[N, N | None]:
+    """Immediate dominator of every node reachable from start, which maps
+    to None.
+
+    Iterative two-finger intersection over reverse postorder (Cooper,
+    Harvey & Kennedy, "A Simple, Fast Dominance Algorithm", 2001).
+    """
+    order: list[N] = []
+    seen = {start}
+    stack: list[tuple[N, int]] = [(start, 0)]
     while stack:
         node, i = stack.pop()
-        succs = g.succs[node]
-        if i < len(succs):
+        nxt = succs[node]
+        if i < len(nxt):
             stack.append((node, i + 1))
-            t = succs[i]
+            t = nxt[i]
             if t not in seen:
                 seen.add(t)
                 stack.append((t, 0))
         else:
             order.append(node)
     order.reverse()
-    return order
+    rpo = {n: i for i, n in enumerate(order)}
+    idom: dict[N, N | None] = {start: start}
 
-
-def dominators(g: Cfg) -> dict[str, str | None]:
-    """Immediate dominators for every block (the entry maps to None).
-
-    Iterative two-finger intersection over reverse postorder.
-    """
-    order = _reverse_postorder(g)
-    rpo = {b: i for i, b in enumerate(order)}
-    idom: dict[str, str] = {g.entry: g.entry}
-
-    def intersect(a: str, b: str) -> str:
+    def intersect(a: N, b: N) -> N:
         while a != b:
             while rpo[a] > rpo[b]:
                 a = idom[a]
@@ -351,27 +350,21 @@ def dominators(g: Cfg) -> dict[str, str | None]:
     changed = True
     while changed:
         changed = False
-        for b in order[1:]:
+        for n in order[1:]:
             new = None
-            for p in g.preds[b]:
+            for p in preds[n]:
                 if p in idom:
                     new = p if new is None else intersect(new, p)
-            if new is not None and idom.get(b) != new:
-                idom[b] = new
+            if new is not None and idom.get(n) != new:
+                idom[n] = new
                 changed = True
-    result: dict[str, str | None] = {b: idom[b] for b in order}
-    result[g.entry] = None
-    return result
+    idom[start] = None
+    return idom
 
 
-def dominates(idom: dict[str, str | None], a: str, b: str) -> bool:
-    """True when every path from the entry to b passes through a."""
-    node: str | None = b
-    while node is not None:
-        if node == a:
-            return True
-        node = idom[node]
-    return False
+def dominators(g: Cfg) -> dict[str, str | None]:
+    """Immediate dominators for every block (the entry maps to None)."""
+    return immediate_dominators(g.entry, g.succs, g.preds)
 
 
 # ---------------------------------------------------------------------------
@@ -467,15 +460,6 @@ class LoopForest:
         """Header of the smallest loop containing block, None when loop-free."""
         return self.block_loop.get(block)
 
-    def ancestors(self, header: str) -> list[str]:
-        """Enclosing headers from the loop itself outward."""
-        chain = []
-        cur: str | None = header
-        while cur is not None:
-            chain.append(cur)
-            cur = self.parent[cur]
-        return chain
-
 
 def build_loop_forest(g: Cfg, bounds: dict[str, int | str] | None = None) -> LoopForest:
     """Compute the natural-loop forest; refuses irreducible control flow.
@@ -563,16 +547,3 @@ def loop_meet(a: LoopRef, b: LoopRef, f: LoopForest) -> LoopRef:
     if loop_leq(b, a, f):
         return b
     return BOT
-
-
-def loop_join(a: LoopRef, b: LoopRef, f: LoopForest) -> LoopRef:
-    """Least upper bound: the innermost common enclosing loop, else TOP."""
-    if loop_leq(a, b, f):
-        return b
-    if loop_leq(b, a, f):
-        return a
-    # Both are concrete loops here (TOP/BOT cases are always comparable).
-    if a.header not in f.loops or b.header not in f.loops:
-        return TOP
-    common = [h for h in f.ancestors(a.header) if b.header in f.loops[h].body]
-    return loop_ref(common[0]) if common else TOP

@@ -1,8 +1,9 @@
 """Command line interface.
 
 Exit codes: 0 success, 1 usage or document errors, 2 irreducible control
-flow, 3 exhausted enumeration or rewrite budgets, 4 a bound check failed
-(oracle violation or self-check mismatch).
+flow, 3 exhausted enumeration, rewrite or nesting budgets (a document
+nested deeper than the recursion limit, or out of memory), 4 a bound
+check failed (oracle violation or self-check mismatch).
 """
 
 from __future__ import annotations
@@ -311,6 +312,13 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except (PathBudgetExceeded, FuelExhausted) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except RecursionError:
+        print(f"error: document nested too deeply (recursion limit "
+              f"{sys.getrecursionlimit()})", file=sys.stderr)
+        return 3
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 3
     except SymwcetError as exc:
         print(f"error: {exc}", file=sys.stderr)

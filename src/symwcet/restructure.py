@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .cfg import TOP, Cfg, LoopForest, LoopRef, loop_ref
+from .cfg import TOP, Cfg, LoopForest, LoopRef, immediate_dominators, loop_ref
 from . import cft
 
 
@@ -43,7 +43,7 @@ class Dag:
     exit: DagNode
     succs: dict[DagNode, tuple[DagNode, ...]] = field(init=False)
     preds: dict[DagNode, tuple[DagNode, ...]] = field(init=False)
-    idom: dict[DagNode, DagNode] = field(init=False)  # reachable nodes only
+    idom: dict[DagNode, DagNode | None] = field(init=False)  # reachable only
 
     def __post_init__(self) -> None:
         succs: dict[DagNode, list[DagNode]] = {n: [] for n in self.nodes}
@@ -54,7 +54,7 @@ class Dag:
         self.succs = {n: tuple(v) for n, v in succs.items()}
         self.preds = {n: tuple(v) for n, v in preds.items()}
         assert _is_acyclic(self), f"region graph for {self.level} has a cycle"
-        self.idom = _idoms(self.start, self.succs, self.preds)
+        self.idom = immediate_dominators(self.start, self.succs, self.preds)
 
 
 def _representative(block: str, level: str | None, f: LoopForest) -> DagNode:
@@ -138,48 +138,6 @@ def _is_acyclic(d: Dag) -> bool:
             if indeg[t] == 0:
                 ready.append(t)
     return seen == len(d.nodes)
-
-
-def _idoms(start: DagNode, succs: dict[DagNode, tuple[DagNode, ...]],
-           preds: dict[DagNode, tuple[DagNode, ...]]) -> dict[DagNode, DagNode]:
-    order: list[DagNode] = []
-    seen = {start}
-    stack: list[tuple[DagNode, int]] = [(start, 0)]
-    while stack:
-        node, i = stack.pop()
-        nxt = succs.get(node, ())
-        if i < len(nxt):
-            stack.append((node, i + 1))
-            t = nxt[i]
-            if t not in seen:
-                seen.add(t)
-                stack.append((t, 0))
-        else:
-            order.append(node)
-    order.reverse()
-    rpo = {n: i for i, n in enumerate(order)}
-    idom = {start: start}
-
-    def intersect(a: DagNode, b: DagNode) -> DagNode:
-        while a != b:
-            while rpo[a] > rpo[b]:
-                a = idom[a]
-            while rpo[b] > rpo[a]:
-                b = idom[b]
-        return a
-
-    changed = True
-    while changed:
-        changed = False
-        for n in order[1:]:
-            new = None
-            for p in preds.get(n, ()):
-                if p in idom:
-                    new = p if new is None else intersect(new, p)
-            if new is not None and idom.get(n) != new:
-                idom[n] = new
-                changed = True
-    return idom
 
 
 def forced_passage(d: Dag, end: DagNode,

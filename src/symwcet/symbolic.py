@@ -18,7 +18,6 @@ rule on maxima relies on this.
 from __future__ import annotations
 
 import re
-from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable
@@ -29,18 +28,16 @@ from .awcet import (
     ZERO_SEQ,
     AbstractWcet,
     abstract,
+    fold,
     loop_abstract,
     max_abstract,
-    ms_merge,
-    ms_ranksum,
-    ms_restrict,
     node_value,
     parse_seq,
     plus_abstract,
     restrict_abstract,
     scalar_abstract,
 )
-from .cfg import BOT, TOP, LoopForest, LoopRef, loop_meet, loop_ref, parse_loop_ref
+from .cfg import TOP, LoopForest, LoopRef, loop_ref, parse_loop_ref
 from .errors import FuelExhausted, TypeMismatch, UnboundIdentifier
 
 Value = int | str  # concrete integer or identifier
@@ -235,55 +232,6 @@ def _rebuild(w: Formula, path: tuple[int, ...], new: Formula) -> Formula:
 # ---------------------------------------------------------------------------
 
 
-def _try_meet(a: LoopRef, b: LoopRef, f: LoopForest | None) -> LoopRef | None:
-    if f is not None:
-        return loop_meet(a, b, f)
-    if a == b or b == TOP:
-        return a
-    if a == TOP:
-        return b
-    if a == BOT or b == BOT:
-        return BOT
-    return None  # nesting unknown without a forest
-
-
-def _merge_values(values: list[AbstractWcet], f: LoopForest | None,
-                  op: Callable) -> list[AbstractWcet] | None:
-    """Combine pairwise until no pair's loop meet is computable."""
-    if f is not None:
-        # With a forest every pair meets, so the first two values always
-        # combine and the merge goes to the back: a queue does the same
-        # pairing in linear time.
-        if len(values) < 2:
-            return None
-        queue = deque(values)
-        while len(queue) > 1:
-            a, b = queue.popleft(), queue.popleft()
-            queue.append(abstract(loop_meet(a.loop, b.loop, f),
-                                  op(a.seq, b.seq)))
-        return list(queue)
-    vals = list(values)
-    changed = False
-    while True:
-        hit = None
-        for i in range(len(vals)):
-            for j in range(i + 1, len(vals)):
-                m = _try_meet(vals[i].loop, vals[j].loop, f)
-                if m is not None:
-                    hit = (i, j, m)
-                    break
-            if hit:
-                break
-        if not hit:
-            break
-        i, j, m = hit
-        merged = abstract(m, op(vals[i].seq, vals[j].seq))
-        vals = [v for k, v in enumerate(vals) if k not in (i, j)]
-        vals.append(merged)
-        changed = True
-    return vals if changed else None
-
-
 def _const_valued(w: Formula) -> bool:
     """True when every instantiation of w is a rank-uniform constant.
 
@@ -303,33 +251,27 @@ def _const_valued(w: Formula) -> bool:
     return False
 
 
-def _rule_plus_const(w: Formula, f: LoopForest | None) -> Formula | None:
+def _rule_plus_const(w: Formula, f: LoopForest) -> Formula | None:
     if not isinstance(w, Plus):
         return None
     consts = [op.value for op in w.operands if isinstance(op, Const)]
     if len(consts) < 2:
         return None
-    merged = _merge_values(consts, f, ms_ranksum)
-    if merged is None:
-        return None
     rest = [op for op in w.operands if not isinstance(op, Const)]
-    return plus(rest + [Const(v) for v in merged])
+    return plus(rest + [Const(fold(consts, plus_abstract, f))])
 
 
-def _rule_max_const(w: Formula, f: LoopForest | None) -> Formula | None:
+def _rule_max_const(w: Formula, f: LoopForest) -> Formula | None:
     if not isinstance(w, Max):
         return None
     consts = [op.value for op in w.operands if isinstance(op, Const)]
     if len(consts) < 2:
         return None
-    merged = _merge_values(consts, f, ms_merge)
-    if merged is None:
-        return None
     rest = [op for op in w.operands if not isinstance(op, Const)]
-    return max_(rest + [Const(v) for v in merged])
+    return max_(rest + [Const(fold(consts, max_abstract, f))])
 
 
-def _rule_distributivity(w: Formula, f: LoopForest | None) -> Formula | None:
+def _rule_distributivity(w: Formula, f: LoopForest) -> Formula | None:
     # (cst1 + r) max (cst2 + r) -> (cst1 max cst2) + r, restricted to
     # factoring constants over a shared rank-uniform residue.
     if not isinstance(w, Max):
@@ -346,21 +288,17 @@ def _rule_distributivity(w: Formula, f: LoopForest | None) -> Formula | None:
             continue
         key = tuple(sort_key(x) for x in rest)
         groups.setdefault(key, []).append((consts[0].value, i))
-    changed = False
     replacement: dict[int, list[Formula]] = {}
     for members in groups.values():
         if len(members) < 2:
             continue
-        merged = _merge_values([v for v, _ in members], f, ms_merge)
-        if merged is None:
-            continue
-        changed = True
+        merged = fold([v for v, _ in members], max_abstract, f)
         first = w.operands[members[0][1]]
         rest = tuple(x for x in _as_plus(first) if not isinstance(x, Const))
-        replacement[members[0][1]] = [plus([Const(v), *rest]) for v in merged]
+        replacement[members[0][1]] = [plus([Const(merged), *rest])]
         for _, i in members[1:]:
             replacement[i] = []
-    if not changed:
+    if not replacement:
         return None
     out: list[Formula] = []
     for i, op in enumerate(w.operands):
@@ -372,7 +310,7 @@ def _as_plus(w: Formula) -> tuple[Formula, ...]:
     return w.operands if isinstance(w, Plus) else (w,)
 
 
-def _rule_mult_merge(w: Formula, f: LoopForest | None) -> Formula | None:
+def _rule_mult_merge(w: Formula, f: LoopForest) -> Formula | None:
     # x + 2*x + y -> 3*x + y for integer coefficients.
     if not isinstance(w, Plus):
         return None
@@ -401,7 +339,7 @@ def _rule_mult_merge(w: Formula, f: LoopForest | None) -> Formula | None:
     return plus(out)
 
 
-def _rule_restrict_merge(w: Formula, f: LoopForest | None) -> Formula | None:
+def _rule_restrict_merge(w: Formula, f: LoopForest) -> Formula | None:
     # ann(w1,(h,it)) + ann(w2,(h,it)) -> ann(w1+w2,(h,it)), but only for
     # restricts that can never fold (symbolic count or unresolvable loop).
     # Fold-enabled restricts go the other way (restrict-distribute), and the
@@ -425,59 +363,49 @@ def _rule_restrict_merge(w: Formula, f: LoopForest | None) -> Formula | None:
     return plus(out)
 
 
-def _rule_restrict_distribute(w: Formula, f: LoopForest | None) -> Formula | None:
-    # ann(w1+c,(h,it)) -> ann(w1,(h,it)) + ann(c,(h,it)) for constants c that
-    # restrict-fold can consume: keeping the `it` greatest is rank-wise, so
-    # it distributes exactly over rank-wise addition.
+def _rule_restrict_distribute(w: Formula, f: LoopForest) -> Formula | None:
+    # ann(w1+c,(h,it)) -> ann(w1,(h,it)) + ann(c,(h,it)) for constants c,
+    # which restrict-fold then consumes: keeping the `it` greatest is
+    # rank-wise, so it distributes exactly over rank-wise addition.
     if not (isinstance(w, Restrict) and isinstance(w.operand, Plus)
-            and isinstance(w.count, int)):
+            and isinstance(w.count, int) and _loop_of(w.loop, f) is not None):
         return None
-    ref = _loop_of(w.loop, f)
-    if ref is None:
+    consts = [op for op in w.operand.operands if isinstance(op, Const)]
+    if not consts:
         return None
-    foldable, rest = [], []
-    for op in w.operand.operands:
-        if isinstance(op, Const) and _try_meet(op.value.loop, ref, f) is not None:
-            foldable.append(op)
-        else:
-            rest.append(op)
-    if not foldable:
-        return None
-    out = [restrict(op, w.loop, w.count) for op in foldable]
+    rest = [op for op in w.operand.operands if not isinstance(op, Const)]
+    out = [restrict(op, w.loop, w.count) for op in consts]
     if rest:
         out.append(restrict(plus(rest), w.loop, w.count))
     return plus(out)
 
 
-def _rule_restrict_zero(w: Formula, f: LoopForest | None) -> Formula | None:
+def _rule_restrict_zero(w: Formula, f: LoopForest) -> Formula | None:
     if isinstance(w, Restrict) and w.operand == CONST_ZERO:
         return CONST_ZERO
     return None
 
 
-def _loop_of(name: str, f: LoopForest | None) -> LoopRef | None:
+def _loop_of(name: str, f: LoopForest) -> LoopRef | None:
     """Concrete loop reference for a Restrict/Power loop position, if any."""
     if name == "TOP":
         return TOP
-    if f is not None and name in f.loops:
+    if name in f.loops:
         return loop_ref(name)
     return None  # presumably an identifier; cannot fold
 
 
-def _rule_restrict_fold(w: Formula, f: LoopForest | None) -> Formula | None:
+def _rule_restrict_fold(w: Formula, f: LoopForest) -> Formula | None:
     if not (isinstance(w, Restrict) and isinstance(w.operand, Const)
             and isinstance(w.count, int)):
         return None
     ref = _loop_of(w.loop, f)
     if ref is None:
         return None
-    m = _try_meet(w.operand.value.loop, ref, f)
-    if m is None:
-        return None
-    return Const(abstract(m, ms_restrict(w.operand.value.seq, w.count)))
+    return Const(restrict_abstract(w.operand.value, ref, w.count, f))
 
 
-def _rule_scalar_fold(w: Formula, f: LoopForest | None) -> Formula | None:
+def _rule_scalar_fold(w: Formula, f: LoopForest) -> Formula | None:
     if not isinstance(w, Scalar):
         return None
     if isinstance(w.operand, Const):
@@ -502,7 +430,7 @@ def _rule_scalar_fold(w: Formula, f: LoopForest | None) -> Formula | None:
     return None
 
 
-def _rule_scalar_restrict(w: Formula, f: LoopForest | None) -> Formula | None:
+def _rule_scalar_restrict(w: Formula, f: LoopForest) -> Formula | None:
     # ann(k*w,(h,it)) -> k * ann(w,(h,it)): scaling by k >= 0 keeps the rank
     # order, so it commutes with keeping the `it` greatest.  Scalars float
     # out of restricts; restrict-fold then still sees Const operands.
@@ -512,24 +440,23 @@ def _rule_scalar_restrict(w: Formula, f: LoopForest | None) -> Formula | None:
     return None
 
 
-def _rule_power_zero(w: Formula, f: LoopForest | None) -> Formula | None:
+def _rule_power_zero(w: Formula, f: LoopForest) -> Formula | None:
     if isinstance(w, Power) and w.body == CONST_ZERO and w.exit == CONST_ZERO:
         return CONST_ZERO
     return None
 
 
-def _rule_power_extract(w: Formula, f: LoopForest | None) -> Formula | None:
+def _rule_power_extract(w: Formula, f: LoopForest) -> Formula | None:
     # (w1,w2,b)^it -> (w1,0,b)^it + w2: pull the exit out of the loop.
     if isinstance(w, Power) and w.exit != CONST_ZERO:
         return plus([power(w.body, CONST_ZERO, w.header, w.count), w.exit])
     return None
 
 
-def _rule_power_fold(w: Formula, f: LoopForest | None) -> Formula | None:
+def _rule_power_fold(w: Formula, f: LoopForest) -> Formula | None:
     if not (isinstance(w, Power) and isinstance(w.body, Const)
             and isinstance(w.exit, Const) and isinstance(w.count, int)
-            and isinstance(w.header, str) and f is not None
-            and w.header in f.loops):
+            and isinstance(w.header, str) and w.header in f.loops):
         return None
     return Const(loop_abstract(w.header, w.count, w.body.value,
                                w.exit.value, f))
@@ -554,7 +481,7 @@ _RULES: tuple[tuple[str, Callable], ...] = (
 DEFAULT_FUEL = 10_000
 
 
-def _rewrite(w: Formula, f: LoopForest | None) -> Formula | None:
+def _rewrite(w: Formula, f: LoopForest) -> Formula | None:
     """The first rule's rewrite of w at its root, None when none applies."""
     for _, rule in _RULES:
         new = rule(w, f)
@@ -563,7 +490,7 @@ def _rewrite(w: Formula, f: LoopForest | None) -> Formula | None:
     return None
 
 
-def _sites(w: Formula, f: LoopForest | None):
+def _sites(w: Formula, f: LoopForest):
     found: list[tuple[tuple[int, ...], str, Formula]] = []
 
     def walk(node: Formula, path: tuple[int, ...]) -> None:
@@ -578,20 +505,15 @@ def _sites(w: Formula, f: LoopForest | None):
     return found
 
 
-def simplify(w: Formula, f: LoopForest | None = None,
-             fuel: int = DEFAULT_FUEL, rng=None) -> Formula:
+def simplify(w: Formula, f: LoopForest, fuel: int = DEFAULT_FUEL,
+             rng=None) -> Formula:
     """Normal form of w under the rewrite system.
 
     Innermost: children are normalised first (each distinct node once per
-    call), then rules rewrite the rebuilt node until none applies.  With a
-    forest the result is independent of application order; `rng` instead
-    applies a random applicable rewrite anywhere in the formula each step
-    (used to test exactly that).  `fuel` bounds the number of rewrite steps.
-
-    Without a forest (`f=None`) the normal form can depend on the schedule:
-    a TOP constant meets every loop constant, so it may join either of two
-    constants whose loops cannot be compared, and different schedules can
-    end in different forms.  No pipeline caller passes None.
+    call), then rules rewrite the rebuilt node until none applies.  The
+    result is independent of application order; `rng` instead applies a
+    random applicable rewrite anywhere in the formula each step (used to
+    test exactly that).  `fuel` bounds the number of rewrite steps.
     """
     steps = 0
 
@@ -749,14 +671,8 @@ def evaluate(w: Formula, bindings: dict, f: LoopForest) -> AbstractWcet:
                                f"abstract WCET, got {val!r}")
         return val
     if isinstance(w, (Plus, Max)):
-        # A loop, not reduce(partial(...)): this is instantiation's hot
-        # path, and the partial's keyword call costs a few percent there.
-        op = plus_abstract if isinstance(w, Plus) else max_abstract
-        vals = [evaluate(x, bindings, f) for x in w.operands]
-        acc = vals[0]
-        for v in vals[1:]:
-            acc = op(acc, v, f)
-        return acc
+        return fold([evaluate(x, bindings, f) for x in w.operands],
+                    plus_abstract if isinstance(w, Plus) else max_abstract, f)
     if isinstance(w, Scalar):
         k = _bind_int(w.coeff, bindings, require=True)
         return scalar_abstract(k, evaluate(w.operand, bindings, f))
@@ -773,20 +689,15 @@ def evaluate(w: Formula, bindings: dict, f: LoopForest) -> AbstractWcet:
                          evaluate(w.exit, bindings, f), f)
 
 
-def identifiers(w: Formula, f: LoopForest | None = None
+def identifiers(w: Formula, f: LoopForest
                 ) -> tuple[set[str], set[str], set[str]]:
-    """Identifiers of w by position: (costs, counts, loops).
-
-    Without a forest, loop headers cannot be told apart from identifiers
-    and count as loop identifiers.
-    """
+    """Identifiers of w by position: (costs, counts, loops)."""
     costs: set[str] = set()
     counts: set[str] = set()
     loops: set[str] = set()
 
     def loop_id(name: Value) -> None:
-        if isinstance(name, str) and name != "TOP" and (
-                f is None or name not in f.loops):
+        if isinstance(name, str) and name != "TOP" and name not in f.loops:
             loops.add(name)
 
     def count_id(v: Value) -> None:
@@ -811,7 +722,7 @@ def identifiers(w: Formula, f: LoopForest | None = None
     return costs, counts, loops
 
 
-def free_identifiers(w: Formula, f: LoopForest | None = None) -> set[str]:
+def free_identifiers(w: Formula, f: LoopForest) -> set[str]:
     """Identifiers a complete instantiation must bind."""
     return set().union(*identifiers(w, f))
 

@@ -304,6 +304,25 @@ def persistence_doc(bound=4) -> dict:
     }
 
 
+def loop_nest_doc(depth: int, bound: int = 2) -> dict:
+    """`depth` while loops nested in one another: h_i tests its loop and
+    enters h_{i+1}, whose exit goes to the latch l_i; the innermost loop
+    runs the block b."""
+    blocks = [{"id": "s", "wcet": 1}, {"id": "b", "wcet": 2},
+              {"id": "x", "wcet": 1}]
+    edges = [["s", "h0"], ["h0", "x"], [f"h{depth - 1}", "b"],
+             ["b", f"h{depth - 1}"]]
+    for i in range(depth):
+        blocks.append({"id": f"h{i}", "wcet": 1})
+        if i < depth - 1:
+            blocks.append({"id": f"l{i}", "wcet": 1})
+            edges += [[f"h{i}", f"h{i + 1}"], [f"h{i + 1}", f"l{i}"],
+                      [f"l{i}", f"h{i}"]]
+    return {"name": f"nest-{depth}", "blocks": blocks, "edges": edges,
+            "entry": "s", "exit": "x",
+            "loop_bounds": {f"h{i}": bound for i in range(depth)}}
+
+
 def scaling_doc(sections: int = 333) -> dict:
     """A long chain of diamond/loop sections, about 3 blocks per section."""
     blocks = [{"id": "entry", "wcet": 1}]

@@ -304,3 +304,40 @@ def test_triangular_sample_at_a_billion(capsys):
     # s + x + the final o = 4; per the formula's [105^5|70] ranking, the
     # five iterations with 10 c each cost 105 and every further one 70.
     assert int(out) == 4 + 5 * 105 + (n - 5) * 70
+
+
+# ---------------------------------------------------------------------------
+# Nesting and memory limits: a one-line error and exit 3, never a traceback
+# ---------------------------------------------------------------------------
+
+
+def test_deep_loop_nest_exits_cleanly(capsys, tmp_path):
+    # Bound 2, so every header runs 3 times per entry: the innermost loop
+    # costs 3 + 2 * b = 7 per entry, and each enclosing one 3 + 2 * (inner
+    # + its latch); s and x add 2.  Small nests must match; the 1000-deep
+    # one must answer or end with a one-line error.
+    for depth in (1, 3, 1000):
+        p = tmp_path / f"nest{depth}.json"
+        p.write_text(json.dumps(gen.loop_nest_doc(depth)))
+        code, out, err = _run(capsys, ["wcet", "--input", str(p)])
+        assert "Traceback" not in err
+        if depth < 1000:
+            assert code == 0, err
+        if code == 0:
+            inner = 7
+            for _ in range(depth - 1):
+                inner = 2 * inner + 5
+            assert int(out) == inner + 2, depth
+        else:
+            assert code == 3
+            assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_memory_error_exits_3(capsys, monkeypatch, fig2_path):
+    def exhausted(args):
+        raise MemoryError
+
+    monkeypatch.setitem(cli._COMMANDS, "check", exhausted)
+    code, out, err = _run(capsys, ["check", "--input", fig2_path])
+    assert code == 3 and out == ""
+    assert err == "error: out of memory\n"

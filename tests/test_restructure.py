@@ -90,8 +90,8 @@ def test_dags_are_acyclic_on_random_docs():
 
 def test_one_dominator_tree_per_region(monkeypatch):
     calls = []
-    idoms = restructure._idoms
-    monkeypatch.setattr(restructure, "_idoms",
+    idoms = restructure.immediate_dominators
+    monkeypatch.setattr(restructure, "immediate_dominators",
                         lambda *args: calls.append(args[0]) or idoms(*args))
     rng = random.Random(41)
     docs = [gen.scaling_doc(60), gen.running_example_doc()]

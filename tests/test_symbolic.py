@@ -12,13 +12,16 @@ from symwcet import symbolic
 from symwcet.awcet import (
     ZERO,
     abstract,
+    fold,
     gamma,
+    max_abstract,
     ms_merge,
     ms_ranksum,
     parse_abstract,
     parse_seq,
+    plus_abstract,
 )
-from symwcet.cfg import BOT, TOP, loop_ref
+from symwcet.cfg import BOT, TOP, loop_meet, loop_ref
 from symwcet.errors import (
     FuelExhausted,
     TypeMismatch,
@@ -33,8 +36,6 @@ from symwcet.symbolic import (
     Restrict,
     Scalar,
     WcetId,
-    _merge_values,
-    _try_meet,
     evaluate,
     formula_order,
     formula_size,
@@ -226,12 +227,6 @@ def test_simplify_preserves_value(forest):
         assert evaluate(simplify(w, forest), b, forest) == evaluate(w, b, forest)
 
 
-def test_simplify_without_forest_is_conservative():
-    # No forest: loops with unknown nesting must not be combined.
-    w = parse("(+ (l=h1,[|3]) (l=h2,[|4]))")
-    assert simplify(w, None) == w
-
-
 def test_fuel_exhaustion(forest):
     w = parse("(+ (l=TOP,[|3]) (l=TOP,[|4]))")
     with pytest.raises(FuelExhausted):
@@ -273,33 +268,29 @@ def test_innermost_matches_random_schedules_on_documents():
 
 
 def _pairwise_scan(values, f, op):
-    """Reference merge: combine the first pair (in scan order) whose loop
-    meet is defined, append the result, and rescan until none is left."""
+    """Reference merge in another order: combine the first two values,
+    append the result, and repeat until one is left."""
     vals = list(values)
-    changed = False
-    while True:
-        hit = next(((i, j, m) for i in range(len(vals))
-                    for j in range(i + 1, len(vals))
-                    if (m := _try_meet(vals[i].loop, vals[j].loop, f))
-                    is not None), None)
-        if hit is None:
-            return vals if changed else None
-        i, j, m = hit
-        merged = abstract(m, op(vals[i].seq, vals[j].seq))
-        vals = [v for k, v in enumerate(vals) if k not in (i, j)] + [merged]
-        changed = True
+    while len(vals) > 1:
+        a, b, *rest = vals
+        vals = rest + [abstract(loop_meet(a.loop, b.loop, f),
+                                op(a.seq, b.seq))]
+    return vals[0] if vals else ZERO
 
 
 def test_merge_values_matches_pairwise_scan(forest):
+    # The rewrite rules fold constants left to right through the awcet
+    # operators; any other pairing must give the same value.
     rng = random.Random(37)
     for _ in range(400):
         values = [gen.random_const(rng).value
                   for _ in range(rng.randint(0, 8))]
         if values and rng.random() < 0.2:
             values[0] = abstract(BOT, values[0].seq)
-        for op in (ms_ranksum, ms_merge):
-            assert (_merge_values(values, forest, op)
-                    == _pairwise_scan(values, forest, op)), values
+        for op, seq_op in ((plus_abstract, ms_ranksum),
+                           (max_abstract, ms_merge)):
+            assert (fold(values, op, forest)
+                    == _pairwise_scan(values, forest, seq_op)), values
 
 
 def test_simplify_rule_calls_linear_on_chain(monkeypatch):
@@ -418,9 +409,6 @@ def test_free_identifiers_classification(forest):
     assert identifiers(w, forest) == ({"w1", "w2", "w3"}, {"k1", "k2"},
                                       {"lp1"})
     assert free_identifiers(w, forest) == {"w1", "w2", "w3", "k1", "k2", "lp1"}
-    # Without a forest, loop headers cannot be told apart from identifiers.
-    assert identifiers(w, None)[2] == {"lp1", "h1"}
-    assert "h1" in free_identifiers(w, None)
 
 
 def test_loop_binding_resolves_restrict(forest):
