@@ -4,6 +4,10 @@ Exit codes: 0 success, 1 usage or document errors, 2 irreducible control
 flow, 3 exhausted enumeration, rewrite or nesting budgets (a document
 nested deeper than the recursion limit, or out of memory), 4 a bound
 check failed (oracle violation or self-check mismatch).
+
+`main(argv)` runs one command in-process and returns its exit code; the
+argument parser is built once at import, so repeated calls pay only for
+their analysis.
 """
 
 from __future__ import annotations
@@ -80,6 +84,9 @@ def _build_parser() -> _Parser:
     sp.add_argument("--max-paths", type=int, default=oracle.MAX_PATHS)
 
     return p
+
+
+_PARSER = _build_parser()
 
 
 def _fuel(args) -> int:
@@ -300,9 +307,8 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

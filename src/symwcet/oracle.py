@@ -339,11 +339,11 @@ def _compositions(n: int, parts: int):
             yield (first,) + rest
 
 
-def _max_word_wcet(t: cft.Cft, entries: int, n: int,
-                   max_paths: int = MAX_PATHS) -> int | None:
-    """Largest cost of n runs of t spread over `entries` entries, each entry
-    getting fresh external caps; None when no distribution is feasible."""
-    g = _entry_maxima(t, n, max_paths)
+def _spread_maximum(g: list[int | None], entries: int,
+                    n: int) -> int | None:
+    """Largest cost of n runs spread over `entries` entries, from a table g
+    of single-entry maxima (see _entry_maxima) holding at least n + 1
+    entries; None when no distribution is feasible."""
     best: int | None = None
     for combo in _compositions(n, entries):
         pieces = [g[k] for k in combo]
@@ -353,6 +353,13 @@ def _max_word_wcet(t: cft.Cft, entries: int, n: int,
         if best is None or total > best:
             best = total
     return best
+
+
+def _max_word_wcet(t: cft.Cft, entries: int, n: int,
+                   max_paths: int = MAX_PATHS) -> int | None:
+    """Largest cost of n runs of t spread over `entries` entries, each entry
+    getting fresh external caps; None when no distribution is feasible."""
+    return _spread_maximum(_entry_maxima(t, n, max_paths), entries, n)
 
 
 @dataclass
@@ -369,19 +376,22 @@ def check_soundness(t: cft.Cft, f: LoopForest,
     """The abstract WCET must dominate every admitted word, and dominate
     rank-wise for repeated entries of every subtree."""
     violations: list[str] = []
-    top = gamma(t, f)
-    bound = ms_index(top.seq, 0)
-    worst = _max_word_wcet(t, 1, 1, max_paths)
-    if worst is not None and worst > bound:
-        violations.append(f"worst admitted word costs {worst}, "
-                          f"abstract bound is {bound}")
-
+    bound = worst = None
     for sub in cft.subtrees(t):
         g_sub = gamma(sub, f)
+        # g[k] does not depend on the table's length, so one table for the
+        # most runs checked below serves every smaller run count too.
+        table = _entry_maxima(sub, 4, max_paths)
+        if sub is t:  # preorder: the root comes first
+            bound = ms_index(g_sub.seq, 0)
+            worst = _spread_maximum(table, 1, 1)
+            if worst is not None and worst > bound:
+                violations.append(f"worst admitted word costs {worst}, "
+                                  f"abstract bound is {bound}")
         for e in (1, 2):
             for n in (e, 2 * e):
                 cap = eval_seq(g_sub.seq, e, n)
-                w = _max_word_wcet(sub, e, n, max_paths)
+                w = _spread_maximum(table, e, n)
                 if w is not None and w > cap:
                     violations.append(
                         f"subtree {cft.to_sexpr(sub)}: {n} runs over {e} "

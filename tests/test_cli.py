@@ -152,6 +152,44 @@ def test_oracle_ok(capsys, fig2_path):
 
 
 # ---------------------------------------------------------------------------
+# One parser per process
+# ---------------------------------------------------------------------------
+
+
+def test_main_builds_no_parser_per_call(capsys, monkeypatch, fig2_path):
+    def rebuilt():
+        raise AssertionError("main built a parser")
+
+    monkeypatch.setattr(cli, "_build_parser", rebuilt)
+    code, out, _ = _run(capsys, ["wcet", "--input", fig2_path])
+    assert code == 0 and out.strip() == "60"
+
+
+def test_shared_parser_keeps_no_state_between_calls(capsys, sym_path):
+    fresh = cli._build_parser()
+    first = ["wcet", "--input", sym_path, "--bind", "x_b2=4"]
+    assert _run(capsys, first) == (0, "96\n", "")
+    # The --bind list of the call before must not leak into this one.
+    assert _run(capsys, ["wcet", "--input", sym_path]) == (
+        1, "", "error: no binding for integer identifier 'x_b2'\n")
+    assert _run(capsys, ["wcet", "--input", sym_path, "--bogus"]) == (
+        1, "", fresh.format_usage()
+        + "symwcet: error: unrecognized arguments: --bogus\n")
+    code, _, err = _run(capsys, ["wcet", "--input", sym_path,
+                                 "--bind", "x_b2=4", "--fuel", "0"])
+    assert code == 3 and "0 rewrite steps" in err
+    assert _run(capsys, ["wcet", "--input", sym_path,
+                         "--bind", "x_b2=2"]) == (0, "60\n", "")
+    for argv in (["--help"], *([c, "--help"] for c in cli._COMMANDS)):
+        code, out, _ = _run(capsys, argv)
+        with pytest.raises(SystemExit) as exc:
+            fresh.parse_args(argv)
+        assert code == exc.value.code == 0
+        assert out == capsys.readouterr().out, argv
+    assert _run(capsys, first) == (0, "96\n", "")
+
+
+# ---------------------------------------------------------------------------
 # Failure exit codes
 # ---------------------------------------------------------------------------
 

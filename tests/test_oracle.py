@@ -3,15 +3,19 @@
 from __future__ import annotations
 
 import json
+import random
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 import generators as gen
-from symwcet import cft
-from symwcet.awcet import gamma
-from symwcet.cfg import TOP, build_loop_forest, parse_program
+from symwcet import cft, oracle
+from symwcet.awcet import eval_seq, gamma, ms_index
+from symwcet.cfg import TOP, build_loop_forest, loop_ref, parse_program
 from symwcet.errors import PathBudgetExceeded, SymbolicValuePresent
 from symwcet.oracle import (
+    SoundnessReport,
     check_path_inclusion,
     check_soundness,
     gpaths_bounded,
@@ -21,8 +25,10 @@ from symwcet.oracle import (
     prep,
     tpaths,
 )
-from symwcet.oracle import _entry_maxima, _max_word_wcet
+from symwcet.oracle import _entry_maxima, _external_filters, _max_word_wcet
 from symwcet.pipeline import analyze_text
+
+SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
 
 @pytest.fixture(scope="module")
@@ -242,3 +248,131 @@ def test_capped_choice_soundness(persistence):
     rep = check_soundness(t, persistence.forest)
     assert rep.ok and rep.bound == 15
     assert _max_word_wcet(t, 2, 2) == 30
+
+
+# ---------------------------------------------------------------------------
+# One entry-maxima table per subtree
+# ---------------------------------------------------------------------------
+
+
+def _random_tree(rng: random.Random, depth: int, headers: list[str]) -> cft.Cft:
+    """A small concrete tree; some nodes carry a cap for the whole run (TOP)
+    or for an enclosing loop, so both branches of _entry_maxima occur."""
+    kind = rng.choice(("leaf", "alt", "seq", "loop")) if depth else "leaf"
+    if kind == "leaf":
+        node: cft.Cft = cft.Leaf(f"l{rng.randrange(4)}", rng.randint(0, 9))
+    elif kind == "loop":
+        h = f"h{len(headers)}"
+        body = _random_tree(rng, depth - 1, headers + [h])
+        node = cft.Loop(h, body, rng.randint(1, 2), cft.Leaf(h, rng.randint(0, 3)))
+    else:
+        kids = [_random_tree(rng, depth - 1, headers) for _ in range(2)]
+        node = cft.alt(kids) if kind == "alt" else cft.seq(kids)
+    if rng.random() < 0.4:
+        loop = rng.choice([TOP] + [loop_ref(h) for h in headers])
+        node = replace(node, annotation=cft.Annotation(loop, rng.randint(0, 2)))
+    return node
+
+
+def test_entry_maxima_prefix_does_not_depend_on_n():
+    rng = random.Random(29)
+    once = cft.Annotation(TOP, 1)
+    trees = [
+        # The trees of test_entry_maxima_multi_leaf_pattern and
+        # test_infeasible_runs_give_none.
+        cft.alt([cft.Seq((cft.Leaf("p", 4), cft.Leaf("q", 5)), annotation=once),
+                 cft.Leaf("r", 2)]),
+        cft.seq([cft.Leaf("a", 3, once), cft.Leaf("b", 1)]),
+        _capped_choice_tree(),
+    ]
+    while len(trees) < 120:
+        t = _random_tree(rng, 3, [])
+        if len(tpaths(t)) <= 6:
+            trees.append(t)
+    branches = set()
+    with_none = 0
+    for t in trees:
+        for sub in cft.subtrees(t):
+            full = _entry_maxima(sub, 4)
+            assert len(full) == 5
+            for k in (1, 2):
+                assert full[:k + 1] == _entry_maxima(sub, k), \
+                    (cft.to_sexpr(sub), k)
+            filters = _external_filters(sub)
+            branches.add(all(len(p) == 1 for pats, _ in filters for p in pats))
+            with_none += None in full
+    assert branches == {True, False}  # profile DP and per-k enumeration
+    assert with_none > 0
+
+
+def test_check_soundness_builds_one_table_per_subtree(monkeypatch):
+    a = analyze_text((SAMPLES / "triangular_concrete.json").read_text())
+    built = []
+    real = oracle._entry_maxima
+
+    def counted(t, n, max_paths=oracle.MAX_PATHS):
+        built.append((id(t), n))
+        return real(t, n, max_paths)
+
+    monkeypatch.setattr(oracle, "_entry_maxima", counted)
+    rep = check_soundness(a.tree, a.forest)
+    subs = list(cft.subtrees(a.tree))
+    assert len(subs) == 12
+    assert sorted(built) == sorted((id(s), 4) for s in subs)
+    assert rep.ok and rep.bound == rep.worst_path == 424
+
+
+def _reference_check_soundness(t, f, max_paths):
+    """check_soundness as it was before one table served every run count:
+    one fresh table for each (subtree, entries, runs) query."""
+    violations: list[str] = []
+    top = gamma(t, f)
+    bound = ms_index(top.seq, 0)
+    worst = _max_word_wcet(t, 1, 1, max_paths)
+    if worst is not None and worst > bound:
+        violations.append(f"worst admitted word costs {worst}, "
+                          f"abstract bound is {bound}")
+
+    for sub in cft.subtrees(t):
+        g_sub = gamma(sub, f)
+        for e in (1, 2):
+            for n in (e, 2 * e):
+                cap = eval_seq(g_sub.seq, e, n)
+                w = _max_word_wcet(sub, e, n, max_paths)
+                if w is not None and w > cap:
+                    violations.append(
+                        f"subtree {cft.to_sexpr(sub)}: {n} runs over {e} "
+                        f"entries cost {w}, ranking allows {cap}")
+
+    gap = None
+    if worst is not None and worst > 0:
+        gap = 100.0 * (bound - worst) / worst
+    return SoundnessReport(ok=not violations, bound=bound, worst_path=worst,
+                           gap_percent=gap, violations=violations)
+
+
+def _report_or_error(check, a):
+    try:
+        return check(a.tree, a.forest, max_paths=2000)
+    except PathBudgetExceeded as exc:
+        return ("over budget", str(exc))
+
+
+def test_check_soundness_matches_reference_on_frozen_corpus(monkeypatch):
+    rng = random.Random(6)
+    over = violated = 0
+    for i in range(240):
+        doc = gen.annotate_doc(rng, gen.random_doc(rng, depth=2, noise=2))
+        a = analyze_text(json.dumps(doc))
+        with monkeypatch.context() as m:
+            if i % 3 == 2:
+                # Words that cost one more per leaf than the tree says, so
+                # the violation lists are compared too.
+                m.setattr(oracle, "leaf_path_wcet",
+                          lambda path: sum(l.wcet + 1 for l in path))
+            new = _report_or_error(check_soundness, a)
+            ref = _report_or_error(_reference_check_soundness, a)
+        assert new == ref, doc
+        over += isinstance(new, tuple)
+        violated += isinstance(new, SoundnessReport) and not new.ok
+    assert over > 0 and violated > 0
