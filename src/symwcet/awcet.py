@@ -15,16 +15,22 @@ text form writes a run of k >= 2 equal costs as `v^k`, e.g. `[105^5|70]`
 for `[105,105,105,105,105|70]`; the parser accepts both.  Tuple order on
 runs equals the lexicographic order on the expanded sequences, so sorting
 by `prefix` orders rankings as before.
+
+`WcetSeq` and `AbstractWcet`, like `cfg.LoopRef`, are NamedTuples rather
+than frozen dataclasses: every operator builds, compares and hashes them,
+and a tuple does all three in C.  They compare and hash equal to plain
+tuples of their fields.  A `WcetSeq` is built only by calling the class,
+whose constructor checks the run shape; `_make`, `_replace` and
+`tuple.__new__` would skip that check.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from math import inf
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
-from .cfg import BOT, TOP, LoopForest, LoopRef, loop_meet, loop_ref, parse_loop_ref
+from .cfg import BOT, TOP, LoopForest, LoopRef, loop_meet, parse_loop_ref
 from . import cft
 from .errors import IncomparableLoops, NotMultiple, SymbolicValuePresent
 
@@ -32,25 +38,29 @@ from .errors import IncomparableLoops, NotMultiple, SymbolicValuePresent
 Run = tuple[int, int]  # (cost, multiplicity)
 
 
-@dataclass(frozen=True)
-class WcetSeq:
+class _Seq(NamedTuple):
+    prefix: tuple[Run, ...]
+    tail: int
+
+
+class WcetSeq(_Seq):
     """Non-increasing cost ranking: finite prefix, then `tail` forever.
 
     The prefix is stored as runs (cost, multiplicity): costs strictly
     decreasing and above the tail, multiplicities at least 1.
     """
 
-    prefix: tuple[Run, ...]
-    tail: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        assert self.tail >= 0
+    def __new__(cls, prefix: tuple[Run, ...], tail: int) -> WcetSeq:
+        assert tail >= 0
         last = None
-        for v, k in self.prefix:
-            assert v > self.tail, f"prefix cost {v} not above tail {self.tail}"
+        for v, k in prefix:
+            assert v > tail, f"prefix cost {v} not above tail {tail}"
             assert last is None or v < last, "prefix costs must strictly decrease"
             assert k >= 1, f"run of {v} has multiplicity {k}"
             last = v
+        return _Seq.__new__(cls, prefix, tail)
 
     def __str__(self) -> str:
         return "[%s|%d]" % (",".join(str(v) if k == 1 else f"{v}^{k}"
@@ -147,6 +157,8 @@ def _shift(s: WcetSeq, c: int) -> WcetSeq:
     """s with c added to every cost."""
     if not c:
         return s
+    if not s.prefix:
+        return WcetSeq((), s.tail + c)
     return WcetSeq(tuple((v + c, k) for v, k in s.prefix), s.tail + c)
 
 
@@ -163,7 +175,7 @@ def ms_merge(a: WcetSeq, b: WcetSeq) -> WcetSeq:
 def ms_ranksum(a: WcetSeq, b: WcetSeq) -> WcetSeq:
     """Rank-wise sum: i-th greatest of the result = a[i] + b[i]."""
     if not b.prefix:
-        return _shift(a, b.tail) if a.prefix else WcetSeq((), a.tail + b.tail)
+        return _shift(a, b.tail)
     if not a.prefix:
         return _shift(b, a.tail)
     # Walk both run lists in step, each tail an endless last run.  Every
@@ -241,8 +253,7 @@ def eval_seq(s: WcetSeq, e: int, n: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AbstractWcet:
+class AbstractWcet(NamedTuple):
     loop: LoopRef
     seq: WcetSeq
 
@@ -253,7 +264,7 @@ class AbstractWcet:
 def abstract(loop: LoopRef, seq: WcetSeq) -> AbstractWcet:
     # A zero ranking carries no loop-relative information; normalizing its
     # loop to TOP makes the zero value unique.
-    if seq == ZERO_SEQ:
+    if not seq.tail and not seq.prefix:
         return AbstractWcet(TOP, seq)
     return AbstractWcet(loop, seq)
 
@@ -323,7 +334,7 @@ def loop_abstract(
     f: LoopForest,
 ) -> AbstractWcet:
     """Combine body and exit rankings of a loop running `count` iterations."""
-    if body.loop == loop_ref(header):
+    if body.loop.kind == "loop" and body.loop.header == header:
         # Body costs are ranked per iteration of this very loop: one entry
         # takes the `count` greatest, a constant total.
         total = _top_sum(body.seq, count)

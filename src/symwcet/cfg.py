@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
-from typing import Hashable, Mapping, Sequence, TypeVar
+from typing import Hashable, Mapping, NamedTuple, Sequence, TypeVar
 
 from .errors import DocumentError, IrreducibleLoop
 
@@ -30,9 +30,14 @@ def is_identifier(s: object) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, order=True)
-class LoopRef:
-    """A point in the loop lattice: a concrete loop, TOP, or BOT."""
+class LoopRef(NamedTuple):
+    """A point in the loop lattice: a concrete loop, TOP, or BOT.
+
+    A NamedTuple, not a dataclass: every value of the cost-ranking algebra
+    carries one, so it is built, compared and hashed constantly, and a
+    tuple does all three in C.  It compares and hashes equal to the plain
+    tuple `(kind, header)`, and orders as that tuple does.
+    """
 
     kind: str  # "loop" | "top" | "bot"
     header: str = ""
@@ -207,7 +212,7 @@ def parse_program(text: str) -> Program:
     entry = obj["entry"]
     exit_ = obj["exit"]
     for role, bid in (("entry", entry), ("exit", exit_)):
-        if bid not in blocks:
+        if not isinstance(bid, str) or bid not in blocks:
             raise DocumentError(f"{role} block {bid!r} does not exist")
     if any(s == exit_ for s, _ in edges):
         raise DocumentError(f"exit block {exit_!r} must not have outgoing edges")
@@ -237,7 +242,7 @@ def parse_program(text: str) -> Program:
         if not isinstance(target, str):
             raise DocumentError(f"annotation target must be a string, got {target!r}")
         loop = item["loop"]
-        if loop != "TOP" and loop not in blocks:
+        if not isinstance(loop, str) or (loop != "TOP" and loop not in blocks):
             raise DocumentError(f"annotation loop {loop!r} is neither TOP nor a block")
         mx = _check_value(item["max"], f"annotation max for {target}")
         annotations.append(AnnotationSpec(target, loop, mx))
@@ -251,7 +256,7 @@ def parse_program(text: str) -> Program:
             raise DocumentError(f"split must be an object, got {item!r}")
         _require_keys(item, {"block", "variants"}, {"block", "variants"}, "split")
         sblock = item["block"]
-        if sblock not in blocks:
+        if not isinstance(sblock, str) or sblock not in blocks:
             raise DocumentError(f"split references unknown block {sblock!r}")
         raw_vars = item["variants"]
         if not isinstance(raw_vars, list) or not raw_vars:
@@ -273,7 +278,8 @@ def parse_program(text: str) -> Program:
                 _require_keys(raw_va, {"loop", "max"}, {"loop", "max"},
                               f"variant {vid} annotation")
                 vloop = raw_va["loop"]
-                if vloop != "TOP" and vloop not in blocks:
+                if not isinstance(vloop, str) or (vloop != "TOP"
+                                                  and vloop not in blocks):
                     raise DocumentError(
                         f"variant {vid}: loop {vloop!r} is neither TOP nor a block")
                 vmax = _check_value(raw_va["max"], f"variant {vid} annotation max")
@@ -530,9 +536,9 @@ def build_loop_forest(g: Cfg, bounds: dict[str, int | str] | None = None) -> Loo
 
 def loop_leq(a: LoopRef, b: LoopRef, f: LoopForest) -> bool:
     """a is nested inside (or equal to) b."""
-    if a == b or a == BOT or b == TOP:
+    if a == b or a.kind == "bot" or b.kind == "top":
         return True
-    if a == TOP or b == BOT:
+    if a.kind == "top" or b.kind == "bot":
         return False
     # A header outside this forest is comparable only to itself and the
     # lattice extremes.
@@ -542,7 +548,7 @@ def loop_leq(a: LoopRef, b: LoopRef, f: LoopForest) -> bool:
 
 def loop_meet(a: LoopRef, b: LoopRef, f: LoopForest) -> LoopRef:
     """Greatest lower bound: the inner loop when nested, BOT when unrelated."""
-    if loop_leq(a, b, f):
+    if a is b or loop_leq(a, b, f):
         return a
     if loop_leq(b, a, f):
         return b

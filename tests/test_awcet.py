@@ -89,6 +89,31 @@ def test_raw_constructor_enforces_shape():
         WcetSeq(((5, 0),), 1)  # empty run
 
 
+def test_values_are_tuples_of_their_fields():
+    seqs_ = [ZERO_SEQ, const_seq(3), WcetSeq(((5, 1),), 0),
+             WcetSeq(((5, 2),), 0), WcetSeq(((7, 2), (3, 1)), 1)]
+    values = [ZERO, AbstractWcet(loop_ref("b1"), seqs_[4]),
+              AbstractWcet(BOT, seqs_[1]), AbstractWcet(TOP, seqs_[2])]
+    for group in (seqs_, values):
+        for a in group:
+            fields = tuple(getattr(a, name) for name in a._fields)
+            assert isinstance(a, tuple) and tuple(a) == fields
+            assert a == fields and hash(a) == hash(fields)
+            for b in group:
+                assert (a == b) == (tuple(a) == tuple(b))
+                assert (a < b) == (tuple(a) < tuple(b))
+    # The dataclass repr, unchanged.
+    assert repr(values[1]) == ("AbstractWcet(loop=LoopRef(kind='loop', "
+                               "header='b1'), seq=WcetSeq(prefix=((7, 2), "
+                               "(3, 1)), tail=1))")
+    assert str(values[1]) == "(loop=b1, [7^2,3|1])"
+
+
+def test_ranksum_with_zero_returns_its_operand():
+    for s in (WcetSeq((), 5), WcetSeq(((7, 2),), 1), ZERO_SEQ):
+        assert ms_ranksum(s, ZERO_SEQ) is s
+
+
 def test_parse_seq_roundtrip():
     for text in ["[5,4,2|1]", "[|0]", "[9|3]"]:
         assert str(parse_seq(text)) == text

@@ -13,6 +13,7 @@ import generators as gen
 from symwcet.cfg import (
     BOT,
     TOP,
+    LoopRef,
     _dom_intervals,
     back_edges,
     build_loop_forest,
@@ -231,6 +232,47 @@ def test_lattice_pinned_join_meet(fig2_forest):
     f = fig2_forest
     assert loop_meet(L1, L2, f) == L2
     assert loop_meet(L1, TOP, f) == L1
+
+
+def test_loop_refs_are_tuples_of_their_fields():
+    for a in ELEMS:
+        assert isinstance(a, tuple) and tuple(a) == (a.kind, a.header)
+        assert a == (a.kind, a.header) and hash(a) == hash((a.kind, a.header))
+        for b in ELEMS:
+            assert (a == b) == (tuple(a) == tuple(b))
+            assert (a < b) == ((a.kind, a.header) < (b.kind, b.header))
+    assert TOP == LoopRef("top") == ("top", "")
+    assert repr(L1) == "LoopRef(kind='loop', header='b1')"
+
+
+# The lattice as written before its fast paths, comparing whole references.
+
+
+def ref_loop_leq(a, b, f):
+    if a == b or a == BOT or b == TOP:
+        return True
+    if a == TOP or b == BOT:
+        return False
+    info = f.loops.get(b.header)
+    return info is not None and a.header in info.body
+
+
+def ref_loop_meet(a, b, f):
+    if ref_loop_leq(a, b, f):
+        return a
+    if ref_loop_leq(b, a, f):
+        return b
+    return BOT
+
+
+def test_lattice_matches_reference(fig2_forest):
+    f = fig2_forest
+    # Equal references that are distinct objects, besides the shared ones.
+    copies = [LoopRef("top"), LoopRef("bot"), loop_ref("b1"), loop_ref("zz")]
+    for a in ELEMS + copies:
+        for b in ELEMS + copies:
+            assert loop_leq(a, b, f) == ref_loop_leq(a, b, f), (a, b)
+            assert loop_meet(a, b, f) == ref_loop_meet(a, b, f), (a, b)
 
 
 @settings(max_examples=200, deadline=None)

@@ -215,6 +215,33 @@ def test_document_error_exits_1(capsys, tmp_path):
     assert code == 1 and "error:" in err
 
 
+# Places that name a block, by document builder and path into it.
+_BLOCK_REFS = {
+    "entry": (gen.running_example_doc, ("entry",)),
+    "exit": (gen.running_example_doc, ("exit",)),
+    "annotation loop": (gen.triangular_doc, ("annotations", 0, "loop")),
+    "split block": (gen.persistence_doc, ("splits", 0, "block")),
+    "variant loop": (gen.persistence_doc,
+                     ("splits", 0, "variants", 0, "annotation", "loop")),
+}
+
+
+@pytest.mark.parametrize("bad", [{}, []], ids=["object", "list"])
+@pytest.mark.parametrize("where", sorted(_BLOCK_REFS))
+def test_non_string_block_reference_exits_1(capsys, tmp_path, where, bad):
+    make, path = _BLOCK_REFS[where]
+    doc = make()
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = bad
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(doc))
+    code, out, err = _run(capsys, ["check", "--input", str(p)])
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_bad_binding_forms_exit_1(capsys, sym_path):
     for bind in ["x_b2", "=3", "x_b2=hello"]:
         code, _, err = _run(capsys, ["wcet", "--input", sym_path,
