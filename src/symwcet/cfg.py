@@ -461,6 +461,7 @@ class LoopForest:
     loops: dict[str, LoopInfo]  # header -> LoopInfo, document order
     parent: dict[str, str | None]  # header -> enclosing header (None = top level)
     block_loop: dict[str, str]  # block -> smallest loop around it, if any
+    idom: dict[str, str | None]  # block -> immediate dominator (entry: None)
 
     def innermost(self, block: str) -> str | None:
         """Header of the smallest loop containing block, None when loop-free."""
@@ -526,7 +527,7 @@ def build_loop_forest(g: Cfg, bounds: dict[str, int | str] | None = None) -> Loo
                          tuple(entries[h]), tuple(exits[h]),
                          bounds.get(h, f"x_{h}"))
              for h in headers}
-    return LoopForest(loops, {h: parent[h] for h in headers}, inner)
+    return LoopForest(loops, {h: parent[h] for h in headers}, inner, idom)
 
 
 # ---------------------------------------------------------------------------

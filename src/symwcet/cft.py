@@ -243,6 +243,7 @@ def rename_leaves(t: Cft) -> tuple[Cft, dict[str, str]]:
     """Make leaf labels unique by suffixing repeats with '#k' in preorder.
 
     Returns the renamed tree and a map from new labels back to originals.
+    A subtree in which no label changes is returned as the same object.
     """
     counts: dict[str, int] = {}
     rename: dict[str, str] = {}
@@ -255,10 +256,16 @@ def rename_leaves(t: Cft) -> tuple[Cft, dict[str, str]]:
                 return node
             fresh = f"{node.label}#{k}"
             rename[fresh] = node.label
-            return replace(node, label=fresh)
-        if isinstance(node, (Alt, Seq)):
-            return replace(node, children=tuple(walk(c) for c in node.children))
-        return replace(node, body=walk(node.body), exit=walk(node.exit))
+            return Leaf(fresh, node.wcet, node.annotation)
+        if isinstance(node, Loop):
+            body, exit_ = walk(node.body), walk(node.exit)
+            if body is node.body and exit_ is node.exit:
+                return node
+            return Loop(node.header, body, node.bound, exit_, node.annotation)
+        kids = tuple(walk(c) for c in node.children)
+        if all(new is old for new, old in zip(kids, node.children)):
+            return node
+        return type(node)(kids, node.annotation)
 
     return walk(t), rename
 

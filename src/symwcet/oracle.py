@@ -51,18 +51,25 @@ def gpaths_bounded(g: Cfg, f: LoopForest, end: str | None = None,
         for e in info.entry_edges:
             entry_of[e] = info.header
 
+    # A partial path is a linked cell (block, previous cell), so a step
+    # costs the same at any depth; a path is spelled out when it reaches end.
     paths: list[tuple[str, ...]] = []
     visited = 0
-    stack: list[tuple[str, tuple[str, ...], dict[str, int]]] = [
-        (g.entry, (g.entry,), {})
+    stack: list[tuple[str, tuple, dict[str, int]]] = [
+        (g.entry, (g.entry, None), {})
     ]
     while stack:
-        block, path, counters = stack.pop()
+        block, cell, counters = stack.pop()
         visited += 1
         if visited > max_nodes:
             raise PathBudgetExceeded(f"more than {max_nodes} path nodes")
         if block == end:
-            paths.append(path)
+            path: list[str] = []
+            link = cell
+            while link is not None:
+                path.append(link[0])
+                link = link[1]
+            paths.append(tuple(reversed(path)))
             if len(paths) > max_paths:
                 raise PathBudgetExceeded(f"more than {max_paths} program paths")
         for succ in g.succs[block]:
@@ -78,7 +85,7 @@ def gpaths_bounded(g: Cfg, f: LoopForest, end: str | None = None,
                 h = entry_of[edge]
                 if c.get(h, 0):
                     c = {**c, h: 0}
-            stack.append((succ, path + (succ,), c))
+            stack.append((succ, (succ, cell), c))
     return paths
 
 

@@ -6,6 +6,12 @@ at that nesting level plus one hierarchical node per directly nested loop.
 Back-edges point at a virtual `next` node, departures at a virtual `exit`
 node.  The region graph is then serialized into a tree along its chain of
 forced-passage nodes; hierarchical nodes expand recursively into Loop nodes.
+
+A region's dominator tree is read off the CFG's (`LoopForest.idom`), not
+computed again: a node's immediate dominator is the region node that stands
+for its block's (or header's) immediate dominator in the CFG, and `next`
+and `exit` are dominated by the nearest common dominator of their
+predecessors.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .cfg import TOP, Cfg, LoopForest, LoopRef, immediate_dominators, loop_ref
+from .cfg import TOP, Cfg, LoopForest, LoopRef, loop_ref
 from . import cft
 
 
@@ -35,15 +41,19 @@ DagEdge = tuple[DagNode, DagNode]
 
 @dataclass
 class Dag:
+    """One region graph.  `idom` is its dominator tree over the nodes
+    reachable from `start` (which maps to None), as `region_dags` reads it
+    off the CFG's dominator tree."""
+
     level: LoopRef
     nodes: tuple[DagNode, ...]
     edges: tuple[DagEdge, ...]
     start: DagNode
     next: DagNode
     exit: DagNode
+    idom: dict[DagNode, DagNode | None]
     succs: dict[DagNode, tuple[DagNode, ...]] = field(init=False)
     preds: dict[DagNode, tuple[DagNode, ...]] = field(init=False)
-    idom: dict[DagNode, DagNode | None] = field(init=False)  # reachable only
 
     def __post_init__(self) -> None:
         succs: dict[DagNode, list[DagNode]] = {n: [] for n in self.nodes}
@@ -54,7 +64,6 @@ class Dag:
         self.succs = {n: tuple(v) for n, v in succs.items()}
         self.preds = {n: tuple(v) for n, v in preds.items()}
         assert _is_acyclic(self), f"region graph for {self.level} has a cycle"
-        self.idom = immediate_dominators(self.start, self.succs, self.preds)
 
 
 def _representative(block: str, level: str | None, f: LoopForest) -> DagNode:
@@ -121,9 +130,37 @@ def region_dags(g: Cfg, f: LoopForest) -> dict[str | None, Dag]:
             ref, start = TOP, _representative(g.entry, None, f)
         else:
             ref, start = loop_ref(level), DagNode("block", level)
+        # Every other block or loop node is dominated, within the region, by
+        # the node that stands for its CFG immediate dominator: that block
+        # lies inside the region's loop, since the header dominates it.
+        idom: dict[DagNode, DagNode | None] = {start: None}
+        for n in nodes[level]:
+            if n != start:
+                idom[n] = _representative(f.idom[n.id], level, f)
+        for sink in (next_node, exit_node):
+            preds = [a for a, b in edges[level] if b == sink]
+            if preds:
+                idom[sink] = _common_dominator(preds, idom)
         dags[level] = Dag(ref, (*nodes[level], next_node, exit_node),
-                          tuple(edges[level]), start, next_node, exit_node)
+                          tuple(edges[level]), start, next_node, exit_node,
+                          idom)
     return dags
+
+
+def _common_dominator(nodes: list[DagNode],
+                      idom: dict[DagNode, DagNode | None]) -> DagNode:
+    """The nearest node that dominates every one of nodes."""
+    common = nodes[0]
+    for n in nodes[1:]:
+        above: set[DagNode] = set()
+        cur: DagNode | None = common
+        while cur is not None:
+            above.add(cur)
+            cur = idom[cur]
+        while n not in above:
+            n = idom[n]  # type: ignore[assignment]
+        common = n
+    return common
 
 
 def _is_acyclic(d: Dag) -> bool:

@@ -478,12 +478,44 @@ _RULES: tuple[tuple[str, Callable], ...] = (
     ("power-fold", _rule_power_fold),
 )
 
+# The one node class each rule can fire on; every rule returns None for
+# any other class, and none fires on a leaf.
+_RULE_NODE: dict[str, type] = {
+    "plus-const": Plus,
+    "max-const": Max,
+    "mult-merge": Plus,
+    "restrict-merge": Plus,
+    "restrict-distribute": Restrict,
+    "distributivity": Max,
+    "restrict-zero": Restrict,
+    "restrict-fold": Restrict,
+    "scalar-fold": Scalar,
+    "scalar-restrict": Restrict,
+    "power-zero": Power,
+    "power-extract": Power,
+    "power-fold": Power,
+}
+
 DEFAULT_FUEL = 10_000
 
 
-def _rewrite(w: Formula, f: LoopForest) -> Formula | None:
-    """The first rule's rewrite of w at its root, None when none applies."""
-    for _, rule in _RULES:
+def _rules_by_node() -> dict[type, tuple[Callable, ...]]:
+    """`_RULES` grouped by the node class each rule fires on, each group in
+    `_RULES` order."""
+    table: dict[type, list[Callable]] = {}
+    for name, rule in _RULES:
+        table.setdefault(_RULE_NODE[name], []).append(rule)
+    return {cls: tuple(rules) for cls, rules in table.items()}
+
+
+def _rewrite(w: Formula, f: LoopForest,
+             table: dict[type, tuple[Callable, ...]]) -> Formula | None:
+    """The first rule's rewrite of w at its root, None when none applies.
+
+    Only the rules `table` lists for w's class are tried; the others
+    cannot fire there.
+    """
+    for rule in table.get(type(w), ()):
         new = rule(w, f)
         if new is not None and new != w:
             return new
@@ -510,10 +542,12 @@ def simplify(w: Formula, f: LoopForest, fuel: int = DEFAULT_FUEL,
     """Normal form of w under the rewrite system.
 
     Innermost: children are normalised first (each distinct node once per
-    call), then rules rewrite the rebuilt node until none applies.  The
-    result is independent of application order; `rng` instead applies a
-    random applicable rewrite anywhere in the formula each step (used to
-    test exactly that).  `fuel` bounds the number of rewrite steps.
+    call), then rules rewrite the rebuilt node until none applies.  Rules
+    are indexed by the node class they fire on, so a node tries only its
+    own class's rules and a leaf none.  The result is independent of
+    application order; `rng` instead applies a random applicable rewrite
+    anywhere in the formula each step (used to test exactly that).  `fuel`
+    bounds the number of rewrite steps.
     """
     steps = 0
 
@@ -532,11 +566,14 @@ def simplify(w: Formula, f: LoopForest, fuel: int = DEFAULT_FUEL,
             w = _rebuild(w, path, new)
             spend()
 
+    table = _rules_by_node()
     # id(node) -> (node, normal form); the node is kept so its id stays
     # unique for the call.
     memo: dict[int, tuple[Formula, Formula]] = {}
 
     def normal(node: Formula) -> Formula:
+        if isinstance(node, (Const, WcetId)):
+            return node
         hit = memo.get(id(node))
         if hit is not None:
             return hit[1]
@@ -547,7 +584,7 @@ def simplify(w: Formula, f: LoopForest, fuel: int = DEFAULT_FUEL,
                 new_kids = [normal(k) for k in kids]
                 if any(a is not b for a, b in zip(new_kids, kids)):
                     cur = _with_children(cur, new_kids)
-            new = _rewrite(cur, f)
+            new = _rewrite(cur, f, table)
             if new is None:
                 break
             spend()
@@ -569,9 +606,20 @@ def gamma_symbolic(t: cft.Cft, f: LoopForest,
     """Formula for a tree that may contain symbolic costs, bounds and caps.
 
     Concrete subexpressions fold to constants eagerly (disable to measure
-    the structural formula size).  A complete instantiation of the result
-    equals gamma of the instantiated tree.
+    the structural formula size): a node whose children are all constant
+    folds to one constant, and the constant children of any other Seq or
+    Alt fold into one constant operand of its sum or maximum (the
+    plus-const and max-const rewrites, applied as the node is built).  A
+    complete instantiation of the result equals gamma of the instantiated
+    tree.
     """
+
+    def fold_consts(kids: list[Formula], op) -> list[Formula]:
+        consts = [k.value for k in kids if isinstance(k, Const)]
+        if not fold_concrete or len(consts) < 2:
+            return kids
+        rest = [k for k in kids if not isinstance(k, Const)]
+        return rest + [Const(fold(consts, op, f))]
 
     def build(node: cft.Cft) -> Formula:
         kids = [build(c) for c in cft.child_nodes(node)]
@@ -582,9 +630,9 @@ def gamma_symbolic(t: cft.Cft, f: LoopForest,
                 not isinstance(node, cft.Loop) or isinstance(node.bound, int)):
             base = Const(node_value(node, [k.value for k in kids], f))
         elif isinstance(node, cft.Alt):
-            base = max_(kids)
+            base = max_(fold_consts(kids, max_abstract))
         elif isinstance(node, cft.Seq):
-            base = plus(kids)
+            base = plus(fold_consts(kids, plus_abstract))
         else:
             base = power(kids[0], kids[1], node.header, node.bound)
         ann = node.annotation

@@ -105,6 +105,22 @@ def test_rename_noop_when_unique():
     assert to_sexpr(renamed) == to_sexpr(t)
 
 
+def test_rename_leaves_keeps_subtrees_it_does_not_rename():
+    once = Annotation(TOP, 1)
+    choice = Alt((Leaf("y", 2), Leaf("z", 3)), once)
+    loop = Loop("h", seq([Leaf("h", 1), Leaf("b", 2)]), 3, Leaf("h", 1), once)
+    t = Seq((Leaf("x", 1), choice, loop, Leaf("x", 1)), once)
+    renamed, mapping = rename_leaves(t)
+    assert mapping == {"h#1": "h", "x#1": "x"}
+    assert renamed == Seq((Leaf("x", 1), choice,
+                           Loop("h", loop.body, 3, Leaf("h#1", 1), once),
+                           Leaf("x#1", 1)), once)
+    x, kept, looped, _ = renamed.children
+    assert x is t.children[0] and kept is choice and looped.body is loop.body
+    unique = seq([A, choice])
+    assert rename_leaves(unique)[0] is unique
+
+
 # ---------------------------------------------------------------------------
 # Target resolution
 # ---------------------------------------------------------------------------

@@ -97,6 +97,78 @@ def test_gpaths_reject_symbolic_bound():
         gpaths_bounded(p.cfg, f)
 
 
+def _reference_gpaths_bounded(g, f, end=None, max_paths=oracle.MAX_PATHS,
+                              max_nodes=oracle.MAX_NODES):
+    """The walk that carries each partial path as a whole tuple."""
+    end = g.exit if end is None else end
+    back_of, entry_of, bounds = {}, {}, {}
+    for info in f.loops.values():
+        bounds[info.header] = info.bound
+        for e in info.back_edges:
+            back_of[e] = info.header
+        for e in info.entry_edges:
+            entry_of[e] = info.header
+    paths = []
+    visited = 0
+    stack = [(g.entry, (g.entry,), {})]
+    while stack:
+        block, path, counters = stack.pop()
+        visited += 1
+        if visited > max_nodes:
+            raise PathBudgetExceeded(f"more than {max_nodes} path nodes")
+        if block == end:
+            paths.append(path)
+            if len(paths) > max_paths:
+                raise PathBudgetExceeded(f"more than {max_paths} program paths")
+        for succ in g.succs[block]:
+            edge = (block, succ)
+            c = counters
+            if edge in back_of:
+                h = back_of[edge]
+                taken = c.get(h, 0) + 1
+                if taken > bounds[h]:
+                    continue
+                c = {**c, h: taken}
+            elif edge in entry_of:
+                h = entry_of[edge]
+                if c.get(h, 0):
+                    c = {**c, h: 0}
+            stack.append((succ, path + (succ,), c))
+    return paths
+
+
+def _paths_or_error(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except PathBudgetExceeded as exc:
+        return str(exc)
+
+
+def test_gpaths_bounded_matches_reference():
+    rng = random.Random(67)
+    cases = []
+    for i in range(150):
+        a = analyze_text(json.dumps(gen.random_doc(rng, depth=1 + i % 3)))
+        blocks = list(a.cfg.blocks)
+        # Paths to the exit, and to a block that may have successors.
+        cases.append((a, {"max_paths": 2000}))
+        cases.append((a, {"end": blocks[i % len(blocks)], "max_paths": 2000,
+                          "max_nodes": 20000}))
+    doc = json.loads((SAMPLES / "triangular_concrete.json").read_text())
+    doc["loop_bounds"]["i"] = 200
+    raised = analyze_text(json.dumps(doc))
+    cases.append((raised, {"max_paths": 300}))
+    cases.append((raised, {"max_paths": 10 ** 6, "max_nodes": 5000}))
+    errors = 0
+    for a, kwargs in cases:
+        want = _paths_or_error(_reference_gpaths_bounded, a.cfg, a.forest,
+                               **kwargs)
+        got = _paths_or_error(gpaths_bounded, a.cfg, a.forest, **kwargs)
+        assert got == want, kwargs
+        errors += isinstance(want, str)
+    assert 2 <= errors < len(cases) // 2
+
+
 def test_path_wcet_rejects_symbolic():
     p = parse_program(json.dumps({
         "name": "sym", "blocks": [{"id": "a", "wcet": "w"}], "edges": [],

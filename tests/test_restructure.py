@@ -8,8 +8,8 @@ import random
 import pytest
 
 import generators as gen
-from symwcet import cft, restructure
-from symwcet.cfg import build_loop_forest, parse_program
+from symwcet import cfg, cft, restructure
+from symwcet.cfg import TOP, build_loop_forest, parse_program
 from symwcet.restructure import build_cft, forced_passage, region_dags
 
 
@@ -89,10 +89,18 @@ def test_dags_are_acyclic_on_random_docs():
 
 
 def test_one_dominator_tree_per_region(monkeypatch):
+    # Region dominator trees are read off the CFG's, which the loop forest
+    # keeps: restructuring runs no dominator pass of its own.
     calls = []
-    idoms = restructure.immediate_dominators
-    monkeypatch.setattr(restructure, "immediate_dominators",
-                        lambda *args: calls.append(args[0]) or idoms(*args))
+    idoms = cfg.immediate_dominators
+
+    def counted(*args):
+        calls.append(args[0])
+        return idoms(*args)
+
+    monkeypatch.setattr(cfg, "immediate_dominators", counted)
+    monkeypatch.setattr(restructure, "immediate_dominators", counted,
+                        raising=False)
     rng = random.Random(41)
     docs = [gen.scaling_doc(60), gen.running_example_doc()]
     docs += [gen.random_doc(rng, depth=3, noise=4) for _ in range(20)]
@@ -101,7 +109,39 @@ def test_one_dominator_tree_per_region(monkeypatch):
         f = build_loop_forest(p.cfg, p.loop_bounds)
         calls.clear()
         build_cft(p.cfg, f)
-        assert len(calls) == len(f.loops) + 1, doc
+        assert calls == [], doc
+
+
+def _region_corpus():
+    rng = random.Random(53)
+    docs = [gen.running_example_doc(), gen.scaling_doc(60),
+            gen.loop_nest_doc(150)]
+    docs += [gen.loop_nest_doc(d) for d in range(1, 8)]
+    for i in range(400):
+        docs.append(gen.random_doc(rng, depth=2 + i % 3, noise=i % 7))
+    for depth in (1, 2, 3):
+        # Entry is a loop header: the top region starts at a loop node.
+        doc = gen.loop_nest_doc(depth)
+        doc["edges"].append([doc["exit"], doc["entry"]])
+        doc["exit"] = "fin"
+        doc["blocks"].append({"id": "fin", "wcet": 1})
+        doc["edges"].append([doc["entry"], "fin"])
+        docs.append(doc)
+    return docs
+
+
+def test_region_idom_matches_dominator_pass():
+    regions = entry_loops = 0
+    for doc in _region_corpus():
+        p = parse_program(json.dumps(doc))
+        f = build_loop_forest(p.cfg, p.loop_bounds)
+        for d in region_dags(p.cfg, f).values():
+            assert d.idom == cfg.immediate_dominators(d.start, d.succs,
+                                                      d.preds), doc
+            regions += 1
+            entry_loops += d.level == TOP and d.start.kind == "loop"
+    assert regions >= 1000
+    assert entry_loops >= 3
 
 
 # ---------------------------------------------------------------------------

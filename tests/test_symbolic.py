@@ -8,18 +8,21 @@ import random
 import pytest
 
 import generators as gen
-from symwcet import symbolic
+from symwcet import cft, symbolic
 from symwcet.awcet import (
     ZERO,
     abstract,
+    const_seq,
     fold,
     gamma,
     max_abstract,
     ms_merge,
     ms_ranksum,
+    node_value,
     parse_abstract,
     parse_seq,
     plus_abstract,
+    restrict_abstract,
 )
 from symwcet.cfg import BOT, TOP, loop_meet, loop_ref
 from symwcet.errors import (
@@ -319,6 +322,55 @@ def test_simplify_rule_calls_linear_on_chain(monkeypatch):
         assert calls <= 2 * len(rules) * (formula_size(w) + steps)
 
 
+def _nodes(w):
+    """Every node of w, w itself included."""
+    out, stack = [], [w]
+    while stack:
+        node = stack.pop()
+        out.append(node)
+        stack.extend(symbolic._children(node))
+    return out
+
+
+@pytest.fixture(scope="module")
+def random_nodes():
+    rng = random.Random(59)
+    return [n for _ in range(3000)
+            for n in _nodes(gen.random_formula(rng, depth=3))]
+
+
+def test_rules_fire_only_on_their_node_class(forest, random_nodes):
+    # The premise of indexing rules by node class: a rule returns None for
+    # every node that is not of the class it is indexed under.
+    classes = {type(n) for n in random_nodes}
+    assert classes == {Const, WcetId, Plus, Max, Scalar, symbolic.Power,
+                       Restrict}
+    assert set(symbolic._RULE_NODE) == {name for name, _ in symbolic._RULES}
+    for node in random_nodes:
+        for name, rule in symbolic._RULES:
+            if type(node) is not symbolic._RULE_NODE[name]:
+                assert rule(node, forest) is None, (name, render(node))
+
+
+def _reference_rewrite(w, f):
+    """Rewrite by a scan of every rule in `_RULES` order."""
+    for _, rule in symbolic._RULES:
+        new = rule(w, f)
+        if new is not None and new != w:
+            return new
+    return None
+
+
+def test_rewrite_matches_full_scan(forest, random_nodes):
+    table = symbolic._rules_by_node()
+    fired = 0
+    for node in random_nodes:
+        want = _reference_rewrite(node, forest)
+        assert symbolic._rewrite(node, forest, table) == want, render(node)
+        fired += want is not None
+    assert fired > 1000
+
+
 # ---------------------------------------------------------------------------
 # Symbolic tree evaluation
 # ---------------------------------------------------------------------------
@@ -371,6 +423,106 @@ def test_gamma_symbolic_triangular_pinned():
         concrete = analyze_text(json.dumps(gen.triangular_doc(outer_bound=n)))
         assert evaluate(w, {"n": n}, a.forest) == gamma(concrete.tree,
                                                         concrete.forest)
+
+
+def test_build_fold_leaves_one_constant(forest):
+    sym = cft.Leaf("b", "w1")
+    t = cft.Seq((cft.Leaf("a", 3), sym, cft.Leaf("c", 4)))
+    w = gamma_symbolic(t, forest)
+    assert isinstance(w, Plus)
+    assert w.operands == (Const(abstract(TOP, const_seq(7))), W1)
+    w = gamma_symbolic(cft.Alt((cft.Leaf("a", 3), sym, cft.Leaf("c", 4))),
+                       forest)
+    assert isinstance(w, Max)
+    assert w.operands == (Const(abstract(TOP, const_seq(4))), W1)
+    # Unfolded, every leaf stays an operand.
+    assert operand_count(gamma_symbolic(t, forest, fold_concrete=False)) == 3
+
+
+def _reference_gamma_symbolic(t, f):
+    """`gamma_symbolic` without the build fold of Seq and Alt constants."""
+
+    def build(node):
+        kids = [build(c) for c in cft.child_nodes(node)]
+        if isinstance(node, cft.Leaf):
+            base = (WcetId(node.wcet) if isinstance(node.wcet, str)
+                    else Const(node_value(node, [], f)))
+        elif all(isinstance(k, Const) for k in kids) and (
+                not isinstance(node, cft.Loop) or isinstance(node.bound, int)):
+            base = Const(node_value(node, [k.value for k in kids], f))
+        elif isinstance(node, cft.Alt):
+            base = max_(kids)
+        elif isinstance(node, cft.Seq):
+            base = plus(kids)
+        else:
+            base = power(kids[0], kids[1], node.header, node.bound)
+        ann = node.annotation
+        if ann is not None and ann.max is not None:
+            if isinstance(base, Const) and isinstance(ann.max, int):
+                base = Const(restrict_abstract(base.value, ann.loop,
+                                               ann.max, f))
+            else:
+                base = restrict(base, str(ann.loop), ann.max)
+        return base
+
+    return build(t)
+
+
+def _symbolic_costs(doc, rng):
+    for block in doc["blocks"]:
+        if rng.random() < 0.3:
+            block["wcet"] = rng.choice(("w1", "w2", "w3"))
+    return doc
+
+
+def _bindings(w, f, k):
+    costs, counts, loops = identifiers(w, f)
+    assert not loops
+    out = {c: abstract(TOP, const_seq(k + i % 4))
+           for i, c in enumerate(sorted(costs))}
+    out.update({c: k + i % 3 for i, c in enumerate(sorted(counts))})
+    return out
+
+
+def test_build_fold_matches_reference_on_frozen_corpus(monkeypatch):
+    # The build fold applies plus-const and max-const early; the rewrite
+    # system is confluent, so the normal form is the reference's, and the
+    # rewrite steps it saves are never more than it spends.
+    rng = random.Random(61)
+    docs = [_symbolic_scaling_doc(40),
+            gen.running_example_doc(inner_bound=None), gen.triangular_doc()]
+    for i in range(160):
+        doc = gen.random_doc(rng, symbolic_bounds=True)
+        doc = gen.annotate_doc(rng, doc) if i % 2 else doc
+        docs.append(_symbolic_costs(doc, rng))
+    steps = 0
+
+    def counted(rule):
+        def call(node, f):
+            nonlocal steps
+            new = rule(node, f)
+            steps += new is not None and new != node
+            return new
+        return call
+
+    monkeypatch.setattr(symbolic, "_RULES", tuple(
+        (name, counted(r)) for name, r in symbolic._RULES))
+    fewer = 0
+    for doc in docs:
+        a = analyze_text(json.dumps(doc))
+        ref = _reference_gamma_symbolic(a.tree, a.forest)
+        raw = gamma_symbolic(a.tree, a.forest)
+        steps = 0
+        ref_nf = simplify(ref, a.forest)
+        ref_steps, steps = steps, 0
+        nf = simplify(raw, a.forest)
+        assert render(nf) == render(ref_nf), doc
+        assert steps <= ref_steps, doc
+        fewer += steps < ref_steps
+        for k in (1, 4, 9):
+            b = _bindings(raw, a.forest, k)
+            assert evaluate(raw, b, a.forest) == evaluate(nf, b, a.forest), doc
+    assert fewer >= 50  # 70 of the 163 documents
 
 
 # ---------------------------------------------------------------------------
