@@ -16,6 +16,12 @@ for `[105,105,105,105,105|70]`; the parser accepts both.  Tuple order on
 runs equals the lexicographic order on the expanded sequences, so sorting
 by `prefix` orders rankings as before.
 
+Most rankings have no prefix at all: a cost identifier or a concrete leaf
+is one integer, and prefixes come only from annotation caps.  `fold` and
+`loop_abstract` give that case a fast path that computes on the tails
+alone (a running sum or maximum, `count * body + exit`) and builds one
+value at the end; values with a prefix take the run-walking operators.
+
 `WcetSeq` and `AbstractWcet`, like `cfg.LoopRef`, are NamedTuples rather
 than frozen dataclasses: every operator builds, compares and hashes them,
 and a tuple does all three in C.  They compare and hash equal to plain
@@ -295,9 +301,33 @@ def fold(values: Iterable[AbstractWcet],
     """Left fold of `plus_abstract` or `max_abstract`; ZERO, the identity
     of both, when there are no values.  The order does not matter: the
     loop meet is a lattice meet on the forest, and `ms_ranksum` and
-    `ms_merge` are associative and commutative."""
+    `ms_merge` are associative and commutative.
+
+    Prefix-free rankings, the common case, fold as integers: while no
+    value has a prefix, the fold keeps one running tail (their sum or
+    maximum) and the meet of their loops, and only at the first value
+    with a prefix does it build that running value and go on with `op`.
+    A zero value is TOP-relative, so skipping the zero-to-TOP step of
+    `abstract` between values leaves the meet as the pairwise fold has it.
+    """
     it = iter(values)
     acc = next(it, ZERO)
+    if (op is plus_abstract or op is max_abstract) and not acc.seq.prefix:
+        summing = op is plus_abstract
+        loop, tail = acc.loop, acc.seq.tail
+        for v in it:
+            seq = v.seq
+            if seq.prefix:
+                acc = op(abstract(loop, WcetSeq((), tail)), v, f)
+                break
+            if summing:
+                tail += seq.tail
+            elif seq.tail > tail:
+                tail = seq.tail
+            if v.loop != loop:
+                loop = loop_meet(loop, v.loop, f)
+        else:
+            return abstract(loop, WcetSeq((), tail))
     for v in it:
         acc = op(acc, v, f)
     return acc
@@ -333,8 +363,19 @@ def loop_abstract(
     exit_: AbstractWcet,
     f: LoopForest,
 ) -> AbstractWcet:
-    """Combine body and exit rankings of a loop running `count` iterations."""
-    if body.loop.kind == "loop" and body.loop.header == header:
+    """Combine body and exit rankings of a loop running `count` iterations.
+
+    When neither ranking has a prefix, the result is the integer
+    `count * body tail + exit tail`, relative to the exit's loop if the
+    body is ranked per iteration of this loop and to the meet of both
+    loops otherwise: what the general path below computes on such values.
+    """
+    own = body.loop.kind == "loop" and body.loop.header == header
+    if not body.seq.prefix and not exit_.seq.prefix:
+        return abstract(exit_.loop if own else
+                        loop_meet(body.loop, exit_.loop, f),
+                        WcetSeq((), count * body.seq.tail + exit_.seq.tail))
+    if own:
         # Body costs are ranked per iteration of this very loop: one entry
         # takes the `count` greatest, a constant total.
         total = _top_sum(body.seq, count)

@@ -180,15 +180,20 @@ def parse_program(text: str) -> Program:
         raise DocumentError("blocks must be a non-empty list")
     blocks: dict[str, Block] = {}
     for item in raw_blocks:
-        if not isinstance(item, dict):
-            raise DocumentError(f"block entry must be an object, got {item!r}")
-        _require_keys(item, {"id", "wcet"}, {"id", "wcet"}, "block")
+        # The usual shape, exactly the keys id and wcet, needs no key check.
+        if not (isinstance(item, dict) and len(item) == 2
+                and "id" in item and "wcet" in item):
+            if not isinstance(item, dict):
+                raise DocumentError(f"block entry must be an object, got {item!r}")
+            _require_keys(item, {"id", "wcet"}, {"id", "wcet"}, "block")
         bid = item["id"]
         if not is_identifier(bid):
             raise DocumentError(f"block id {bid!r} is not a valid identifier")
         if bid in blocks:
             raise DocumentError(f"duplicate block id {bid!r}")
-        wcet = _check_value(item["wcet"], f"block {bid} wcet")
+        wcet = item["wcet"]
+        if type(wcet) is not int or wcet < 0:
+            wcet = _check_value(wcet, f"block {bid} wcet")
         blocks[bid] = Block(bid, wcet)
 
     raw_edges = obj["edges"]
@@ -198,16 +203,16 @@ def parse_program(text: str) -> Program:
     seen_edges: set[Edge] = set()
     for item in raw_edges:
         if (not isinstance(item, list) or len(item) != 2
-                or not all(isinstance(x, str) for x in item)):
+                or not isinstance(item[0], str) or not isinstance(item[1], str)):
             raise DocumentError(f"edge must be a [source, target] pair, got {item!r}")
-        s, t = item
-        for end in (s, t):
+        e = (item[0], item[1])
+        for end in e:
             if end not in blocks:
                 raise DocumentError(f"edge {item!r} references unknown block {end!r}")
-        if (s, t) in seen_edges:
+        if e in seen_edges:
             raise DocumentError(f"duplicate edge {item!r}")
-        seen_edges.add((s, t))
-        edges.append((s, t))
+        seen_edges.add(e)
+        edges.append(e)
 
     entry = obj["entry"]
     exit_ = obj["exit"]

@@ -89,11 +89,25 @@ def _build_parser() -> _Parser:
 _PARSER = _build_parser()
 
 
+def _budget(value: int, what: str) -> int:
+    """A step or path budget; a negative one is a usage error."""
+    if value < 0:
+        raise SymwcetError(f"{what} must be a non-negative integer, "
+                           f"got {value}")
+    return value
+
+
 def _fuel(args) -> int:
     if getattr(args, "fuel", None) is not None:
-        return args.fuel
+        return _budget(args.fuel, "--fuel")
     env = os.environ.get("SYMWCET_FUEL")
-    return int(env) if env else DEFAULT_FUEL
+    if not env:
+        return DEFAULT_FUEL
+    try:
+        return _budget(int(env), "SYMWCET_FUEL")
+    except ValueError:
+        raise SymwcetError(f"SYMWCET_FUEL must be a non-negative integer, "
+                           f"got {env!r}") from None
 
 
 def _load(args) -> Analysis:
@@ -202,8 +216,9 @@ def cmd_tree(args) -> int:
 
 
 def cmd_formula(args) -> int:
+    fuel = _fuel(args)
     a = _load(args)
-    raw, simplified = _formula_of(a, _fuel(args))
+    raw, simplified = _formula_of(a, fuel)
     text = symbolic.render(simplified)
     lines = [text]
     payload: dict = {"formula": text}
@@ -219,8 +234,9 @@ def cmd_formula(args) -> int:
 
 
 def cmd_wcet(args) -> int:
+    fuel = _fuel(args)
     a = _load(args)
-    raw, simplified = _formula_of(a, _fuel(args))
+    raw, simplified = _formula_of(a, fuel)
     bindings = _typed_bindings(raw, _parse_bindings(args.bind), a.forest)
     value = symbolic.evaluate(simplified, bindings, a.forest)
     result = ms_index(value.seq, 0)
@@ -238,6 +254,7 @@ _SWEEP_RE = re.compile(r"(?P<id>[^=]+)=(?P<lo>\d+)\.\.(?P<hi>\d+)\Z")
 
 
 def cmd_sweep(args) -> int:
+    fuel = _fuel(args)
     a = _load(args)
     m = _SWEEP_RE.match(args.sweep)
     if not m:
@@ -246,7 +263,7 @@ def cmd_sweep(args) -> int:
     name, lo, hi = m.group("id"), int(m.group("lo")), int(m.group("hi"))
     if hi < lo:
         raise SymwcetError(f"empty sweep range {lo}..{hi}")
-    raw, simplified = _formula_of(a, _fuel(args))
+    raw, simplified = _formula_of(a, fuel)
     wcet_ids, int_ids, loop_ids = _classify_identifiers(raw, a.forest)
     if name in loop_ids:
         raise SymwcetError(f"{name!r} names a loop; sweeping needs an "
@@ -265,11 +282,11 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    max_paths = _budget(args.max_paths, "--max-paths")
     a = _load(args)
     inc = oracle.check_path_inclusion(a.cfg, a.forest, a.tree,
-                                      a.variant_map,
-                                      max_paths=args.max_paths)
-    snd = oracle.check_soundness(a.tree, a.forest, max_paths=args.max_paths)
+                                      a.variant_map, max_paths=max_paths)
+    snd = oracle.check_soundness(a.tree, a.forest, max_paths=max_paths)
     lines = [
         f"inclusion: {'ok' if inc.ok else 'FAILED'} "
         f"({inc.program_paths} program paths, {inc.tree_paths} tree paths)",

@@ -6,6 +6,8 @@ at that nesting level plus one hierarchical node per directly nested loop.
 Back-edges point at a virtual `next` node, departures at a virtual `exit`
 node.  The region graph is then serialized into a tree along its chain of
 forced-passage nodes; hierarchical nodes expand recursively into Loop nodes.
+Each block and each loop has one `DagNode` object per `region_dags` call,
+shared by every region graph, edge and dominator entry that names it.
 
 A region's dominator tree is read off the CFG's (`LoopForest.idom`), not
 computed again: a node's immediate dominator is the region node that stands
@@ -66,79 +68,89 @@ class Dag:
         assert _is_acyclic(self), f"region graph for {self.level} has a cycle"
 
 
-def _representative(block: str, level: str | None, f: LoopForest) -> DagNode:
-    """Map a block to its node at the given nesting level.
-
-    Blocks directly at the level stay themselves; anything inside a nested
-    loop is represented by that loop's hierarchical node.
-    """
-    cur = f.innermost(block)
-    if cur == level:
-        return DagNode("block", block)
-    while f.parent[cur] != level:  # type: ignore[index]
-        cur = f.parent[cur]
-    return DagNode("loop", cur)  # type: ignore[arg-type]
-
-
 def region_dags(g: Cfg, f: LoopForest) -> dict[str | None, Dag]:
     """The region graph of every loop (by header) and of the program (None).
 
     One pass over the blocks and one over the edges place each block and
-    edge in the regions it belongs to, in document order.
+    edge in the regions it belongs to, in document order.  Each block and
+    each loop has one `DagNode` object, shared by every region that names
+    it.
     """
+    block_node = {b: DagNode("block", b) for b in g.blocks}
+    loop_node = {h: DagNode("loop", h) for h in f.loops}
+    innermost, parent = f.block_loop.get, f.parent
+
+    def representative(block: str, level: str | None) -> DagNode:
+        # Blocks directly at the level stay themselves; anything inside a
+        # nested loop is represented by that loop's node.
+        cur = innermost(block)
+        if cur == level:
+            return block_node[block]
+        while parent[cur] != level:  # type: ignore[index]
+            cur = parent[cur]  # type: ignore[index]
+        return loop_node[cur]  # type: ignore[index]
+
     levels: list[str | None] = [None, *f.loops]
     nodes: dict[str | None, list[DagNode]] = {l: [] for l in levels}
     placed: set[str] = set()
     for b in g.blocks:
-        level = f.innermost(b)
-        nodes[level].append(DagNode("block", b))
+        level = innermost(b)
+        nodes[level].append(block_node[b])
         # A loop's node goes to its parent region at its first block; the
         # placed loops are closed under nesting, so the walk stops early.
         while level is not None and level not in placed:
             placed.add(level)
-            nodes[f.parent[level]].append(DagNode("loop", level))
-            level = f.parent[level]
+            nodes[parent[level]].append(loop_node[level])
+            level = parent[level]
 
     next_node = DagNode("next")
     exit_node = DagNode("exit")
     edges: dict[str | None, dict[DagEdge, None]] = {l: {} for l in levels}
+    # Per region, the predecessors of `next` and of `exit` in the order
+    # their edges were first placed.
+    sink_preds: dict[str | None, tuple[list[DagNode], list[DagNode]]] = {
+        l: ([], []) for l in levels}
 
     def connect(level: str | None, a: DagNode, b: DagNode) -> None:
-        if a != b:
-            edges[level].setdefault((a, b), None)
+        region = edges[level]
+        if a != b and (a, b) not in region:
+            region[a, b] = None
+            if b is next_node:
+                sink_preds[level][0].append(a)
+            elif b is exit_node:
+                sink_preds[level][1].append(a)
 
     for u, v in g.edges:
         # The edge departs every loop around u that does not contain v, and
         # lies inside the innermost region that contains both; there a back
         # edge of the region's own loop goes to `next`.
-        rep = DagNode("block", u)
-        level = f.innermost(u)
+        rep = block_node[u]
+        level = innermost(u)
         while level is not None and v not in f.loops[level].body:
             connect(level, rep, exit_node)
-            rep = DagNode("loop", level)
-            level = f.parent[level]
+            rep = loop_node[level]
+            level = parent[level]
         if level == v and (u, v) in f.loops[v].back_edges:
             connect(level, rep, next_node)
         else:
-            connect(level, rep, _representative(v, level, f))
+            connect(level, rep, representative(v, level))
     # Program termination is the departure edge of the pseudo-loop.
-    connect(None, _representative(g.exit, None, f), exit_node)
+    connect(None, representative(g.exit, None), exit_node)
 
     dags: dict[str | None, Dag] = {}
     for level in levels:
         if level is None:
-            ref, start = TOP, _representative(g.entry, None, f)
+            ref, start = TOP, representative(g.entry, None)
         else:
-            ref, start = loop_ref(level), DagNode("block", level)
+            ref, start = loop_ref(level), block_node[level]
         # Every other block or loop node is dominated, within the region, by
         # the node that stands for its CFG immediate dominator: that block
         # lies inside the region's loop, since the header dominates it.
         idom: dict[DagNode, DagNode | None] = {start: None}
         for n in nodes[level]:
-            if n != start:
-                idom[n] = _representative(f.idom[n.id], level, f)
-        for sink in (next_node, exit_node):
-            preds = [a for a, b in edges[level] if b == sink]
+            if n is not start:
+                idom[n] = representative(f.idom[n.id], level)
+        for sink, preds in zip((next_node, exit_node), sink_preds[level]):
             if preds:
                 idom[sink] = _common_dominator(preds, idom)
         dags[level] = Dag(ref, (*nodes[level], next_node, exit_node),
@@ -196,6 +208,9 @@ def forced_passage(d: Dag, end: DagNode,
     return chain
 
 
+_KIND_RANK = {"block": 0, "loop": 1, "next": 2, "exit": 3}
+
+
 class _Builder:
     def __init__(self, g: Cfg, f: LoopForest, dags: dict[str | None, Dag]):
         self.g = g
@@ -203,8 +218,7 @@ class _Builder:
         self.dags = dags
 
     def node_key(self, n: DagNode):
-        kind_rank = {"block": 0, "loop": 1, "next": 2, "exit": 3}[n.kind]
-        return (kind_rank, self.g.block_index.get(n.id, 0))
+        return (_KIND_RANK[n.kind], self.g.block_index.get(n.id, 0))
 
     def emit(self, n: DagNode) -> cft.Cft | None:
         if n.kind == "block":
@@ -225,8 +239,9 @@ class _Builder:
                 children.append(first)
         prev = start
         for forced in forced_passage(d, end, start):
-            preds = sorted(d.preds[forced], key=self.node_key)
+            preds = d.preds[forced]
             if len(preds) >= 2:
+                preds = sorted(preds, key=self.node_key)
                 children.append(cft.alt([
                     self.tree(d, prev, p, include_start=False) for p in preds
                 ]))

@@ -28,6 +28,7 @@ from .awcet import (
     ZERO_SEQ,
     AbstractWcet,
     abstract,
+    const_seq,
     fold,
     loop_abstract,
     max_abstract,
@@ -614,30 +615,46 @@ def gamma_symbolic(t: cft.Cft, f: LoopForest,
     tree.
     """
 
-    def fold_consts(kids: list[Formula], op) -> list[Formula]:
-        consts = [k.value for k in kids if isinstance(k, Const)]
-        if not fold_concrete or len(consts) < 2:
-            return kids
-        rest = [k for k in kids if not isinstance(k, Const)]
-        return rest + [Const(fold(consts, op, f))]
+    def combine(kids: list[Formula], op, make) -> Formula:
+        # One Const when every child is constant; else `make` over the
+        # children, their constants folded into one operand.
+        if fold_concrete:
+            consts: list[AbstractWcet] = []
+            rest: list[Formula] = []
+            for k in kids:
+                if type(k) is Const:
+                    consts.append(k.value)
+                else:
+                    rest.append(k)
+            if not rest:
+                return Const(fold(consts, op, f))
+            if len(consts) >= 2:
+                rest.append(Const(fold(consts, op, f)))
+                kids = rest
+        return make(kids)
 
     def build(node: cft.Cft) -> Formula:
-        kids = [build(c) for c in cft.child_nodes(node)]
-        if isinstance(node, cft.Leaf):
-            base: Formula = (WcetId(node.wcet) if isinstance(node.wcet, str)
-                             else Const(node_value(node, [], f)))
-        elif fold_concrete and all(isinstance(k, Const) for k in kids) and (
-                not isinstance(node, cft.Loop) or isinstance(node.bound, int)):
-            base = Const(node_value(node, [k.value for k in kids], f))
-        elif isinstance(node, cft.Alt):
-            base = max_(fold_consts(kids, max_abstract))
-        elif isinstance(node, cft.Seq):
-            base = plus(fold_consts(kids, plus_abstract))
+        cls = type(node)
+        if cls is cft.Seq:
+            base: Formula = combine([build(c) for c in node.children],
+                                    plus_abstract, plus)
+        elif cls is cft.Leaf:
+            wcet = node.wcet
+            base = (WcetId(wcet) if isinstance(wcet, str)
+                    else Const(abstract(TOP, const_seq(wcet))))
+        elif cls is cft.Alt:
+            base = combine([build(c) for c in node.children],
+                           max_abstract, max_)
         else:
-            base = power(kids[0], kids[1], node.header, node.bound)
+            body, exit_ = build(node.body), build(node.exit)
+            if (fold_concrete and type(body) is Const
+                    and type(exit_) is Const and isinstance(node.bound, int)):
+                base = Const(node_value(node, [body.value, exit_.value], f))
+            else:
+                base = power(body, exit_, node.header, node.bound)
         ann = node.annotation
         if ann is not None and ann.max is not None:
-            if fold_concrete and isinstance(base, Const) \
+            if fold_concrete and type(base) is Const \
                     and isinstance(ann.max, int):
                 base = Const(restrict_abstract(base.value, ann.loop,
                                                ann.max, f))
@@ -707,10 +724,21 @@ def substitute(w: Formula, bindings: dict) -> Formula:
 
 
 def evaluate(w: Formula, bindings: dict, f: LoopForest) -> AbstractWcet:
-    """Fold a completely bound formula to its abstract WCET."""
-    if isinstance(w, Const):
+    """Fold a completely bound formula to its abstract WCET.
+
+    Dispatches on the exact node class.  A node checks its own positions
+    in a fixed order, so the first wrong binding is the one reported: a
+    scalar binds its coefficient before its operand; a restrict binds its
+    loop, evaluates its operand, then binds its count; a power binds its
+    header and count before its body and exit.
+    """
+    cls = type(w)
+    if cls is Const:
         return w.value
-    if isinstance(w, WcetId):
+    if cls is Plus:
+        return fold([evaluate(x, bindings, f) for x in w.operands],
+                    plus_abstract, f)
+    if cls is WcetId:
         if w.name not in bindings:
             raise UnboundIdentifier(f"no binding for WCET identifier {w.name!r}")
         val = bindings[w.name]
@@ -718,23 +746,25 @@ def evaluate(w: Formula, bindings: dict, f: LoopForest) -> AbstractWcet:
             raise TypeMismatch(f"WCET identifier {w.name!r} must bind an "
                                f"abstract WCET, got {val!r}")
         return val
-    if isinstance(w, (Plus, Max)):
+    if cls is Power:
+        header = _bind_loop(w.header, bindings, require=True)
+        if not isinstance(header, str):
+            raise TypeMismatch(f"loop header {header!r} is not a block id")
+        count = _bind_int(w.count, bindings, require=True)
+        return loop_abstract(header, count, evaluate(w.body, bindings, f),
+                             evaluate(w.exit, bindings, f), f)
+    if cls is Max:
         return fold([evaluate(x, bindings, f) for x in w.operands],
-                    plus_abstract if isinstance(w, Plus) else max_abstract, f)
-    if isinstance(w, Scalar):
+                    max_abstract, f)
+    if cls is Scalar:
         k = _bind_int(w.coeff, bindings, require=True)
         return scalar_abstract(k, evaluate(w.operand, bindings, f))
-    if isinstance(w, Restrict):
+    if cls is Restrict:
         name = _bind_loop(w.loop, bindings, require=True)
         ref = parse_loop_ref(name)
         return restrict_abstract(evaluate(w.operand, bindings, f), ref,
                                  _bind_int(w.count, bindings, require=True), f)
-    header = _bind_loop(w.header, bindings, require=True)
-    if not isinstance(header, str):
-        raise TypeMismatch(f"loop header {header!r} is not a block id")
-    count = _bind_int(w.count, bindings, require=True)
-    return loop_abstract(header, count, evaluate(w.body, bindings, f),
-                         evaluate(w.exit, bindings, f), f)
+    raise TypeError(f"not a formula: {w!r}")
 
 
 def identifiers(w: Formula, f: LoopForest

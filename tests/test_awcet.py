@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import random
 from typing import NamedTuple
 
 import pytest
@@ -18,6 +19,7 @@ from symwcet.awcet import (
     abstract,
     const_seq,
     eval_seq,
+    fold,
     gamma,
     loop_abstract,
     make_seq,
@@ -35,7 +37,8 @@ from symwcet.awcet import (
     scalar_abstract,
 )
 from symwcet import symbolic
-from symwcet.cfg import BOT, TOP, build_loop_forest, loop_ref, parse_program
+from symwcet.cfg import (BOT, TOP, build_loop_forest, loop_meet, loop_ref,
+                         parse_program)
 from symwcet.errors import IncomparableLoops, NotMultiple, SymbolicValuePresent
 from symwcet.restructure import build_cft
 
@@ -465,3 +468,115 @@ def test_gamma_annotation_caps(fig2):
     t = c.Loop("b2", body, 3, c.Leaf("out", 0))
     # Iterations rank 8,3,3 per entry: total 14.
     assert gamma(t, f) == abstract(TOP, parse_seq("[|14]"))
+
+
+# ---------------------------------------------------------------------------
+# Prefix-free fast paths of fold and loop_abstract
+# ---------------------------------------------------------------------------
+
+# The formula forest: h2 nested in h1, h3 unrelated to both.
+FAST_LOOPS = (TOP, BOT, loop_ref("h1"), loop_ref("h2"), loop_ref("h3"))
+
+
+@pytest.fixture(scope="module")
+def formula_forest():
+    return gen.formula_forest()
+
+
+def _random_value(rng, capped: bool) -> AbstractWcet:
+    """A value relative to a random loop: zero, prefix-free, or (capped)
+    with a prefix, as an annotation cap leaves it."""
+    loop = rng.choice(FAST_LOOPS)
+    if capped:
+        tail = rng.choice((0, 0, rng.randint(1, 5)))
+        costs = [tail + rng.randint(1, 9) for _ in range(rng.randint(1, 6))]
+        return abstract(loop, make_seq(costs, tail))
+    return abstract(loop, const_seq(rng.choice((0, rng.randint(0, 40)))))
+
+
+def _ref_fold(values, op, f):
+    """The pairwise left fold the fast path must equal."""
+    acc = values[0] if values else ZERO
+    for v in values[1:]:
+        acc = op(acc, v, f)
+    return acc
+
+
+def _ref_loop_abstract(header, count, body, exit_, f):
+    """loop_abstract's general path, kept for comparison."""
+    if body.loop.kind == "loop" and body.loop.header == header:
+        total = eval_seq(body.seq, 1, count) if count else 0
+        return abstract(exit_.loop, ms_ranksum(const_seq(total), exit_.seq))
+    return abstract(loop_meet(body.loop, exit_.loop, f),
+                    ms_ranksum(ms_group(body.seq, count), exit_.seq))
+
+
+def test_fold_matches_pairwise_fold(formula_forest):
+    rng = random.Random(91)
+    for _ in range(3000):
+        n = rng.randint(0, 9)
+        capped_share = rng.choice((0.0, 0.1, 0.5))
+        values = [_random_value(rng, rng.random() < capped_share)
+                  for _ in range(n)]
+        for op in (plus_abstract, max_abstract):
+            assert fold(values, op, formula_forest) == _ref_fold(values, op,
+                                                           formula_forest)
+            assert fold(iter(values), op, formula_forest) == _ref_fold(
+                values, op, formula_forest)
+
+
+@pytest.mark.parametrize("op", [plus_abstract, max_abstract])
+def test_fold_first_prefix_anywhere(formula_forest, op):
+    rng = random.Random(92)
+    for n in range(1, 9):
+        for first in range(n):
+            for _ in range(40):
+                values = [_random_value(rng, False) for _ in range(n)]
+                values[first] = _random_value(rng, True)
+                for k in range(first + 1, n):
+                    if rng.random() < 0.3:
+                        values[k] = _random_value(rng, True)
+                assert values[first].seq.prefix
+                assert fold(values, op, formula_forest) == _ref_fold(values, op,
+                                                               formula_forest)
+
+
+def test_fold_of_prefix_free_values_walks_no_runs(formula_forest, monkeypatch):
+    from symwcet import awcet
+
+    def refuse(*args):
+        raise AssertionError("run-walking operator called")
+
+    monkeypatch.setattr(awcet, "ms_ranksum", refuse)
+    monkeypatch.setattr(awcet, "ms_merge", refuse)
+    rng = random.Random(93)
+    for _ in range(500):
+        values = [_random_value(rng, False) for _ in range(rng.randint(0, 9))]
+        want_tail = sum(v.seq.tail for v in values)
+        assert fold(values, plus_abstract, formula_forest).seq == const_seq(want_tail)
+        want_max = max((v.seq.tail for v in values), default=0)
+        assert fold(values, max_abstract, formula_forest).seq == const_seq(want_max)
+
+
+def test_loop_abstract_prefix_free_matches_general_path(formula_forest):
+    rng = random.Random(94)
+    counts = (0, 1, 2, 3, 7, 10 ** 9)
+    seen_own = seen_other = 0
+    for header in ("h1", "h2", "h3"):
+        own = loop_ref(header)
+        for body_loop in (*FAST_LOOPS, own, own):
+            for exit_loop in FAST_LOOPS:
+                for count in counts:
+                    body = abstract(body_loop,
+                                    const_seq(rng.choice((0, rng.randint(1, 30)))))
+                    exit_ = abstract(exit_loop,
+                                     const_seq(rng.choice((0, rng.randint(1, 30)))))
+                    got = loop_abstract(header, count, body, exit_, formula_forest)
+                    assert got == _ref_loop_abstract(header, count, body,
+                                                     exit_, formula_forest)
+                    if body.loop == own:
+                        seen_own += 1
+                    elif exit_.loop.kind == "loop" and exit_.loop != own:
+                        seen_other += 1
+    assert seen_own and seen_other
+

@@ -74,6 +74,70 @@ def test_parse_rejects(mutate, fragment):
         parse_program(_doc(**mutate))
 
 
+_B = {"id": "b", "wcet": 2}
+
+# (case, document fields replaced, exact DocumentError text).  Blocks of
+# exactly the keys id and wcet skip the key check, so the cases around that
+# shape pin the messages of the full check.
+PARSE_MESSAGES = [
+    ("extra key", {"blocks": [{"id": "a", "wcet": 1, "loop": 2}, _B]},
+     "block: unknown keys ['loop']"),
+    ("missing key", {"blocks": [{"id": "a"}, _B]},
+     "block: missing keys ['wcet']"),
+    ("two keys, one unknown", {"blocks": [{"id": "a", "cost": 1}, _B]},
+     "block: unknown keys ['cost']"),
+    ("no keys", {"blocks": [{}, _B]},
+     "block: missing keys ['id', 'wcet']"),
+    ("non-object block", {"blocks": [["a", 1], _B]},
+     "block entry must be an object, got ['a', 1]"),
+    ("null block", {"blocks": [None, _B]},
+     "block entry must be an object, got None"),
+    ("bad block id", {"blocks": [{"id": "1a", "wcet": 1}, _B]},
+     "block id '1a' is not a valid identifier"),
+    ("non-string block id", {"blocks": [{"id": 7, "wcet": 1}, _B]},
+     "block id 7 is not a valid identifier"),
+    ("duplicate block", {"blocks": [{"id": "a", "wcet": 1}, _B,
+                                    {"id": "a", "wcet": 3}]},
+     "duplicate block id 'a'"),
+    ("negative wcet", {"blocks": [{"id": "a", "wcet": -1}, _B]},
+     "block a wcet: must be >= 0, got -1"),
+    ("boolean wcet", {"blocks": [{"id": "a", "wcet": True}, _B]},
+     "block a wcet: expected integer or identifier, got True"),
+    ("float wcet", {"blocks": [{"id": "a", "wcet": 1.5}, _B]},
+     "block a wcet: expected integer or identifier, got 1.5"),
+    ("bad wcet identifier", {"blocks": [{"id": "a", "wcet": "1x"}, _B]},
+     "block a wcet: '1x' is not a valid identifier"),
+    ("non-list edge", {"edges": [{"a": "b"}]},
+     "edge must be a [source, target] pair, got {'a': 'b'}"),
+    ("string edge", {"edges": ["ab"]},
+     "edge must be a [source, target] pair, got 'ab'"),
+    ("one-element edge", {"edges": [["a"]]},
+     "edge must be a [source, target] pair, got ['a']"),
+    ("three-element edge", {"edges": [["a", "b", "b"]]},
+     "edge must be a [source, target] pair, got ['a', 'b', 'b']"),
+    ("non-string endpoint", {"edges": [["a", 1]]},
+     "edge must be a [source, target] pair, got ['a', 1]"),
+    ("boolean endpoint", {"edges": [[True, "b"]]},
+     "edge must be a [source, target] pair, got [True, 'b']"),
+    ("unknown source", {"edges": [["zz", "b"]]},
+     "edge ['zz', 'b'] references unknown block 'zz'"),
+    ("unknown target", {"edges": [["a", "zz"]]},
+     "edge ['a', 'zz'] references unknown block 'zz'"),
+    ("both unknown", {"edges": [["yy", "zz"]]},
+     "edge ['yy', 'zz'] references unknown block 'yy'"),
+    ("duplicate edge", {"edges": [["a", "b"], ["a", "b"]]},
+     "duplicate edge ['a', 'b']"),
+]
+
+
+@pytest.mark.parametrize("case, fields, message", PARSE_MESSAGES,
+                         ids=[c[0] for c in PARSE_MESSAGES])
+def test_parse_messages_pinned(case, fields, message):
+    with pytest.raises(DocumentError) as info:
+        parse_program(_doc(**fields))
+    assert str(info.value) == message
+
+
 def test_parse_rejects_non_json():
     with pytest.raises(DocumentError):
         parse_program("not json at all {")

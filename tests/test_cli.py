@@ -301,6 +301,55 @@ def test_path_budget_exits_3(capsys, fig2_path):
     assert code == 3 and "error:" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["formula", "--fuel", "-1"], "--fuel must be a non-negative integer, got -1"),
+    (["wcet", "--bind", "x_b2=4", "--fuel", "-2"],
+     "--fuel must be a non-negative integer, got -2"),
+    (["sweep", "--sweep", "x_b2=1..2", "--fuel", "-3"],
+     "--fuel must be a non-negative integer, got -3"),
+    (["oracle", "--max-paths", "-5"],
+     "--max-paths must be a non-negative integer, got -5"),
+])
+def test_negative_budget_is_usage_error(capsys, sym_path, argv, message):
+    code, out, err = _run(capsys, [*argv, "--input", sym_path])
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+def test_negative_budget_refused_before_reading_input(capsys, tmp_path):
+    missing = str(tmp_path / "missing.json")
+    code, _, err = _run(capsys, ["formula", "--input", missing,
+                                 "--fuel", "-1"])
+    assert (code, err) == (1, "error: --fuel must be a non-negative integer, "
+                              "got -1\n")
+
+
+@pytest.mark.parametrize("env, shown", [("-1", "-1"), ("abc", "'abc'")])
+def test_bad_fuel_env_is_usage_error(capsys, monkeypatch, sym_path, env,
+                                     shown):
+    monkeypatch.setenv("SYMWCET_FUEL", env)
+    code, out, err = _run(capsys, ["formula", "--input", sym_path])
+    assert (code, out) == (1, "")
+    assert err == f"error: SYMWCET_FUEL must be a non-negative integer, got {shown}\n"
+    # The flag still wins over the environment.
+    code, _, _ = _run(capsys, ["formula", "--input", sym_path,
+                               "--fuel", "10000"])
+    assert code == 0
+
+
+def test_zero_budgets_keep_their_meaning(capsys, monkeypatch, fig2_path,
+                                         sym_path):
+    code, _, err = _run(capsys, ["formula", "--input", sym_path,
+                                 "--fuel", "0"])
+    assert (code, err) == (3, "error: no normal form within 0 rewrite steps\n")
+    monkeypatch.setenv("SYMWCET_FUEL", "0")
+    code, _, err = _run(capsys, ["formula", "--input", sym_path])
+    assert (code, err) == (3, "error: no normal form within 0 rewrite steps\n")
+    code, _, err = _run(capsys, ["oracle", "--input", fig2_path,
+                                 "--max-paths", "0"])
+    assert code == 3 and err.startswith("error: ")
+    assert err.count("\n") == 1
+
+
 def test_oracle_violation_exits_4(capsys, monkeypatch, fig2_path):
     fake = SoundnessReport(ok=False, bound=1, worst_path=2,
                            gap_percent=None, violations=["made up"])

@@ -144,6 +144,43 @@ def test_region_idom_matches_dominator_pass():
     assert entry_loops >= 3
 
 
+def test_one_node_object_per_block_and_loop():
+    rng = random.Random(57)
+    docs = [gen.loop_nest_doc(50), gen.running_example_doc(),
+            gen.scaling_doc(40)]
+    docs += [gen.random_doc(rng, depth=1 + i % 4, noise=i % 6)
+             for i in range(120)]
+    shared = 0
+    for doc in docs:
+        p = parse_program(json.dumps(doc))
+        f = build_loop_forest(p.cfg, p.loop_bounds)
+        objects: dict[tuple[str, str], int] = {}
+        names = 0
+
+        def see(n):
+            nonlocal names
+            names += 1
+            assert objects.setdefault((n.kind, n.id), id(n)) == id(n), (n, doc)
+
+        for d in region_dags(p.cfg, f).values():
+            for n in (*d.nodes, d.start, d.next, d.exit):
+                see(n)
+            for a, b in d.edges:
+                see(a)
+                see(b)
+            for n, dom in d.idom.items():
+                see(n)
+                if dom is not None:
+                    see(dom)
+        # Every block, and every loop, has a node in some region.
+        assert {k for k in objects if k[0] == "block"} == {
+            ("block", b) for b in p.cfg.blocks}
+        assert {k for k in objects if k[0] == "loop"} == {
+            ("loop", h) for h in f.loops}
+        shared += names - len(objects)
+    assert shared > 5_000
+
+
 # ---------------------------------------------------------------------------
 # Tree restructuring
 # ---------------------------------------------------------------------------

@@ -556,6 +556,70 @@ def test_evaluate_requires_bindings(forest):
         evaluate(power(CONST_ZERO, CONST_ZERO, "h1", "k1"), {}, forest)
 
 
+_V5 = abstract(TOP, const_seq(5))
+
+# (case, formula text, bindings, exception class, exact message).  Each
+# node checks its own positions in a fixed order, so where two positions
+# are wrong the first check's error is the one raised.
+EVALUATE_ERRORS = [
+    ("unbound cost", "w1", {},
+     UnboundIdentifier, "no binding for WCET identifier 'w1'"),
+    ("cost bound to an integer", "w1", {"w1": 5},
+     TypeMismatch, "WCET identifier 'w1' must bind an abstract WCET, got 5"),
+    ("unbound count", "(* k1 w1)", {"w1": _V5},
+     UnboundIdentifier, "no binding for integer identifier 'k1'"),
+    ("count bound to a string", "(* k1 w1)", {"k1": "h1", "w1": _V5},
+     TypeMismatch, "'k1' must bind a non-negative integer, got 'h1'"),
+    ("count bound to True", "(* k1 w1)", {"k1": True, "w1": _V5},
+     TypeMismatch, "'k1' must bind a non-negative integer, got True"),
+    ("count bound to -1", "(* k1 w1)", {"k1": -1, "w1": _V5},
+     TypeMismatch, "'k1' must bind a non-negative integer, got -1"),
+    ("scalar: coefficient before operand", "(* k1 w1)", {"k1": -1},
+     TypeMismatch, "'k1' must bind a non-negative integer, got -1"),
+    ("pow header bound to an integer", "(pow w1 (l=TOP,[|0]) lp1 2)",
+     {"lp1": 3, "w1": _V5},
+     TypeMismatch, "loop identifier 'lp1' must bind a block id, got 3"),
+    ("pow: header before count", "(pow w1 (l=TOP,[|0]) lp1 k1)",
+     {"lp1": 3, "k1": -1},
+     TypeMismatch, "loop identifier 'lp1' must bind a block id, got 3"),
+    ("pow: count before body", "(pow w1 (l=TOP,[|0]) h1 k1)", {"k1": True},
+     TypeMismatch, "'k1' must bind a non-negative integer, got True"),
+    ("pow: body before exit", "(pow w1 w2 h1 2)", {},
+     UnboundIdentifier, "no binding for WCET identifier 'w1'"),
+    ("ann: loop before count", "(ann w1 lp1 k1)", {"lp1": 4, "k1": -1},
+     TypeMismatch, "loop identifier 'lp1' must bind a block id, got 4"),
+    ("ann: operand before count", "(ann w1 h1 k1)", {"k1": "x"},
+     UnboundIdentifier, "no binding for WCET identifier 'w1'"),
+    ("ann count bound to a string", "(ann w1 h1 k1)", {"k1": "x", "w1": _V5},
+     TypeMismatch, "'k1' must bind a non-negative integer, got 'x'"),
+    ("plus: operands in order", "(+ w1 w2)", {"w2": 1},
+     UnboundIdentifier, "no binding for WCET identifier 'w1'"),
+    ("max: operands in order", "(max w1 w2)", {"w1": _V5},
+     UnboundIdentifier, "no binding for WCET identifier 'w2'"),
+]
+
+
+@pytest.mark.parametrize("case, text, bindings, exc, message", EVALUATE_ERRORS,
+                         ids=[c[0] for c in EVALUATE_ERRORS])
+def test_evaluate_error_order_pinned(forest, case, text, bindings, exc,
+                                     message):
+    with pytest.raises(exc) as info:
+        evaluate(parse(text), bindings, forest)
+    assert type(info.value) is exc and str(info.value) == message
+
+
+def test_evaluate_unbound_ann_loop_is_a_foreign_loop(forest):
+    # An unbound loop identifier is not refused: it reads as a loop outside
+    # the forest, comparable only to itself, TOP and BOT.
+    got = evaluate(parse("(ann w1 lp1 1)"), {"w1": _V5}, forest)
+    assert got == parse_abstract("(loop=lp1, [5|0])")
+
+
+def test_evaluate_refuses_non_formulas(forest):
+    with pytest.raises(TypeError, match="not a formula"):
+        evaluate(("w1",), {}, forest)
+
+
 def test_free_identifiers_classification(forest):
     w = parse("(+ w1 (* k1 (ann w2 lp1 k2)) (pow w3 (l=TOP,[|0]) h1 k1))")
     assert identifiers(w, forest) == ({"w1", "w2", "w3"}, {"k1", "k2"},
