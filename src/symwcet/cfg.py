@@ -325,9 +325,11 @@ def _check_connectivity(g: Cfg) -> None:
 
 
 def immediate_dominators(start: N, succs: Mapping[N, Sequence[N]],
-                         preds: Mapping[N, Sequence[N]]) -> dict[N, N | None]:
-    """Immediate dominator of every node reachable from start, which maps
-    to None.
+                         preds: Mapping[N, Sequence[N]]
+                         ) -> tuple[dict[N, N | None], dict[N, int]]:
+    """Immediate dominator of every node reachable from start (which maps
+    to None), and each such node's number in the reverse postorder of the
+    one depth-first search that orders the pass.
 
     Iterative two-finger intersection over reverse postorder (Cooper,
     Harvey & Kennedy, "A Simple, Fast Dominance Algorithm", 2001).
@@ -370,12 +372,7 @@ def immediate_dominators(start: N, succs: Mapping[N, Sequence[N]],
                 idom[n] = new
                 changed = True
     idom[start] = None
-    return idom
-
-
-def dominators(g: Cfg) -> dict[str, str | None]:
-    """Immediate dominators for every block (the entry maps to None)."""
-    return immediate_dominators(g.entry, g.succs, g.preds)
+    return idom, rpo
 
 
 # ---------------------------------------------------------------------------
@@ -403,17 +400,6 @@ def _dom_intervals(idom: dict[str, str | None]) -> dict[str, tuple[int, int]]:
         stack.append((node, True))
         stack.extend((c, False) for c in kids.get(node, ()))
     return out
-
-
-def back_edges(g: Cfg, idom: dict[str, str | None]) -> list[Edge]:
-    """Edges whose target dominates their source."""
-    span = _dom_intervals(idom)
-    backs = []
-    for s, t in g.edges:
-        (s_pre, s_post), (t_pre, t_post) = span[s], span[t]
-        if t_pre <= s_pre and s_post <= t_post:
-            backs.append((s, t))
-    return backs
 
 
 def check_reducible(g: Cfg, backs: set[Edge]) -> None:
@@ -479,9 +465,27 @@ def build_loop_forest(g: Cfg, bounds: dict[str, int | str] | None = None) -> Loo
     `bounds` maps headers to iteration bounds; a loop without one gets the
     symbolic bound "x_<header>".
     """
-    idom = dominators(g)
-    backs = back_edges(g, idom)
-    check_reducible(g, set(backs))
+    idom, rpo = immediate_dominators(g.entry, g.succs, g.preds)
+    # Back edges are the edges whose target dominates their source.  Such
+    # a target is a DFS ancestor of the source, so only the retreating
+    # edges of the dominator pass's own search (self-loops included) need
+    # the test.  A retreating edge that is not a back edge means the graph
+    # is irreducible (Hecht & Ullman, "Characterizations of reducible flow
+    # graphs", 1974); only then does the cycle search run, to report it.
+    span = _dom_intervals(idom)
+    backs: list[Edge] = []
+    reducible = True
+    for s, t in g.edges:
+        if rpo[t] <= rpo[s]:
+            (s_pre, s_post), (t_pre, t_post) = span[s], span[t]
+            if t_pre <= s_pre and s_post <= t_post:
+                backs.append((s, t))
+            else:
+                reducible = False
+    if not reducible:
+        check_reducible(g, set(backs))
+        raise AssertionError("a retreating edge that is not a back edge, "
+                             "but no cycle without back edges")
     by_header: dict[str, list[Edge]] = {}
     for s, t in backs:
         by_header.setdefault(t, []).append((s, t))

@@ -239,37 +239,6 @@ def split_leaf(
     return _replace_node(t, path, repl)
 
 
-def rename_leaves(t: Cft) -> tuple[Cft, dict[str, str]]:
-    """Make leaf labels unique by suffixing repeats with '#k' in preorder.
-
-    Returns the renamed tree and a map from new labels back to originals.
-    A subtree in which no label changes is returned as the same object.
-    """
-    counts: dict[str, int] = {}
-    rename: dict[str, str] = {}
-
-    def walk(node: Cft) -> Cft:
-        if isinstance(node, Leaf):
-            k = counts.get(node.label, 0)
-            counts[node.label] = k + 1
-            if k == 0:
-                return node
-            fresh = f"{node.label}#{k}"
-            rename[fresh] = node.label
-            return Leaf(fresh, node.wcet, node.annotation)
-        if isinstance(node, Loop):
-            body, exit_ = walk(node.body), walk(node.exit)
-            if body is node.body and exit_ is node.exit:
-                return node
-            return Loop(node.header, body, node.bound, exit_, node.annotation)
-        kids = tuple(walk(c) for c in node.children)
-        if all(new is old for new, old in zip(kids, node.children)):
-            return node
-        return type(node)(kids, node.annotation)
-
-    return walk(t), rename
-
-
 def strip_annotations(t: Cft) -> Cft:
     """The same tree with every annotation removed."""
     if isinstance(t, Leaf):

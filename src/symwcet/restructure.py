@@ -212,17 +212,33 @@ _KIND_RANK = {"block": 0, "loop": 1, "next": 2, "exit": 3}
 
 
 class _Builder:
+    """Serializes region graphs into one tree.
+
+    Leaves are created in preorder of the final tree (children left to
+    right, a Loop's body before its exit), so each is named as it is
+    created: the k-th repeat of a block's label gets the suffix '#k', and
+    `rename` maps every suffixed label back to its block.
+    """
+
     def __init__(self, g: Cfg, f: LoopForest, dags: dict[str | None, Dag]):
         self.g = g
         self.f = f
         self.dags = dags
+        self.seen: dict[str, int] = {}
+        self.rename: dict[str, str] = {}
 
     def node_key(self, n: DagNode):
         return (_KIND_RANK[n.kind], self.g.block_index.get(n.id, 0))
 
     def emit(self, n: DagNode) -> cft.Cft | None:
         if n.kind == "block":
-            return cft.Leaf(n.id, self.g.blocks[n.id].wcet)
+            label = n.id
+            k = self.seen.get(label, 0)
+            self.seen[label] = k + 1
+            if k:
+                label = f"{label}#{k}"
+                self.rename[label] = n.id
+            return cft.Leaf(label, self.g.blocks[n.id].wcet)
         if n.kind == "loop":
             d = self.dags[n.id]
             body = self.tree(d, d.start, d.next, include_start=True)
@@ -260,11 +276,12 @@ class _Builder:
 def build_cft(g: Cfg, f: LoopForest) -> tuple[cft.Cft, dict[str, str]]:
     """Whole-program control-flow tree plus the duplicate-leaf rename map.
 
-    The builder does not deduplicate leaf labels; the renaming pass runs
-    once on the assembled tree.
+    Repeated block labels carry '#k' suffixes in preorder, given by the
+    builder as it creates the leaves; the map sends each suffixed label
+    back to its block, in the order the leaves were created.
     """
     dags = region_dags(g, f)
     top = dags[None]
-    raw = _Builder(g, f, dags).tree(top, top.start, top.exit,
-                                    include_start=True)
-    return cft.rename_leaves(raw)
+    builder = _Builder(g, f, dags)
+    tree = builder.tree(top, top.start, top.exit, include_start=True)
+    return tree, builder.rename

@@ -119,12 +119,6 @@ def sort_key(w: Formula) -> tuple:
             _vkey(w.count))
 
 
-def formula_order(a: Formula, b: Formula) -> int:
-    """Total syntactic order: -1, 0, or 1."""
-    ka, kb = sort_key(a), sort_key(b)
-    return -1 if ka < kb else (0 if ka == kb else 1)
-
-
 # ---------------------------------------------------------------------------
 # Canonical constructors
 # ---------------------------------------------------------------------------
@@ -172,17 +166,6 @@ def restrict(operand: Formula, loop: str, count: Value) -> Formula:
 
 def power(body: Formula, exit_: Formula, header: Value, count: Value) -> Formula:
     return Power(body, exit_, header, count)
-
-
-def formula_size(w: Formula) -> int:
-    """Total node count, operators included."""
-    if isinstance(w, (Const, WcetId)):
-        return 1
-    if isinstance(w, (Plus, Max)):
-        return 1 + sum(formula_size(op) for op in w.operands)
-    if isinstance(w, (Scalar, Restrict)):
-        return 1 + formula_size(w.operand)
-    return 1 + formula_size(w.body) + formula_size(w.exit)
 
 
 def operand_count(w: Formula) -> int:
@@ -612,8 +595,9 @@ def gamma_symbolic(t: cft.Cft, f: LoopForest,
     Alt fold into one constant operand of its sum or maximum (the
     plus-const and max-const rewrites, applied as the node is built).  A
     complete instantiation of the result equals gamma of the instantiated
-    tree.
+    tree.  Equal concrete leaf costs share one Const object.
     """
+    leaf_consts: dict[int, Const] = {}
 
     def combine(kids: list[Formula], op, make) -> Formula:
         # One Const when every child is constant; else `make` over the
@@ -640,8 +624,13 @@ def gamma_symbolic(t: cft.Cft, f: LoopForest,
                                     plus_abstract, plus)
         elif cls is cft.Leaf:
             wcet = node.wcet
-            base = (WcetId(wcet) if isinstance(wcet, str)
-                    else Const(abstract(TOP, const_seq(wcet))))
+            if isinstance(wcet, str):
+                base = WcetId(wcet)
+            else:
+                base = leaf_consts.get(wcet)
+                if base is None:
+                    base = leaf_consts[wcet] = Const(
+                        abstract(TOP, const_seq(wcet)))
         elif cls is cft.Alt:
             base = combine([build(c) for c in node.children],
                            max_abstract, max_)
@@ -684,13 +673,22 @@ def _bind_int(v: Value, bindings: dict, *, require: bool) -> Value:
     return v
 
 
-def _bind_loop(v: Value, bindings: dict, *, require: bool) -> Value:
-    if isinstance(v, str) and v in bindings:
-        val = bindings[v]
-        if not isinstance(val, str):
-            raise TypeMismatch(f"loop identifier {v!r} must bind a block id, "
-                               f"got {val!r}")
-        return val
+def _bind_loop(v: Value, bindings: dict, f: LoopForest | None) -> Value:
+    """The block id a loop position names.
+
+    With a forest (evaluation), a name that is neither bound, a header of
+    the forest nor TOP is an unbound loop identifier, as `identifiers`
+    classifies it; without one (substitution) it stays.
+    """
+    if isinstance(v, str):
+        if v in bindings:
+            val = bindings[v]
+            if not isinstance(val, str):
+                raise TypeMismatch(f"loop identifier {v!r} must bind a "
+                                   f"block id, got {val!r}")
+            return val
+        if f is not None and v not in f.loops and v != "TOP":
+            raise UnboundIdentifier(f"no binding for loop identifier {v!r}")
     return v
 
 
@@ -714,12 +712,12 @@ def substitute(w: Formula, bindings: dict) -> Formula:
         return scalar(_bind_int(w.coeff, bindings, require=False),
                       substitute(w.operand, bindings))
     if isinstance(w, Restrict):
-        loop = w.loop if w.loop == "TOP" else _bind_loop(w.loop, bindings,
-                                                         require=False)
+        loop = (w.loop if w.loop == "TOP"
+                else _bind_loop(w.loop, bindings, None))
         return restrict(substitute(w.operand, bindings), loop,
                         _bind_int(w.count, bindings, require=False))
     return power(substitute(w.body, bindings), substitute(w.exit, bindings),
-                 _bind_loop(w.header, bindings, require=False),
+                 _bind_loop(w.header, bindings, None),
                  _bind_int(w.count, bindings, require=False))
 
 
@@ -730,7 +728,8 @@ def evaluate(w: Formula, bindings: dict, f: LoopForest) -> AbstractWcet:
     in a fixed order, so the first wrong binding is the one reported: a
     scalar binds its coefficient before its operand; a restrict binds its
     loop, evaluates its operand, then binds its count; a power binds its
-    header and count before its body and exit.
+    header and count before its body and exit.  A loop position is bound
+    when it is TOP, a header of f, or an identifier that `bindings` maps.
     """
     cls = type(w)
     if cls is Const:
@@ -747,7 +746,10 @@ def evaluate(w: Formula, bindings: dict, f: LoopForest) -> AbstractWcet:
                                f"abstract WCET, got {val!r}")
         return val
     if cls is Power:
-        header = _bind_loop(w.header, bindings, require=True)
+        header = w.header
+        # A header of f that no binding renames is already a block id.
+        if header in bindings or header not in f.loops:
+            header = _bind_loop(header, bindings, f)
         if not isinstance(header, str):
             raise TypeMismatch(f"loop header {header!r} is not a block id")
         count = _bind_int(w.count, bindings, require=True)
@@ -760,7 +762,9 @@ def evaluate(w: Formula, bindings: dict, f: LoopForest) -> AbstractWcet:
         k = _bind_int(w.coeff, bindings, require=True)
         return scalar_abstract(k, evaluate(w.operand, bindings, f))
     if cls is Restrict:
-        name = _bind_loop(w.loop, bindings, require=True)
+        name = w.loop
+        if name in bindings or (name not in f.loops and name != "TOP"):
+            name = _bind_loop(name, bindings, f)
         ref = parse_loop_ref(name)
         return restrict_abstract(evaluate(w.operand, bindings, f), ref,
                                  _bind_int(w.count, bindings, require=True), f)

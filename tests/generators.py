@@ -323,6 +323,24 @@ def loop_nest_doc(depth: int, bound: int = 2) -> dict:
             "loop_bounds": {f"h{i}": bound for i in range(depth)}}
 
 
+def dowhile_nest_doc(depth: int, bound: int | str = 2) -> dict:
+    """`depth` do-while loops nested in one another: h_i enters h_{i+1}
+    (the innermost enters its latch t), and each latch t_i both loops back
+    to h_i and exits to the latch around it.  Every loop leaves from its
+    latch, so a Loop's body and exit both hold the nested loop, and the
+    tree doubles with each level: 2^(depth+2) - 2 leaves."""
+    blocks = [{"id": "s", "wcet": 1}, {"id": "x", "wcet": 1}]
+    edges = [["s", "h0"]]
+    for i in range(depth):
+        blocks += [{"id": f"h{i}", "wcet": 1}, {"id": f"t{i}", "wcet": 2}]
+        edges += [[f"h{i}", f"h{i + 1}" if i < depth - 1 else f"t{i}"],
+                  [f"t{i}", f"h{i}"],
+                  [f"t{i}", f"t{i - 1}" if i else "x"]]
+    return {"name": f"dowhile-{depth}", "blocks": blocks, "edges": edges,
+            "entry": "s", "exit": "x",
+            "loop_bounds": {f"h{i}": bound for i in range(depth)}}
+
+
 def scaling_doc(sections: int = 333) -> dict:
     """A long chain of diamond/loop sections, about 3 blocks per section."""
     blocks = [{"id": "entry", "wcet": 1}]

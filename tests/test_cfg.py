@@ -13,11 +13,13 @@ import generators as gen
 from symwcet.cfg import (
     BOT,
     TOP,
+    LoopForest,
+    LoopInfo,
     LoopRef,
     _dom_intervals,
-    back_edges,
     build_loop_forest,
-    dominators,
+    check_reducible,
+    immediate_dominators,
     loop_leq,
     loop_meet,
     loop_ref,
@@ -167,15 +169,15 @@ def test_symbolic_wcet_and_bound_are_identifiers():
 
 def test_fig2_idoms():
     g = fig2_program().cfg
-    assert dominators(g) == {
+    assert build_loop_forest(g).idom == {
         "b1": None, "b2": "b1", "b3": "b1", "b4": "b2", "b5": "b1", "b6": "b1",
     }
 
 
 def test_fig2_back_edges():
-    g = fig2_program().cfg
-    idom = dominators(g)
-    assert set(back_edges(g, idom)) == {("b3", "b1"), ("b4", "b2")}
+    f = build_loop_forest(fig2_program().cfg)
+    assert {e for info in f.loops.values() for e in info.back_edges} == {
+        ("b3", "b1"), ("b4", "b2")}
 
 
 def _reachable_without(g, banned):
@@ -197,8 +199,8 @@ def test_dominates_matches_removal_oracle():
     for _ in range(40):
         doc = gen.random_doc(rng, depth=2, noise=2)
         g = parse_program(json.dumps(doc)).cfg
-        idom = dominators(g)
-        span = _dom_intervals(idom)
+        f = build_loop_forest(g)
+        span = _dom_intervals(f.idom)
         cuts = {d: _reachable_without(g, d) for d in g.blocks}
         for d in g.blocks:
             for n in g.blocks:
@@ -206,9 +208,12 @@ def test_dominates_matches_removal_oracle():
                 (d_pre, d_post), (n_pre, n_post) = span[d], span[n]
                 assert (d_pre <= n_pre and n_post <= d_post) == expected, \
                     (doc, d, n)
-        # back_edges tests dominance on the dominator tree's numbering.
-        assert back_edges(g, idom) == [
-            (s, t) for s, t in g.edges if s == t or s not in cuts[t]], doc
+        # Back edges are tested for dominance on the dominator tree's
+        # numbering; each loop keeps its own in edge order.
+        backs = [(s, t) for s, t in g.edges if s == t or s not in cuts[t]]
+        assert set(f.loops) == {t for _, t in backs}, doc
+        for h, info in f.loops.items():
+            assert list(info.back_edges) == [e for e in backs if e[1] == h]
 
 
 # ---------------------------------------------------------------------------
@@ -229,6 +234,95 @@ def test_random_structured_graphs_are_reducible():
         doc = gen.random_doc(rng, depth=3, noise=4)
         p = parse_program(json.dumps(doc))
         build_loop_forest(p.cfg, p.loop_bounds)  # must not raise
+
+
+def _small_cfg_doc(rng: random.Random) -> dict:
+    """A path from entry to exit through every block, plus random extra
+    edges out of every block but the exit (self-loops included)."""
+    n = rng.randint(2, 7)
+    names = [f"v{i}" for i in range(n)]
+    edges = [[names[i], names[i + 1]] for i in range(n - 1)]
+    for _ in range(rng.randint(0, 2 * n)):
+        e = [rng.choice(names[:-1]), rng.choice(names)]
+        if e not in edges:
+            edges.append(e)
+    rng.shuffle(edges)
+    return {"name": "small", "blocks": [{"id": b, "wcet": 1} for b in names],
+            "edges": edges, "entry": names[0], "exit": names[-1]}
+
+
+def _three_pass_loop_forest(g):
+    """The loop forest from three graph passes: the dominator pass, a
+    dominance test on every edge for the back edges, then the cycle search
+    on the graph without them."""
+    idom = immediate_dominators(g.entry, g.succs, g.preds)[0]
+    span = _dom_intervals(idom)
+    backs = []
+    for s, t in g.edges:
+        (s_pre, s_post), (t_pre, t_post) = span[s], span[t]
+        if t_pre <= s_pre and s_post <= t_post:
+            backs.append((s, t))
+    check_reducible(g, set(backs))
+    by_header = {}
+    for s, t in backs:
+        by_header.setdefault(t, []).append((s, t))
+    headers = sorted(by_header, key=g.block_index.__getitem__)
+    bodies = {}
+    for h in headers:
+        body = {h}
+        stack = [s for s, _ in by_header[h]]
+        while stack:
+            n = stack.pop()
+            if n not in body:
+                body.add(n)
+                stack.extend(g.preds[n])
+        bodies[h] = body
+    parent, inner = {}, {}
+    for h in sorted(headers, key=lambda h: -len(bodies[h])):
+        parent[h] = inner.get(h)
+        for b in bodies[h]:
+            inner[b] = h
+    entries = {h: [] for h in headers}
+    exits = {h: [] for h in headers}
+    for u, v in g.edges:
+        if v in bodies and u not in bodies[v]:
+            entries[v].append((u, v))
+        level = inner.get(u)
+        while level is not None and v not in bodies[level]:
+            exits[level].append((u, v))
+            level = parent[level]
+    loops = {h: LoopInfo(h, frozenset(bodies[h]), tuple(by_header[h]),
+                         tuple(entries[h]), tuple(exits[h]), f"x_{h}")
+             for h in headers}
+    return LoopForest(loops, {h: parent[h] for h in headers}, inner, idom)
+
+
+def _forest_or_error(build, g):
+    try:
+        f = build(g)
+    except IrreducibleLoop as exc:
+        return "irreducible", str(exc)
+    return "forest", (f.loops, list(f.loops), f.parent, list(f.parent),
+                      f.block_loop, list(f.block_loop), f.idom, list(f.idom))
+
+
+def test_forest_matches_three_pass_reference():
+    # The forest takes its back edges from the dominator pass's own DFS
+    # numbering, and runs the cycle search only on an irreducible graph.
+    rng = random.Random(2024)
+    kinds = {"irreducible": 0, "forest": 0}
+    loops = 0
+    docs = [_small_cfg_doc(rng) for _ in range(1500)]
+    docs += [gen.irreducible_doc(), gen.running_example_doc(),
+             gen.loop_nest_doc(4), gen.dowhile_nest_doc(4)]
+    for doc in docs:
+        g = parse_program(json.dumps(doc)).cfg
+        got = _forest_or_error(build_loop_forest, g)
+        assert got == _forest_or_error(_three_pass_loop_forest, g), doc
+        kinds[got[0]] += 1
+        loops += got[0] == "forest" and len(got[1][0]) > 0
+    assert kinds["irreducible"] >= 200 and kinds["forest"] >= 1000, kinds
+    assert loops >= 600, loops
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import json
+import random
+
 import pytest
 
-from symwcet.cfg import BOT, TOP, loop_ref
+import generators as gen
+from symwcet.cfg import BOT, TOP, build_loop_forest, loop_ref, parse_program
 from symwcet.cft import (
     Alt,
     Annotation,
@@ -15,7 +19,6 @@ from symwcet.cft import (
     attach_annotation,
     leaves,
     node_at,
-    rename_leaves,
     resolve_label,
     seq,
     split_leaf,
@@ -30,6 +33,7 @@ from symwcet.errors import (
     NonAncestorLoop,
     UnknownBlock,
 )
+from symwcet.restructure import build_cft
 
 A = Leaf("a", 1)
 B = Leaf("b", 2)
@@ -88,6 +92,81 @@ def test_strip_suffix():
 # ---------------------------------------------------------------------------
 # Leaf renaming
 # ---------------------------------------------------------------------------
+
+
+def rename_leaves(t):
+    """Make leaf labels unique by suffixing repeats with '#k' in preorder.
+
+    Returns the renamed tree and a map from new labels back to originals.
+    A subtree in which no label changes is returned as the same object.
+    The reference for the names `build_cft` gives as it builds the tree.
+    """
+    counts: dict[str, int] = {}
+    rename: dict[str, str] = {}
+
+    def walk(node):
+        if isinstance(node, Leaf):
+            k = counts.get(node.label, 0)
+            counts[node.label] = k + 1
+            if k == 0:
+                return node
+            fresh = f"{node.label}#{k}"
+            rename[fresh] = node.label
+            return Leaf(fresh, node.wcet, node.annotation)
+        if isinstance(node, Loop):
+            body, exit_ = walk(node.body), walk(node.exit)
+            if body is node.body and exit_ is node.exit:
+                return node
+            return Loop(node.header, body, node.bound, exit_, node.annotation)
+        kids = tuple(walk(c) for c in node.children)
+        if all(new is old for new, old in zip(kids, node.children)):
+            return node
+        return type(node)(kids, node.annotation)
+
+    return walk(t), rename
+
+
+def _unrenamed(t):
+    """t with every leaf label stripped of its '#k' suffix."""
+    if isinstance(t, Leaf):
+        return Leaf(strip_suffix(t.label), t.wcet, t.annotation)
+    if isinstance(t, Loop):
+        return Loop(t.header, _unrenamed(t.body), t.bound, _unrenamed(t.exit),
+                    t.annotation)
+    return type(t)(tuple(_unrenamed(c) for c in t.children), t.annotation)
+
+
+def _restructure_corpus():
+    rng = random.Random(1010)
+    docs = []
+    for i in range(240):
+        doc = gen.random_doc(rng, depth=1 + i % 4, noise=i % 6,
+                             symbolic_bounds=i % 3 == 0)
+        docs.append(gen.annotate_doc(rng, doc) if i % 2 else doc)
+    docs += [gen.loop_nest_doc(d) for d in range(1, 9)]
+    docs += [gen.scaling_doc(60), gen.running_example_doc()]
+    docs += [gen.dowhile_nest_doc(d) for d in range(1, 7)]
+    return docs
+
+
+def test_build_cft_names_leaves_as_rename_leaves_does():
+    # The builder names each leaf as it creates it; renaming its tree with
+    # the suffixes stripped must give the same tree and the same map, in
+    # the same order.
+    renamed = 0
+    for doc in _restructure_corpus():
+        p = parse_program(json.dumps(doc))
+        tree, mapping = build_cft(p.cfg, build_loop_forest(p.cfg,
+                                                           p.loop_bounds))
+        want_tree, want_map = rename_leaves(_unrenamed(tree))
+        assert tree == want_tree, doc["name"]
+        assert list(mapping.items()) == list(want_map.items()), doc["name"]
+        renamed += bool(mapping)
+    assert renamed >= 100, renamed
+    p = parse_program(json.dumps(gen.dowhile_nest_doc(6)))
+    tree, mapping = build_cft(p.cfg, build_loop_forest(p.cfg, p.loop_bounds))
+    assert len(leaves(tree)) == 2 ** 8 - 2
+    assert len(mapping) == len(leaves(tree)) - len(p.cfg.blocks)
 
 
 def test_rename_leaves_preorder_numbering():

@@ -137,7 +137,7 @@ def test_region_idom_matches_dominator_pass():
         f = build_loop_forest(p.cfg, p.loop_bounds)
         for d in region_dags(p.cfg, f).values():
             assert d.idom == cfg.immediate_dominators(d.start, d.succs,
-                                                      d.preds), doc
+                                                      d.preds)[0], doc
             regions += 1
             entry_loops += d.level == TOP and d.start.kind == "loop"
     assert regions >= 1000

@@ -40,8 +40,6 @@ from symwcet.symbolic import (
     Scalar,
     WcetId,
     evaluate,
-    formula_order,
-    formula_size,
     free_identifiers,
     gamma_symbolic,
     identifiers,
@@ -54,6 +52,7 @@ from symwcet.symbolic import (
     restrict,
     scalar,
     simplify,
+    sort_key,
     substitute,
 )
 
@@ -94,6 +93,23 @@ def test_scalar_units():
     assert scalar(0, W1) == CONST_ZERO
     assert scalar(1, W1) == W1
     assert scalar(2, W1) == Scalar(2, W1)
+
+
+def formula_size(w):
+    """Total node count, operators included."""
+    if isinstance(w, (Const, WcetId)):
+        return 1
+    if isinstance(w, (Plus, Max)):
+        return 1 + sum(formula_size(op) for op in w.operands)
+    if isinstance(w, (Scalar, Restrict)):
+        return 1 + formula_size(w.operand)
+    return 1 + formula_size(w.body) + formula_size(w.exit)
+
+
+def formula_order(a, b):
+    """Total syntactic order: -1, 0, or 1."""
+    ka, kb = sort_key(a), sort_key(b)
+    return -1 if ka < kb else (0 if ka == kb else 1)
 
 
 def test_sizes():
@@ -608,11 +624,28 @@ def test_evaluate_error_order_pinned(forest, case, text, bindings, exc,
     assert type(info.value) is exc and str(info.value) == message
 
 
-def test_evaluate_unbound_ann_loop_is_a_foreign_loop(forest):
-    # An unbound loop identifier is not refused: it reads as a loop outside
-    # the forest, comparable only to itself, TOP and BOT.
-    got = evaluate(parse("(ann w1 lp1 1)"), {"w1": _V5}, forest)
-    assert got == parse_abstract("(loop=lp1, [5|0])")
+def test_evaluate_unbound_loop_identifier_is_refused(forest):
+    # A loop position that is neither TOP, a forest header nor bound is an
+    # unbound identifier, as `identifiers` classifies it; the loop is
+    # checked before the count and the operands.
+    full = {"w1": _V5, "k1": 2}
+    for text in ("(ann w1 lp1 k1)", "(pow w1 (l=TOP,[|0]) lp1 k1)"):
+        w = parse(text)
+        assert identifiers(w, forest)[2] == {"lp1"}
+        with pytest.raises(UnboundIdentifier) as info:
+            evaluate(w, {}, forest)
+        assert str(info.value) == "no binding for loop identifier 'lp1'"
+        # Bound, or a header in its place, it evaluates.
+        assert evaluate(w, {**full, "lp1": "h1"}, forest) == \
+            evaluate(parse(text.replace("lp1", "h1")), full, forest)
+        # Substitution still leaves it unbound.
+        assert substitute(w, full) == parse(
+            text.replace("w1", render(Const(_V5))).replace("k1", "2"))
+    # TOP is no identifier in either position.
+    assert evaluate(parse("(ann w1 TOP k1)"), full, forest) == \
+        parse_abstract("(loop=TOP, [5,5|0])")
+    assert evaluate(parse("(pow w1 (l=TOP,[|0]) TOP k1)"), full, forest) == \
+        parse_abstract("(loop=TOP, [|10])")
 
 
 def test_evaluate_refuses_non_formulas(forest):
