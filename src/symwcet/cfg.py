@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from typing import Hashable, Mapping, NamedTuple, Sequence, TypeVar
 
 from .errors import DocumentError, IrreducibleLoop
+from .records import slot_init
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
@@ -71,7 +72,8 @@ def parse_loop_ref(text: str) -> LoopRef:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@slot_init
+@dataclass(frozen=True, slots=True)
 class Block:
     id: str
     wcet: int | str  # concrete cost or symbolic identifier
@@ -437,7 +439,8 @@ def check_reducible(g: Cfg, backs: set[Edge]) -> None:
                 color[node] = BLACK
 
 
-@dataclass(frozen=True)
+@slot_init
+@dataclass(frozen=True, slots=True)
 class LoopInfo:
     header: str
     body: frozenset[str]
@@ -451,8 +454,10 @@ class LoopInfo:
 class LoopForest:
     loops: dict[str, LoopInfo]  # header -> LoopInfo, document order
     parent: dict[str, str | None]  # header -> enclosing header (None = top level)
-    block_loop: dict[str, str]  # block -> smallest loop around it, if any
+    block_loop: dict[str, str]  # block -> smallest loop around it, document order
     idom: dict[str, str | None]  # block -> immediate dominator (entry: None)
+    # block -> number in the reverse postorder of the dominator pass's DFS
+    rpo: dict[str, int] = field(default_factory=dict)
 
     def innermost(self, block: str) -> str | None:
         """Header of the smallest loop containing block, None when loop-free."""
@@ -536,7 +541,11 @@ def build_loop_forest(g: Cfg, bounds: dict[str, int | str] | None = None) -> Loo
                          tuple(entries[h]), tuple(exits[h]),
                          bounds.get(h, f"x_{h}"))
              for h in headers}
-    return LoopForest(loops, {h: parent[h] for h in headers}, inner, idom)
+    # Document order, so that iterating the map does not depend on string
+    # hashing (the bodies above are sets).
+    block_loop = {b: inner[b] for b in g.blocks if b in inner}
+    return LoopForest(loops, {h: parent[h] for h in headers}, block_loop,
+                      idom, rpo)
 
 
 # ---------------------------------------------------------------------------

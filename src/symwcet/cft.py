@@ -18,9 +18,11 @@ from .errors import (
     NonAncestorLoop,
     UnknownBlock,
 )
+from .records import slot_init
 
 
-@dataclass(frozen=True)
+@slot_init
+@dataclass(frozen=True, slots=True)
 class Annotation:
     """Target runs at most `max` times per entry of `loop`.
 
@@ -31,14 +33,16 @@ class Annotation:
     max: int | str | None
 
 
-@dataclass(frozen=True)
+@slot_init
+@dataclass(frozen=True, slots=True)
 class Leaf:
     label: str
     wcet: int | str
     annotation: Annotation | None = None
 
 
-@dataclass(frozen=True)
+@slot_init
+@dataclass(frozen=True, slots=True)
 class Alt:
     children: tuple["Cft", ...]
     annotation: Annotation | None = None
@@ -47,7 +51,8 @@ class Alt:
         assert len(self.children) >= 2, "Alt needs at least two children"
 
 
-@dataclass(frozen=True)
+@slot_init
+@dataclass(frozen=True, slots=True)
 class Seq:
     # Zero children encode the empty path (a branch that skips straight to
     # the join point); one child never occurs (collapsed by seq()).
@@ -55,7 +60,8 @@ class Seq:
     annotation: Annotation | None = None
 
 
-@dataclass(frozen=True)
+@slot_init
+@dataclass(frozen=True, slots=True)
 class Loop:
     header: str
     body: "Cft"
@@ -129,15 +135,16 @@ def _replace_node(t: Cft, path: tuple[int, ...], new: Cft) -> Cft:
 
 
 def _find_paths(t: Cft, want) -> list[tuple[int, ...]]:
+    """Paths of the nodes that satisfy want, in preorder."""
     found: list[tuple[int, ...]] = []
-
-    def walk(node: Cft, path: tuple[int, ...]) -> None:
+    stack: list[tuple[Cft, tuple[int, ...]]] = [(t, ())]
+    while stack:
+        node, path = stack.pop()
         if want(node):
             found.append(path)
-        for i, c in enumerate(child_nodes(node)):
-            walk(c, path + (i,))
-
-    walk(t, ())
+        kids = child_nodes(node)
+        stack.extend((kids[i], path + (i,))
+                     for i in range(len(kids) - 1, -1, -1))
     return found
 
 

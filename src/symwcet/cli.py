@@ -223,8 +223,7 @@ def cmd_formula(args) -> int:
     lines = [text]
     payload: dict = {"formula": text}
     if args.stats:
-        initial = symbolic.operand_count(
-            symbolic.gamma_symbolic(a.tree, a.forest, fold_concrete=False))
+        initial = symbolic.structural_operand_count(a.tree)
         final = symbolic.operand_count(simplified)
         lines.append(f"operands: {initial} -> {final}")
         payload["initial_operands"] = initial

@@ -18,7 +18,7 @@ predecessors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from .cfg import TOP, Cfg, LoopForest, LoopRef, loop_ref
@@ -45,7 +45,8 @@ DagEdge = tuple[DagNode, DagNode]
 class Dag:
     """One region graph.  `idom` is its dominator tree over the nodes
     reachable from `start` (which maps to None), as `region_dags` reads it
-    off the CFG's dominator tree."""
+    off the CFG's dominator tree.  `succs` and `preds` list each node's
+    neighbours in the order its edges were placed."""
 
     level: LoopRef
     nodes: tuple[DagNode, ...]
@@ -54,31 +55,30 @@ class Dag:
     next: DagNode
     exit: DagNode
     idom: dict[DagNode, DagNode | None]
-    succs: dict[DagNode, tuple[DagNode, ...]] = field(init=False)
-    preds: dict[DagNode, tuple[DagNode, ...]] = field(init=False)
-
-    def __post_init__(self) -> None:
-        succs: dict[DagNode, list[DagNode]] = {n: [] for n in self.nodes}
-        preds: dict[DagNode, list[DagNode]] = {n: [] for n in self.nodes}
-        for s, t in self.edges:
-            succs[s].append(t)
-            preds[t].append(s)
-        self.succs = {n: tuple(v) for n, v in succs.items()}
-        self.preds = {n: tuple(v) for n, v in preds.items()}
-        assert _is_acyclic(self), f"region graph for {self.level} has a cycle"
+    succs: dict[DagNode, list[DagNode]]
+    preds: dict[DagNode, list[DagNode]]
 
 
 def region_dags(g: Cfg, f: LoopForest) -> dict[str | None, Dag]:
     """The region graph of every loop (by header) and of the program (None).
 
     One pass over the blocks and one over the edges place each block and
-    edge in the regions it belongs to, in document order.  Each block and
-    each loop has one `DagNode` object, shared by every region that names
-    it.
+    edge in the regions it belongs to, in document order, and record each
+    node's successors and predecessors as its edges are placed.  Each block
+    and each loop has one `DagNode` object, shared by every region that
+    names it.
+
+    Every edge between two block or loop nodes goes strictly forward in
+    the CFG's reverse postorder (`LoopForest.rpo`, a loop node taking its
+    header's number), and `next` and `exit` have no successors, so every
+    region graph is acyclic.  In a reducible graph every edge that is not
+    a back edge goes forward in reverse postorder (Hecht & Ullman, 1974);
+    a loop node's header dominates its blocks, so it comes before them,
+    and an edge into a nested loop enters at its header.
     """
     block_node = {b: DagNode("block", b) for b in g.blocks}
     loop_node = {h: DagNode("loop", h) for h in f.loops}
-    innermost, parent = f.block_loop.get, f.parent
+    innermost, parent, rpo = f.block_loop.get, f.parent, f.rpo
 
     def representative(block: str, level: str | None) -> DagNode:
         # Blocks directly at the level stay themselves; anything inside a
@@ -90,35 +90,42 @@ def region_dags(g: Cfg, f: LoopForest) -> dict[str | None, Dag]:
             cur = parent[cur]  # type: ignore[index]
         return loop_node[cur]  # type: ignore[index]
 
+    next_node = DagNode("next")
+    exit_node = DagNode("exit")
     levels: list[str | None] = [None, *f.loops]
     nodes: dict[str | None, list[DagNode]] = {l: [] for l in levels}
+    succs: dict[str | None, dict[DagNode, list[DagNode]]] = {
+        l: {next_node: [], exit_node: []} for l in levels}
+    preds: dict[str | None, dict[DagNode, list[DagNode]]] = {
+        l: {next_node: [], exit_node: []} for l in levels}
+
+    def place(level: str | None, n: DagNode) -> None:
+        nodes[level].append(n)
+        succs[level][n] = []
+        preds[level][n] = []
+
     placed: set[str] = set()
     for b in g.blocks:
         level = innermost(b)
-        nodes[level].append(block_node[b])
+        place(level, block_node[b])
         # A loop's node goes to its parent region at its first block; the
         # placed loops are closed under nesting, so the walk stops early.
         while level is not None and level not in placed:
             placed.add(level)
-            nodes[parent[level]].append(loop_node[level])
+            place(parent[level], loop_node[level])
             level = parent[level]
 
-    next_node = DagNode("next")
-    exit_node = DagNode("exit")
     edges: dict[str | None, dict[DagEdge, None]] = {l: {} for l in levels}
-    # Per region, the predecessors of `next` and of `exit` in the order
-    # their edges were first placed.
-    sink_preds: dict[str | None, tuple[list[DagNode], list[DagNode]]] = {
-        l: ([], []) for l in levels}
 
     def connect(level: str | None, a: DagNode, b: DagNode) -> None:
         region = edges[level]
         if a != b and (a, b) not in region:
+            assert (b is next_node or b is exit_node
+                    or rpo[a.id] < rpo[b.id]), \
+                f"region graph for {level} has a cycle through {a} -> {b}"
             region[a, b] = None
-            if b is next_node:
-                sink_preds[level][0].append(a)
-            elif b is exit_node:
-                sink_preds[level][1].append(a)
+            succs[level][a].append(b)
+            preds[level][b].append(a)
 
     for u, v in g.edges:
         # The edge departs every loop around u that does not contain v, and
@@ -150,12 +157,13 @@ def region_dags(g: Cfg, f: LoopForest) -> dict[str | None, Dag]:
         for n in nodes[level]:
             if n is not start:
                 idom[n] = representative(f.idom[n.id], level)
-        for sink, preds in zip((next_node, exit_node), sink_preds[level]):
-            if preds:
-                idom[sink] = _common_dominator(preds, idom)
+        region_preds = preds[level]
+        for sink in (next_node, exit_node):
+            if region_preds[sink]:
+                idom[sink] = _common_dominator(region_preds[sink], idom)
         dags[level] = Dag(ref, (*nodes[level], next_node, exit_node),
                           tuple(edges[level]), start, next_node, exit_node,
-                          idom)
+                          idom, succs[level], region_preds)
     return dags
 
 
@@ -173,20 +181,6 @@ def _common_dominator(nodes: list[DagNode],
             n = idom[n]  # type: ignore[assignment]
         common = n
     return common
-
-
-def _is_acyclic(d: Dag) -> bool:
-    indeg = {n: len(d.preds[n]) for n in d.nodes}
-    ready = [n for n in d.nodes if indeg[n] == 0]
-    seen = 0
-    while ready:
-        n = ready.pop()
-        seen += 1
-        for t in d.succs[n]:
-            indeg[t] -= 1
-            if indeg[t] == 0:
-                ready.append(t)
-    return seen == len(d.nodes)
 
 
 def forced_passage(d: Dag, end: DagNode,

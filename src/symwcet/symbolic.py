@@ -40,37 +40,44 @@ from .awcet import (
 )
 from .cfg import TOP, LoopForest, LoopRef, loop_ref, parse_loop_ref
 from .errors import FuelExhausted, TypeMismatch, UnboundIdentifier
+from .records import slot_init
 
 Value = int | str  # concrete integer or identifier
 
 
-@dataclass(frozen=True)
+@slot_init
+@dataclass(frozen=True, slots=True)
 class Const:
     value: AbstractWcet
 
 
-@dataclass(frozen=True)
+@slot_init
+@dataclass(frozen=True, slots=True)
 class WcetId:
     name: str
 
 
-@dataclass(frozen=True)
+@slot_init
+@dataclass(frozen=True, slots=True)
 class Plus:
     operands: tuple["Formula", ...]
 
 
-@dataclass(frozen=True)
+@slot_init
+@dataclass(frozen=True, slots=True)
 class Max:
     operands: tuple["Formula", ...]
 
 
-@dataclass(frozen=True)
+@slot_init
+@dataclass(frozen=True, slots=True)
 class Scalar:
     coeff: Value
     operand: "Formula"
 
 
-@dataclass(frozen=True)
+@slot_init
+@dataclass(frozen=True, slots=True)
 class Power:
     """Loop repetition: body ranking iterated `count` times for loop
     `header`, then the exit ranking once."""
@@ -81,7 +88,8 @@ class Power:
     count: Value
 
 
-@dataclass(frozen=True)
+@slot_init
+@dataclass(frozen=True, slots=True)
 class Restrict:
     """Annotation application: keep the `count` greatest costs per entry of
     `loop` ("TOP" = per run)."""
@@ -577,7 +585,10 @@ def simplify(w: Formula, f: LoopForest, fuel: int = DEFAULT_FUEL,
         memo[id(cur)] = (cur, cur)
         return cur
 
-    return normal(w)
+    try:
+        return normal(w)
+    finally:
+        del normal  # the closure refers to itself: break the cycle
 
 
 # ---------------------------------------------------------------------------
@@ -651,7 +662,41 @@ def gamma_symbolic(t: cft.Cft, f: LoopForest,
                 base = restrict(base, str(ann.loop), ann.max)
         return base
 
-    return build(t)
+    try:
+        return build(t)
+    finally:
+        del build  # the closure refers to itself: break the cycle
+
+
+def structural_operand_count(t: cft.Cft) -> int:
+    """`operand_count(gamma_symbolic(t, f, fold_concrete=False))`, counted
+    on the tree without building the formula."""
+    return _structural_operands(t)[0]
+
+
+def _structural_operands(node: cft.Cft) -> tuple[int, bool]:
+    # (operand count, whether the unfolded formula is CONST_ZERO).  Only a
+    # cost-0 leaf gives CONST_ZERO, and a sum or maximum of nothing but
+    # zeros; `plus` and `max_` drop zero operands, so they count for
+    # nothing, and every other node wraps its operands as they are.
+    cls = type(node)
+    if cls is cft.Leaf:
+        count, zero = 1, node.wcet == 0
+    elif cls is cft.Loop:
+        count = (_structural_operands(node.body)[0]
+                 + _structural_operands(node.exit)[0])
+        zero = False
+    else:
+        count = 0
+        for c in node.children:
+            n, z = _structural_operands(c)
+            if not z:
+                count += n
+        count, zero = (count, False) if count else (1, True)
+    ann = node.annotation
+    if ann is not None and ann.max is not None:
+        zero = False
+    return count, zero
 
 
 # ---------------------------------------------------------------------------
@@ -786,7 +831,9 @@ def identifiers(w: Formula, f: LoopForest
         if isinstance(v, str):
             counts.add(v)
 
-    def walk(node: Formula) -> None:
+    stack = [w]
+    while stack:
+        node = stack.pop()
         if isinstance(node, WcetId):
             costs.add(node.name)
         elif isinstance(node, Scalar):
@@ -797,10 +844,7 @@ def identifiers(w: Formula, f: LoopForest
         elif isinstance(node, Power):
             loop_id(node.header)
             count_id(node.count)
-        for c in _children(node):
-            walk(c)
-
-    walk(w)
+        stack.extend(_children(node))
     return costs, counts, loops
 
 

@@ -294,7 +294,8 @@ def _three_pass_loop_forest(g):
     loops = {h: LoopInfo(h, frozenset(bodies[h]), tuple(by_header[h]),
                          tuple(entries[h]), tuple(exits[h]), f"x_{h}")
              for h in headers}
-    return LoopForest(loops, {h: parent[h] for h in headers}, inner, idom)
+    block_loop = {b: inner[b] for b in g.blocks if b in inner}
+    return LoopForest(loops, {h: parent[h] for h in headers}, block_loop, idom)
 
 
 def _forest_or_error(build, g):

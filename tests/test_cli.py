@@ -80,8 +80,8 @@ def test_formula_stats(capsys, sym_path):
     assert "x_b2" in payload["formula"]
 
 
-def test_formula_builds_unfolded_formula_only_for_stats(capsys, monkeypatch,
-                                                        sym_path):
+def test_formula_builds_one_folded_formula(capsys, monkeypatch, sym_path):
+    # --stats counts the unfolded formula's operands on the tree.
     folds = []
     build = cli.symbolic.gamma_symbolic
     monkeypatch.setattr(cli.symbolic, "gamma_symbolic",
@@ -91,7 +91,7 @@ def test_formula_builds_unfolded_formula_only_for_stats(capsys, monkeypatch,
     assert folds == [True]
     folds.clear()
     _run(capsys, ["formula", "--input", sym_path, "--stats"])
-    assert folds == [True, False]
+    assert folds == [True]
 
 
 def test_wcet_concrete(capsys, fig2_path):

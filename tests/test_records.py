@@ -1,0 +1,113 @@
+"""The frozen records: blocks, loops, tree nodes and formula nodes.
+
+Each is a slotted frozen dataclass whose `__init__` comes from
+`records.slot_init`; everything but the constructor's speed is the
+dataclass's own.
+"""
+
+from __future__ import annotations
+
+import copy
+import dataclasses
+import pickle
+
+import pytest
+
+from symwcet import cft, symbolic
+from symwcet.awcet import ZERO
+from symwcet.cfg import TOP, Block, LoopInfo, loop_ref
+from symwcet.records import slot_init
+
+A, B = cft.Leaf("a", 1), cft.Leaf("b", "w")
+W1, W2 = symbolic.WcetId("w1"), symbolic.WcetId("w2")
+
+RECORDS = [
+    Block("b", 3),
+    LoopInfo("h", frozenset({"h", "t"}), (("t", "h"),), (("e", "h"),),
+             (("h", "x"),), "n"),
+    cft.Annotation(loop_ref("h"), 2),
+    cft.Leaf("a", 1, cft.Annotation(TOP, None)),
+    cft.Alt((A, B)),
+    cft.Seq((A, B), cft.Annotation(TOP, 4)),
+    cft.Loop("h", A, 2, B),
+    symbolic.Const(ZERO),
+    W1,
+    symbolic.Plus((W1, W2)),
+    symbolic.Max((W1, W2)),
+    symbolic.Scalar(2, W1),
+    symbolic.Power(W1, W2, "h", "n"),
+    symbolic.Restrict(W1, "TOP", 2),
+]
+IDS = [type(r).__name__ for r in RECORDS]
+
+
+def _values(r) -> dict:
+    return {f.name: getattr(r, f.name) for f in dataclasses.fields(r)}
+
+
+@pytest.mark.parametrize("r", RECORDS, ids=IDS)
+def test_fields_cannot_be_assigned(r):
+    assert not hasattr(r, "__dict__")
+    for name, value in _values(r).items():
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(r, name, value)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(r, name)
+        assert getattr(r, name) is value
+
+
+@pytest.mark.parametrize("r", RECORDS, ids=IDS)
+def test_equal_fields_equal_records(r):
+    cls, values = type(r), _values(r)
+    for twin in (cls(*values.values()), cls(**values),
+                 dataclasses.replace(r), copy.deepcopy(r),
+                 pickle.loads(pickle.dumps(r))):
+        assert type(twin) is cls
+        assert twin == r and hash(twin) == hash(r)
+    assert repr(r) == "{}({})".format(
+        cls.__name__, ", ".join(f"{k}={v!r}" for k, v in values.items()))
+
+
+@pytest.mark.parametrize("r", RECORDS, ids=IDS)
+def test_replace_changes_one_field(r):
+    values = _values(r)
+    name = next(iter(values))
+    other = dataclasses.replace(r, **{name: "other"})
+    assert type(other) is type(r) and other != r
+    assert _values(other) == {**values, name: "other"}
+    assert _values(r) == values
+
+
+def test_equality_is_class_exact():
+    assert cft.Alt((A, B)) != cft.Seq((A, B))
+    assert symbolic.Plus((W1, W2)) != symbolic.Max((W1, W2))
+    assert cft.Alt((A, B)) == cft.Alt((A, B))
+
+
+def test_defaults_and_post_init():
+    assert cft.Leaf("a", 1).annotation is None
+    assert cft.Loop(header="h", body=A, bound=2, exit=B).annotation is None
+    with pytest.raises(AssertionError, match="at least two children"):
+        cft.Alt((A,))
+    with pytest.raises(AssertionError, match="at least two children"):
+        dataclasses.replace(cft.Alt((A, B)), children=(A,))
+    with pytest.raises(TypeError):
+        cft.Leaf("a")
+    with pytest.raises(TypeError):
+        cft.Leaf("a", 1, None, None)
+    with pytest.raises(TypeError):
+        cft.Leaf("a", 1, label="b")
+
+
+def test_slot_init_refuses_what_it_cannot_store():
+    with pytest.raises(TypeError, match="slotted"):
+        @slot_init
+        @dataclasses.dataclass(frozen=True)
+        class Unslotted:
+            x: int
+
+    with pytest.raises(TypeError, match="plain defaults"):
+        @slot_init
+        @dataclasses.dataclass(frozen=True, slots=True)
+        class Factory:
+            x: list = dataclasses.field(default_factory=list)

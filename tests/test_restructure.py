@@ -86,6 +86,23 @@ def test_dags_are_acyclic_on_random_docs():
                     if indeg[s] == 0:
                         queue.append(s)
             assert seen == len(dag.nodes), doc
+            # The adjacency recorded as edges were placed is the edge list's.
+            succs = {n: [] for n in dag.nodes}
+            preds = {n: [] for n in dag.nodes}
+            for a, b in dag.edges:
+                succs[a].append(b)
+                preds[b].append(a)
+            assert dag.succs == succs and dag.preds == preds, doc
+
+
+def test_region_edge_against_reverse_postorder_is_refused():
+    # Every region edge between block and loop nodes must go forward in
+    # the CFG's reverse postorder; numbering the blocks backwards makes the
+    # first such edge fail the check.
+    g, f = _fig2()
+    f.rpo = {b: -i for b, i in f.rpo.items()}
+    with pytest.raises(AssertionError, match="has a cycle"):
+        region_dags(g, f)
 
 
 def test_one_dominator_tree_per_region(monkeypatch):

@@ -53,6 +53,7 @@ from symwcet.symbolic import (
     scalar,
     simplify,
     sort_key,
+    structural_operand_count,
     substitute,
 )
 
@@ -453,6 +454,49 @@ def test_build_fold_leaves_one_constant(forest):
     assert w.operands == (Const(abstract(TOP, const_seq(4))), W1)
     # Unfolded, every leaf stays an operand.
     assert operand_count(gamma_symbolic(t, forest, fold_concrete=False)) == 3
+
+
+def _random_tree(rng, depth):
+    """A random tree with cost-0 leaves, empty Seqs and annotations whose
+    cap is None, an integer or an identifier."""
+    ann = rng.choice([None, None, cft.Annotation(TOP, None),
+                      cft.Annotation(TOP, 2), cft.Annotation(TOP, "k")])
+    if depth == 0 or rng.random() < 0.3:
+        return cft.Leaf("b", rng.choice([0, 0, 3, "w1"]), ann)
+    kind = rng.randrange(3)
+    if kind == 0:
+        kids = tuple(_random_tree(rng, depth - 1)
+                     for _ in range(rng.randrange(4)))
+        return cft.Seq(kids, ann)
+    if kind == 1:
+        kids = tuple(_random_tree(rng, depth - 1)
+                     for _ in range(rng.randint(2, 3)))
+        return cft.Alt(kids, ann)
+    return cft.Loop("h", _random_tree(rng, depth - 1), rng.choice([2, "n"]),
+                    _random_tree(rng, depth - 1), ann)
+
+
+def test_structural_operand_count_matches_unfolded_formula(forest):
+    rng = random.Random(67)
+    zeros = empty_seqs = uncapped = 0
+    for _ in range(2000):
+        t = _random_tree(rng, 4)
+        want = operand_count(gamma_symbolic(t, forest, fold_concrete=False))
+        assert structural_operand_count(t) == want, t
+        for n in cft.subtrees(t):
+            zeros += isinstance(n, cft.Leaf) and n.wcet == 0
+            empty_seqs += isinstance(n, cft.Seq) and not n.children
+            uncapped += n.annotation is not None and n.annotation.max is None
+    assert zeros >= 500 and empty_seqs >= 200 and uncapped >= 500
+    docs = [gen.running_example_doc(), gen.persistence_doc(),
+            gen.triangular_doc(), gen.scaling_doc(20)]
+    for i in range(300):
+        doc = gen.random_doc(rng)
+        docs.append(gen.annotate_doc(rng, doc) if i % 2 else doc)
+    for doc in docs:
+        a = analyze_text(json.dumps(doc))
+        raw = gamma_symbolic(a.tree, a.forest, fold_concrete=False)
+        assert structural_operand_count(a.tree) == operand_count(raw), doc
 
 
 def _reference_gamma_symbolic(t, f):
