@@ -36,7 +36,7 @@ import re
 from math import inf
 from typing import Callable, Iterable, NamedTuple
 
-from .cfg import BOT, TOP, LoopForest, LoopRef, loop_meet, parse_loop_ref
+from .cfg import BOT, TOP, LoopForest, LoopRef, loop_meet
 from . import cft
 from .errors import IncomparableLoops, NotMultiple, SymbolicValuePresent
 
@@ -87,11 +87,6 @@ def _canon(runs: Iterable[Run], tail: int) -> WcetSeq:
         else:
             out.append((v, k))
     return WcetSeq(tuple(out), tail)
-
-
-def make_seq(elems: Iterable[int], tail: int) -> WcetSeq:
-    """Canonical sequence of the given costs, elements <= tail absorbed."""
-    return _canon(((e, 1) for e in sorted(elems, reverse=True)), tail)
 
 
 def const_seq(k: int) -> WcetSeq:
@@ -276,16 +271,6 @@ def abstract(loop: LoopRef, seq: WcetSeq) -> AbstractWcet:
 
 
 ZERO = abstract(TOP, ZERO_SEQ)
-
-_AW_RE = re.compile(r"\(loop=([^,]+),\s*(\[[0-9,^]*\|\d+\])\)\Z")
-
-
-def parse_abstract(text: str) -> AbstractWcet:
-    m = _AW_RE.match(text)
-    if not m:
-        raise ValueError(f"bad abstract WCET literal {text!r}")
-    return abstract(parse_loop_ref(m.group(1)), parse_seq(m.group(2)))
-
 
 def plus_abstract(a: AbstractWcet, b: AbstractWcet, f: LoopForest) -> AbstractWcet:
     return abstract(loop_meet(a.loop, b.loop, f), ms_ranksum(a.seq, b.seq))

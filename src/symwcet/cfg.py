@@ -459,10 +459,6 @@ class LoopForest:
     # block -> number in the reverse postorder of the dominator pass's DFS
     rpo: dict[str, int] = field(default_factory=dict)
 
-    def innermost(self, block: str) -> str | None:
-        """Header of the smallest loop containing block, None when loop-free."""
-        return self.block_loop.get(block)
-
 
 def build_loop_forest(g: Cfg, bounds: dict[str, int | str] | None = None) -> LoopForest:
     """Compute the natural-loop forest; refuses irreducible control flow.

@@ -89,13 +89,6 @@ def gpaths_bounded(g: Cfg, f: LoopForest, end: str | None = None,
     return paths
 
 
-def path_wcet(g: Cfg, path: tuple[str, ...]) -> int:
-    total = 0
-    for b in path:
-        total += _require_int(g.blocks[b].wcet, f"cost of block {b!r}")
-    return total
-
-
 # ---------------------------------------------------------------------------
 # Tree paths
 # ---------------------------------------------------------------------------
@@ -360,13 +353,6 @@ def _spread_maximum(g: list[int | None], entries: int,
         if best is None or total > best:
             best = total
     return best
-
-
-def _max_word_wcet(t: cft.Cft, entries: int, n: int,
-                   max_paths: int = MAX_PATHS) -> int | None:
-    """Largest cost of n runs of t spread over `entries` entries, each entry
-    getting fresh external caps; None when no distribution is feasible."""
-    return _spread_maximum(_entry_maxima(t, n, max_paths), entries, n)
 
 
 @dataclass

@@ -38,7 +38,8 @@ from .awcet import (
     restrict_abstract,
     scalar_abstract,
 )
-from .cfg import TOP, LoopForest, LoopRef, loop_ref, parse_loop_ref
+from .cfg import (TOP, LoopForest, LoopRef, is_identifier, loop_ref,
+                  parse_loop_ref)
 from .errors import FuelExhausted, TypeMismatch, UnboundIdentifier
 from .records import slot_init
 
@@ -168,14 +169,6 @@ def scalar(coeff: Value, operand: Formula) -> Formula:
     return Scalar(coeff, operand)
 
 
-def restrict(operand: Formula, loop: str, count: Value) -> Formula:
-    return Restrict(operand, loop, count)
-
-
-def power(body: Formula, exit_: Formula, header: Value, count: Value) -> Formula:
-    return Power(body, exit_, header, count)
-
-
 def operand_count(w: Formula) -> int:
     """Number of atomic operands (constants and cost identifiers)."""
     if isinstance(w, (Const, WcetId)):
@@ -206,17 +199,8 @@ def _with_children(w: Formula, kids: list[Formula]) -> Formula:
     if isinstance(w, Scalar):
         return scalar(w.coeff, kids[0])
     if isinstance(w, Restrict):
-        return restrict(kids[0], w.loop, w.count)
-    return power(kids[0], kids[1], w.header, w.count)
-
-
-def _rebuild(w: Formula, path: tuple[int, ...], new: Formula) -> Formula:
-    if not path:
-        return new
-    i = path[0]
-    kids = list(_children(w))
-    kids[i] = _rebuild(kids[i], path[1:], new)
-    return _with_children(w, kids)
+        return Restrict(kids[0], w.loop, w.count)
+    return Power(kids[0], kids[1], w.header, w.count)
 
 
 # ---------------------------------------------------------------------------
@@ -243,9 +227,7 @@ def _const_valued(w: Formula) -> bool:
     return False
 
 
-def _rule_plus_const(w: Formula, f: LoopForest) -> Formula | None:
-    if not isinstance(w, Plus):
-        return None
+def _rule_plus_const(w: Plus, f: LoopForest) -> Formula | None:
     consts = [op.value for op in w.operands if isinstance(op, Const)]
     if len(consts) < 2:
         return None
@@ -253,9 +235,7 @@ def _rule_plus_const(w: Formula, f: LoopForest) -> Formula | None:
     return plus(rest + [Const(fold(consts, plus_abstract, f))])
 
 
-def _rule_max_const(w: Formula, f: LoopForest) -> Formula | None:
-    if not isinstance(w, Max):
-        return None
+def _rule_max_const(w: Max, f: LoopForest) -> Formula | None:
     consts = [op.value for op in w.operands if isinstance(op, Const)]
     if len(consts) < 2:
         return None
@@ -263,11 +243,9 @@ def _rule_max_const(w: Formula, f: LoopForest) -> Formula | None:
     return max_(rest + [Const(fold(consts, max_abstract, f))])
 
 
-def _rule_distributivity(w: Formula, f: LoopForest) -> Formula | None:
+def _rule_distributivity(w: Max, f: LoopForest) -> Formula | None:
     # (cst1 + r) max (cst2 + r) -> (cst1 max cst2) + r, restricted to
     # factoring constants over a shared rank-uniform residue.
-    if not isinstance(w, Max):
-        return None
     groups: dict[tuple, list[tuple[AbstractWcet, int]]] = {}
     for i, op in enumerate(w.operands):
         if not isinstance(op, Plus):
@@ -302,10 +280,8 @@ def _as_plus(w: Formula) -> tuple[Formula, ...]:
     return w.operands if isinstance(w, Plus) else (w,)
 
 
-def _rule_mult_merge(w: Formula, f: LoopForest) -> Formula | None:
+def _rule_mult_merge(w: Plus, f: LoopForest) -> Formula | None:
     # x + 2*x + y -> 3*x + y for integer coefficients.
-    if not isinstance(w, Plus):
-        return None
     groups: dict[tuple, list[tuple[int, Formula]]] = {}
     order: list[Formula] = []
     for op in w.operands:
@@ -331,13 +307,11 @@ def _rule_mult_merge(w: Formula, f: LoopForest) -> Formula | None:
     return plus(out)
 
 
-def _rule_restrict_merge(w: Formula, f: LoopForest) -> Formula | None:
+def _rule_restrict_merge(w: Plus, f: LoopForest) -> Formula | None:
     # ann(w1,(h,it)) + ann(w2,(h,it)) -> ann(w1+w2,(h,it)), but only for
     # restricts that can never fold (symbolic count or unresolvable loop).
     # Fold-enabled restricts go the other way (restrict-distribute), and the
     # complementary guards keep the pair from looping.
-    if not isinstance(w, Plus):
-        return None
     groups: dict[tuple, list[Restrict]] = {}
     for op in w.operands:
         if (isinstance(op, Restrict)
@@ -350,32 +324,30 @@ def _rule_restrict_merge(w: Formula, f: LoopForest) -> Formula | None:
     out = [op for op in w.operands if id(op) not in merged]
     for g in groups.values():
         if len(g) > 1:
-            out.append(restrict(plus([r.operand for r in g]),
+            out.append(Restrict(plus([r.operand for r in g]),
                                 g[0].loop, g[0].count))
     return plus(out)
 
 
-def _rule_restrict_distribute(w: Formula, f: LoopForest) -> Formula | None:
+def _rule_restrict_distribute(w: Restrict, f: LoopForest) -> Formula | None:
     # ann(w1+c,(h,it)) -> ann(w1,(h,it)) + ann(c,(h,it)) for constants c,
     # which restrict-fold then consumes: keeping the `it` greatest is
     # rank-wise, so it distributes exactly over rank-wise addition.
-    if not (isinstance(w, Restrict) and isinstance(w.operand, Plus)
-            and isinstance(w.count, int) and _loop_of(w.loop, f) is not None):
+    if not (isinstance(w.operand, Plus) and isinstance(w.count, int)
+            and _loop_of(w.loop, f) is not None):
         return None
     consts = [op for op in w.operand.operands if isinstance(op, Const)]
     if not consts:
         return None
     rest = [op for op in w.operand.operands if not isinstance(op, Const)]
-    out = [restrict(op, w.loop, w.count) for op in consts]
+    out = [Restrict(op, w.loop, w.count) for op in consts]
     if rest:
-        out.append(restrict(plus(rest), w.loop, w.count))
+        out.append(Restrict(plus(rest), w.loop, w.count))
     return plus(out)
 
 
-def _rule_restrict_zero(w: Formula, f: LoopForest) -> Formula | None:
-    if isinstance(w, Restrict) and w.operand == CONST_ZERO:
-        return CONST_ZERO
-    return None
+def _rule_restrict_zero(w: Restrict, f: LoopForest) -> Formula | None:
+    return CONST_ZERO if w.operand == CONST_ZERO else None
 
 
 def _loop_of(name: str, f: LoopForest) -> LoopRef | None:
@@ -387,9 +359,8 @@ def _loop_of(name: str, f: LoopForest) -> LoopRef | None:
     return None  # presumably an identifier; cannot fold
 
 
-def _rule_restrict_fold(w: Formula, f: LoopForest) -> Formula | None:
-    if not (isinstance(w, Restrict) and isinstance(w.operand, Const)
-            and isinstance(w.count, int)):
+def _rule_restrict_fold(w: Restrict, f: LoopForest) -> Formula | None:
+    if not (isinstance(w.operand, Const) and isinstance(w.count, int)):
         return None
     ref = _loop_of(w.loop, f)
     if ref is None:
@@ -397,9 +368,7 @@ def _rule_restrict_fold(w: Formula, f: LoopForest) -> Formula | None:
     return Const(restrict_abstract(w.operand.value, ref, w.count, f))
 
 
-def _rule_scalar_fold(w: Formula, f: LoopForest) -> Formula | None:
-    if not isinstance(w, Scalar):
-        return None
+def _rule_scalar_fold(w: Scalar, f: LoopForest) -> Formula | None:
     if isinstance(w.operand, Const):
         if w.operand.value.seq == ZERO_SEQ:
             return CONST_ZERO
@@ -417,153 +386,83 @@ def _rule_scalar_fold(w: Formula, f: LoopForest) -> Formula | None:
         if chain and isinstance(node, Const):
             out: Formula = Const(scalar_abstract(w.coeff, node.value))
             for r in reversed(chain):
-                out = restrict(out, r.loop, r.count)
+                out = Restrict(out, r.loop, r.count)
             return out
     return None
 
 
-def _rule_scalar_restrict(w: Formula, f: LoopForest) -> Formula | None:
+def _rule_scalar_restrict(w: Restrict, f: LoopForest) -> Formula | None:
     # ann(k*w,(h,it)) -> k * ann(w,(h,it)): scaling by k >= 0 keeps the rank
     # order, so it commutes with keeping the `it` greatest.  Scalars float
     # out of restricts; restrict-fold then still sees Const operands.
-    if isinstance(w, Restrict) and isinstance(w.operand, Scalar):
+    if isinstance(w.operand, Scalar):
         inner = w.operand
-        return scalar(inner.coeff, restrict(inner.operand, w.loop, w.count))
+        return scalar(inner.coeff, Restrict(inner.operand, w.loop, w.count))
     return None
 
 
-def _rule_power_zero(w: Formula, f: LoopForest) -> Formula | None:
-    if isinstance(w, Power) and w.body == CONST_ZERO and w.exit == CONST_ZERO:
+def _rule_power_zero(w: Power, f: LoopForest) -> Formula | None:
+    if w.body == CONST_ZERO and w.exit == CONST_ZERO:
         return CONST_ZERO
     return None
 
 
-def _rule_power_extract(w: Formula, f: LoopForest) -> Formula | None:
+def _rule_power_extract(w: Power, f: LoopForest) -> Formula | None:
     # (w1,w2,b)^it -> (w1,0,b)^it + w2: pull the exit out of the loop.
-    if isinstance(w, Power) and w.exit != CONST_ZERO:
-        return plus([power(w.body, CONST_ZERO, w.header, w.count), w.exit])
+    if w.exit != CONST_ZERO:
+        return plus([Power(w.body, CONST_ZERO, w.header, w.count), w.exit])
     return None
 
 
-def _rule_power_fold(w: Formula, f: LoopForest) -> Formula | None:
-    if not (isinstance(w, Power) and isinstance(w.body, Const)
-            and isinstance(w.exit, Const) and isinstance(w.count, int)
-            and isinstance(w.header, str) and w.header in f.loops):
+def _rule_power_fold(w: Power, f: LoopForest) -> Formula | None:
+    if not (isinstance(w.body, Const) and isinstance(w.exit, Const)
+            and isinstance(w.count, int) and isinstance(w.header, str)
+            and w.header in f.loops):
         return None
     return Const(loop_abstract(w.header, w.count, w.body.value,
                                w.exit.value, f))
 
 
-_RULES: tuple[tuple[str, Callable], ...] = (
-    ("plus-const", _rule_plus_const),
-    ("max-const", _rule_max_const),
-    ("mult-merge", _rule_mult_merge),
-    ("restrict-merge", _rule_restrict_merge),
-    ("restrict-distribute", _rule_restrict_distribute),
-    ("distributivity", _rule_distributivity),
-    ("restrict-zero", _rule_restrict_zero),
-    ("restrict-fold", _rule_restrict_fold),
-    ("scalar-fold", _rule_scalar_fold),
-    ("scalar-restrict", _rule_scalar_restrict),
-    ("power-zero", _rule_power_zero),
-    ("power-extract", _rule_power_extract),
-    ("power-fold", _rule_power_fold),
-)
-
-# The one node class each rule can fire on; every rule returns None for
-# any other class, and none fires on a leaf.
-_RULE_NODE: dict[str, type] = {
-    "plus-const": Plus,
-    "max-const": Max,
-    "mult-merge": Plus,
-    "restrict-merge": Plus,
-    "restrict-distribute": Restrict,
-    "distributivity": Max,
-    "restrict-zero": Restrict,
-    "restrict-fold": Restrict,
-    "scalar-fold": Scalar,
-    "scalar-restrict": Restrict,
-    "power-zero": Power,
-    "power-extract": Power,
-    "power-fold": Power,
+# The rewrite system: each node class's rules, in the order they are
+# tried (the first that rewrites a node fires).  A rule is only ever called
+# on a node of its own class; leaves have no rules.
+_RULES: dict[type, tuple[Callable, ...]] = {
+    Plus: (_rule_plus_const, _rule_mult_merge, _rule_restrict_merge),
+    Max: (_rule_max_const, _rule_distributivity),
+    Restrict: (_rule_restrict_distribute, _rule_restrict_zero,
+               _rule_restrict_fold, _rule_scalar_restrict),
+    Scalar: (_rule_scalar_fold,),
+    Power: (_rule_power_zero, _rule_power_extract, _rule_power_fold),
 }
 
 DEFAULT_FUEL = 10_000
 
 
-def _rules_by_node() -> dict[type, tuple[Callable, ...]]:
-    """`_RULES` grouped by the node class each rule fires on, each group in
-    `_RULES` order."""
-    table: dict[type, list[Callable]] = {}
-    for name, rule in _RULES:
-        table.setdefault(_RULE_NODE[name], []).append(rule)
-    return {cls: tuple(rules) for cls, rules in table.items()}
-
-
-def _rewrite(w: Formula, f: LoopForest,
-             table: dict[type, tuple[Callable, ...]]) -> Formula | None:
-    """The first rule's rewrite of w at its root, None when none applies.
-
-    Only the rules `table` lists for w's class are tried; the others
-    cannot fire there.
-    """
-    for rule in table.get(type(w), ()):
+def _rewrite(w: Formula, f: LoopForest) -> Formula | None:
+    """The first rule's rewrite of w at its root, None when none applies."""
+    for rule in _RULES.get(type(w), ()):
         new = rule(w, f)
         if new is not None and new != w:
             return new
     return None
 
 
-def _sites(w: Formula, f: LoopForest):
-    found: list[tuple[tuple[int, ...], str, Formula]] = []
-
-    def walk(node: Formula, path: tuple[int, ...]) -> None:
-        for name, rule in _RULES:
-            new = rule(node, f)
-            if new is not None and new != node:
-                found.append((path, name, new))
-        for i, c in enumerate(_children(node)):
-            walk(c, path + (i,))
-
-    walk(w, ())
-    return found
-
-
-def simplify(w: Formula, f: LoopForest, fuel: int = DEFAULT_FUEL,
-             rng=None) -> Formula:
+def simplify(w: Formula, f: LoopForest, fuel: int = DEFAULT_FUEL) -> Formula:
     """Normal form of w under the rewrite system.
 
     Innermost: children are normalised first (each distinct node once per
-    call), then rules rewrite the rebuilt node until none applies.  Rules
-    are indexed by the node class they fire on, so a node tries only its
-    own class's rules and a leaf none.  The result is independent of
-    application order; `rng` instead applies a random applicable rewrite
-    anywhere in the formula each step (used to test exactly that).  `fuel`
-    bounds the number of rewrite steps.
+    call), then rules rewrite the rebuilt node until none applies.  A node
+    tries only its own class's rules, and a leaf none.  The result is
+    independent of application order.  `fuel` bounds the number of rewrite
+    steps.
     """
     steps = 0
-
-    def spend() -> None:
-        nonlocal steps
-        steps += 1
-        if steps > fuel:
-            raise FuelExhausted(f"no normal form within {fuel} rewrite steps")
-
-    if rng is not None:
-        while True:
-            sites = _sites(w, f)
-            if not sites:
-                return w
-            path, _, new = sites[rng.randrange(len(sites))]
-            w = _rebuild(w, path, new)
-            spend()
-
-    table = _rules_by_node()
     # id(node) -> (node, normal form); the node is kept so its id stays
     # unique for the call.
     memo: dict[int, tuple[Formula, Formula]] = {}
 
     def normal(node: Formula) -> Formula:
+        nonlocal steps
         if isinstance(node, (Const, WcetId)):
             return node
         hit = memo.get(id(node))
@@ -576,10 +475,13 @@ def simplify(w: Formula, f: LoopForest, fuel: int = DEFAULT_FUEL,
                 new_kids = [normal(k) for k in kids]
                 if any(a is not b for a, b in zip(new_kids, kids)):
                     cur = _with_children(cur, new_kids)
-            new = _rewrite(cur, f, table)
+            new = _rewrite(cur, f)
             if new is None:
                 break
-            spend()
+            steps += 1
+            if steps > fuel:
+                raise FuelExhausted(
+                    f"no normal form within {fuel} rewrite steps")
             cur = new
         memo[id(node)] = (node, cur)
         memo[id(cur)] = (cur, cur)
@@ -651,7 +553,7 @@ def gamma_symbolic(t: cft.Cft, f: LoopForest,
                     and type(exit_) is Const and isinstance(node.bound, int)):
                 base = Const(node_value(node, [body.value, exit_.value], f))
             else:
-                base = power(body, exit_, node.header, node.bound)
+                base = Power(body, exit_, node.header, node.bound)
         ann = node.annotation
         if ann is not None and ann.max is not None:
             if fold_concrete and type(base) is Const \
@@ -659,7 +561,7 @@ def gamma_symbolic(t: cft.Cft, f: LoopForest,
                 base = Const(restrict_abstract(base.value, ann.loop,
                                                ann.max, f))
             else:
-                base = restrict(base, str(ann.loop), ann.max)
+                base = Restrict(base, str(ann.loop), ann.max)
         return base
 
     try:
@@ -759,9 +661,9 @@ def substitute(w: Formula, bindings: dict) -> Formula:
     if isinstance(w, Restrict):
         loop = (w.loop if w.loop == "TOP"
                 else _bind_loop(w.loop, bindings, None))
-        return restrict(substitute(w.operand, bindings), loop,
+        return Restrict(substitute(w.operand, bindings), loop,
                         _bind_int(w.count, bindings, require=False))
-    return power(substitute(w.body, bindings), substitute(w.exit, bindings),
+    return Power(substitute(w.body, bindings), substitute(w.exit, bindings),
                  _bind_loop(w.header, bindings, None),
                  _bind_int(w.count, bindings, require=False))
 
@@ -883,74 +785,85 @@ def parse(text: str) -> Formula:
     """Parse the textual formula form (inverse of render).
 
     Constants may spell their rankings with runs (`[105^5|70]`) or
-    expanded (`[105,105,105,105,105|70]`); see `awcet.parse_seq`.
+    expanded (`[105,105,105,105,105|70]`); see `awcet.parse_seq`.  Every
+    other atom is an integer or an identifier (`cfg.is_identifier`), as
+    `render` prints them; anything else raises ValueError.
     """
     tokens = _TOKEN_RE.findall(text)
-    pos = 0
-
-    def peek() -> str | None:
-        return tokens[pos] if pos < len(tokens) else None
-
-    def take() -> str:
-        nonlocal pos
-        if pos >= len(tokens):
-            raise ValueError("unexpected end of formula text")
-        pos += 1
-        return tokens[pos - 1]
-
-    def value(tok: str) -> Value:
-        return int(tok) if _INT_RE.match(tok) else tok
-
-    def expr() -> Formula:
-        tok = take()
-        if tok != "(":
-            return WcetId(tok)
-        head = take()
-        if head.startswith("l="):
-            parts = [head]
-            while peek() != ")":
-                parts.append(take())
-            take()
-            body = "".join(parts)[2:]
-            loop_txt, _, seq_txt = body.partition(",")
-            return Const(abstract(parse_loop_ref(loop_txt),
-                                  parse_seq(seq_txt.strip())))
-        if head == "+":
-            ops = []
-            while peek() != ")":
-                ops.append(expr())
-            take()
-            return plus(ops)
-        if head == "max":
-            ops = []
-            while peek() != ")":
-                ops.append(expr())
-            take()
-            return max_(ops)
-        if head == "*":
-            k = value(take())
-            op = expr()
-            if take() != ")":
-                raise ValueError("malformed scalar")
-            return scalar(k, op)
-        if head == "pow":
-            body_f = expr()
-            exit_f = expr()
-            header = value(take())
-            count = value(take())
-            if take() != ")":
-                raise ValueError("malformed pow")
-            return power(body_f, exit_f, header, count)
-        if head == "ann":
-            op = expr()
-            loop = take()
-            count = value(take())
-            if take() != ")":
-                raise ValueError("malformed ann")
-            return restrict(op, loop, count)
-        raise ValueError(f"unknown operator {head!r}")
-
-    result = expr()
-    if pos != len(tokens):
+    tokens.reverse()  # the next token is the last
+    result = _parse_expr(tokens)
+    if tokens:
         raise ValueError("trailing tokens in formula text")
     return result
+
+
+def _take(tokens: list[str]) -> str:
+    if not tokens:
+        raise ValueError("unexpected end of formula text")
+    return tokens.pop()
+
+
+def _close(tokens: list[str], what: str) -> None:
+    if _take(tokens) != ")":
+        raise ValueError(f"malformed {what}")
+
+
+def _name(tok: str) -> str:
+    if not is_identifier(tok):
+        raise ValueError(f"{tok!r} is not an identifier")
+    return tok
+
+
+def _value(tok: str) -> Value:
+    if _INT_RE.match(tok):
+        return int(tok)
+    if not is_identifier(tok):
+        raise ValueError(f"{tok!r} is neither an integer nor an identifier")
+    return tok
+
+
+def _operands(tokens: list[str]) -> list[Formula]:
+    """Formulas up to the closing parenthesis, which is consumed."""
+    ops = []
+    while tokens[-1:] != [")"]:
+        ops.append(_parse_expr(tokens))
+    tokens.pop()
+    return ops
+
+
+def _parse_expr(tokens: list[str]) -> Formula:
+    tok = _take(tokens)
+    if tok != "(":
+        return WcetId(_name(tok))
+    head = _take(tokens)
+    if head.startswith("l="):
+        parts = [head]
+        while tokens[-1:] != [")"]:
+            parts.append(_take(tokens))
+        tokens.pop()
+        loop_txt, _, seq_txt = "".join(parts)[2:].partition(",")
+        return Const(abstract(parse_loop_ref(_name(loop_txt)),
+                              parse_seq(seq_txt.strip())))
+    if head == "+":
+        return plus(_operands(tokens))
+    if head == "max":
+        return max_(_operands(tokens))
+    if head == "*":
+        k = _value(_take(tokens))
+        op = _parse_expr(tokens)
+        _close(tokens, "scalar")
+        return scalar(k, op)
+    if head == "pow":
+        body = _parse_expr(tokens)
+        exit_ = _parse_expr(tokens)
+        header = _value(_take(tokens))
+        count = _value(_take(tokens))
+        _close(tokens, "pow")
+        return Power(body, exit_, header, count)
+    if head == "ann":
+        op = _parse_expr(tokens)
+        loop = _name(_take(tokens))
+        count = _value(_take(tokens))
+        _close(tokens, "ann")
+        return Restrict(op, loop, count)
+    raise ValueError(f"unknown operator {head!r}")

@@ -6,24 +6,23 @@ from __future__ import annotations
 
 import json
 import random
+import re
+from typing import Iterable
 
-from symwcet import cft
-from symwcet.awcet import abstract, const_seq, make_seq
-from symwcet.cfg import TOP, build_loop_forest, loop_ref, parse_program
+from symwcet import awcet, cft, symbolic
+from symwcet.awcet import AbstractWcet, WcetSeq, abstract, const_seq, parse_seq
+from symwcet.cfg import (TOP, LoopForest, build_loop_forest, loop_ref,
+                         parse_loop_ref, parse_program)
+from symwcet.errors import FuelExhausted
 from symwcet.pipeline import analyze_text
 from symwcet.symbolic import (
     Const,
     Formula,
-    Plus,
-    Max,
     Power,
     Restrict,
-    Scalar,
     WcetId,
     max_,
     plus,
-    power,
-    restrict,
     scalar,
 )
 
@@ -431,11 +430,11 @@ def random_formula(rng: random.Random, depth: int = 3) -> Formula:
     if kind == "power":
         header = rng.choice(_HEADERS + _LOOP_IDS)
         count = rng.choice([1, 2, 3, rng.choice(_COUNT_IDS)])
-        return power(random_formula(rng, depth - 1),
+        return Power(random_formula(rng, depth - 1),
                      random_formula(rng, depth - 1), header, count)
     loop = rng.choice(_HEADERS + _LOOP_IDS + ("TOP",))
     count = rng.choice([1, 2, 3, rng.choice(_COUNT_IDS)])
-    return restrict(random_formula(rng, depth - 1), loop, count)
+    return Restrict(random_formula(rng, depth - 1), loop, count)
 
 
 def random_bindings(rng: random.Random) -> dict:
@@ -447,3 +446,64 @@ def random_bindings(rng: random.Random) -> dict:
     for lp in _LOOP_IDS:
         out[lp] = rng.choice(_HEADERS)
     return out
+
+
+# ---------------------------------------------------------------------------
+# References
+# ---------------------------------------------------------------------------
+
+
+def make_seq(elems: Iterable[int], tail: int) -> WcetSeq:
+    """Canonical sequence of the given costs, elements <= tail absorbed."""
+    return awcet._canon(((e, 1) for e in sorted(elems, reverse=True)), tail)
+
+
+_AW_RE = re.compile(r"\(loop=([^,]+),\s*(\[[0-9,^]*\|\d+\])\)\Z")
+
+
+def parse_abstract(text: str) -> AbstractWcet:
+    """Inverse of `str` on an abstract WCET, e.g. `(loop=TOP, [5|3])`."""
+    m = _AW_RE.match(text)
+    if not m:
+        raise ValueError(f"bad abstract WCET literal {text!r}")
+    return abstract(parse_loop_ref(m.group(1)), parse_seq(m.group(2)))
+
+
+def _sites(w: Formula, f: LoopForest, path: tuple[int, ...] = ()
+           ) -> list[tuple[tuple[int, ...], Formula]]:
+    """(path, rewrite) for every rule that rewrites a node of w: nodes in
+    preorder, each node's rules in `symbolic._RULES` order."""
+    found = []
+    for rule in symbolic._RULES.get(type(w), ()):
+        new = rule(w, f)
+        if new is not None and new != w:
+            found.append((path, new))
+    for i, c in enumerate(symbolic._children(w)):
+        found += _sites(c, f, path + (i,))
+    return found
+
+
+def _rebuild(w: Formula, path: tuple[int, ...], new: Formula) -> Formula:
+    if not path:
+        return new
+    kids = list(symbolic._children(w))
+    kids[path[0]] = _rebuild(kids[path[0]], path[1:], new)
+    return symbolic._with_children(w, kids)
+
+
+def random_schedule_simplify(w: Formula, f: LoopForest, rng: random.Random,
+                             fuel: int = symbolic.DEFAULT_FUEL) -> Formula:
+    """Reference rewriter for confluence checks: each step applies one
+    rewrite drawn with `rng` from every rule site in the whole formula,
+    until none applies.  `symbolic.simplify` must reach the same normal
+    form under any such schedule."""
+    steps = 0
+    while True:
+        sites = _sites(w, f)
+        if not sites:
+            return w
+        path, new = sites[rng.randrange(len(sites))]
+        w = _rebuild(w, path, new)
+        steps += 1
+        if steps > fuel:
+            raise FuelExhausted(f"no normal form within {fuel} rewrite steps")

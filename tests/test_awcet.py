@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import generators as gen
+from generators import make_seq, parse_abstract
 from symwcet.awcet import (
     ZERO,
     ZERO_SEQ,
@@ -22,7 +23,6 @@ from symwcet.awcet import (
     fold,
     gamma,
     loop_abstract,
-    make_seq,
     max_abstract,
     ms_group,
     ms_index,
@@ -30,7 +30,6 @@ from symwcet.awcet import (
     ms_ranksum,
     ms_restrict,
     ms_scalar,
-    parse_abstract,
     parse_seq,
     plus_abstract,
     restrict_abstract,

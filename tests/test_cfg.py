@@ -343,9 +343,9 @@ def test_fig2_loop_forest():
     assert inner.entry_edges == (("b1", "b2"),)
     assert outer.exit_edges == (("b1", "b5"),)
     assert f.parent == {"b1": None, "b2": "b1"}
-    assert f.innermost("b4") == "b2"
-    assert f.innermost("b3") == "b1"
-    assert f.innermost("b5") is None
+    assert f.block_loop.get("b4") == "b2"
+    assert f.block_loop.get("b3") == "b1"
+    assert f.block_loop.get("b5") is None
 
 
 def test_missing_bound_defaults_to_symbolic():

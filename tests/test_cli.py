@@ -1,8 +1,12 @@
-"""CLI subcommands, exit codes, and output schemas (all in-process)."""
+"""CLI subcommands, exit codes, and output schemas (in-process, except the
+`python -m symwcet` entry point)."""
 
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -11,7 +15,8 @@ import generators as gen
 from symwcet import cli
 from symwcet.oracle import SoundnessReport
 
-SAMPLES = Path(__file__).resolve().parent.parent / "samples"
+ROOT = Path(__file__).resolve().parent.parent
+SAMPLES = ROOT / "samples"
 
 
 @pytest.fixture()
@@ -361,7 +366,7 @@ def test_oracle_violation_exits_4(capsys, monkeypatch, fig2_path):
 
 def test_self_check_mismatch_exits_4(capsys, monkeypatch, sym_path):
     monkeypatch.setattr(cli.symbolic, "simplify",
-                        lambda w, f=None, fuel=0, rng=None: cli.symbolic.CONST_ZERO)
+                        lambda w, f=None, fuel=0: cli.symbolic.CONST_ZERO)
     code, _, err = _run(capsys, ["wcet", "--input", sym_path,
                                  "--bind", "x_b2=2", "--self-check"])
     assert code == 4 and "self-check failed" in err
@@ -455,3 +460,14 @@ def test_memory_error_exits_3(capsys, monkeypatch, fig2_path):
     code, out, err = _run(capsys, ["check", "--input", fig2_path])
     assert code == 3 and out == ""
     assert err == "error: out of memory\n"
+
+
+def test_module_entry_point():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "symwcet", "wcet", "--input",
+                           "samples/fig2.json"], capture_output=True,
+                          text=True, env=env, timeout=120, cwd=ROOT)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "60\n"

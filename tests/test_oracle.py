@@ -21,14 +21,27 @@ from symwcet.oracle import (
     gpaths_bounded,
     leaf_path_wcet,
     occ,
-    path_wcet,
     prep,
     tpaths,
 )
-from symwcet.oracle import _entry_maxima, _external_filters, _max_word_wcet
+from symwcet.oracle import (_entry_maxima, _external_filters, _require_int,
+                            _spread_maximum)
 from symwcet.pipeline import analyze_text
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
+
+
+def path_wcet(g, path: tuple[str, ...]) -> int:
+    """Cost of a program path; a symbolic block cost is refused."""
+    return sum(_require_int(g.blocks[b].wcet, f"cost of block {b!r}")
+               for b in path)
+
+
+def _max_word_wcet(t: cft.Cft, entries: int, n: int,
+                   max_paths: int = oracle.MAX_PATHS) -> int | None:
+    """Largest cost of n runs of t spread over `entries` entries, each entry
+    getting fresh external caps; None when no distribution is feasible."""
+    return _spread_maximum(_entry_maxima(t, n, max_paths), entries, n)
 
 
 @pytest.fixture(scope="module")

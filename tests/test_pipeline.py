@@ -28,12 +28,14 @@ def _run_pipeline(text: str):
     assert not loops
     bindings = {c: abstract(TOP, const_seq(3)) for c in costs}
     bindings.update({c: 2 for c in counts})
-    return symbolic.evaluate(simplified, bindings, a.forest)
+    symbolic.evaluate(simplified, bindings, a.forest)
+    assert symbolic.parse(symbolic.render(simplified)) == simplified
 
 
 def test_pipeline_leaves_no_reference_cycles():
-    # Nothing a run builds (forest, tree, formulas, memo tables) waits for
-    # the cycle collector: reference counting frees it all.
+    # Nothing a run builds (forest, tree, formulas, memo tables, the
+    # formula parsed back from its text) waits for the cycle collector:
+    # reference counting frees it all.
     texts = [json.dumps(gen.scaling_doc(500))]
     texts += [p.read_text() for p in SAMPLES]
     gc.collect()

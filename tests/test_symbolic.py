@@ -8,6 +8,7 @@ import random
 import pytest
 
 import generators as gen
+from generators import parse_abstract
 from symwcet import cft, symbolic
 from symwcet.awcet import (
     ZERO,
@@ -19,7 +20,6 @@ from symwcet.awcet import (
     ms_merge,
     ms_ranksum,
     node_value,
-    parse_abstract,
     parse_seq,
     plus_abstract,
     restrict_abstract,
@@ -36,6 +36,7 @@ from symwcet.symbolic import (
     Const,
     Max,
     Plus,
+    Power,
     Restrict,
     Scalar,
     WcetId,
@@ -47,9 +48,7 @@ from symwcet.symbolic import (
     operand_count,
     parse,
     plus,
-    power,
     render,
-    restrict,
     scalar,
     simplify,
     sort_key,
@@ -153,7 +152,7 @@ def test_mult_merge_rule(forest):
 
 def test_restrict_merge_symbolic_count(forest):
     got = _nf("(+ (ann w1 h1 k1) (ann w2 h1 k1))", forest)
-    assert got == restrict(plus([W1, W2]), "h1", "k1")
+    assert got == Restrict(plus([W1, W2]), "h1", "k1")
     # Different keys stay apart.
     kept = _nf("(+ (ann w1 h1 k1) (ann w2 h1 k2))", forest)
     assert isinstance(kept, Plus)
@@ -162,7 +161,7 @@ def test_restrict_merge_symbolic_count(forest):
 def test_restrict_distribute_feeds_fold(forest):
     got = _nf("(ann (+ (l=TOP,[|5]) w1) h1 2)", forest)
     assert got == plus([Const(parse_abstract("(loop=h1, [5,5|0])")),
-                        restrict(W1, "h1", 2)])
+                        Restrict(W1, "h1", 2)])
 
 
 def test_restrict_zero_rule(forest):
@@ -184,15 +183,15 @@ def test_scalar_fold_rule(forest):
 
 def test_scalar_folds_through_restrict_chain(forest):
     got = _nf("(* 3 (ann (l=TOP,[|5]) h1 k1))", forest)
-    assert got == restrict(Const(parse_abstract("(loop=TOP, [|15])")), "h1", "k1")
+    assert got == Restrict(Const(parse_abstract("(loop=TOP, [|15])")), "h1", "k1")
     deep = _nf("(* 2 (ann (ann (l=TOP,[|5]) lp1 1) h3 k2))", forest)
-    assert deep == restrict(restrict(Const(parse_abstract("(loop=TOP, [|10])")),
+    assert deep == Restrict(Restrict(Const(parse_abstract("(loop=TOP, [|10])")),
                                      "lp1", 1), "h3", "k2")
 
 
 def test_scalar_pulled_out_of_restrict(forest):
     got = _nf("(ann (* k1 w1) h1 2)", forest)
-    assert got == Scalar("k1", restrict(W1, "h1", 2))
+    assert got == Scalar("k1", Restrict(W1, "h1", 2))
 
 
 def test_distributivity_rule(forest):
@@ -214,7 +213,7 @@ def test_power_zero_rule(forest):
 
 def test_power_extract_rule(forest):
     got = _nf("(pow w1 w2 h1 2)", forest)
-    assert got == plus([power(W1, CONST_ZERO, "h1", 2), W2])
+    assert got == plus([Power(W1, CONST_ZERO, "h1", 2), W2])
 
 
 def test_power_fold_rule(forest):
@@ -234,8 +233,9 @@ def test_simplify_schedule_independent(forest):
     for i in range(150):
         w = gen.random_formula(rng, depth=3)
         nf = simplify(w, forest)
-        assert simplify(w, forest, rng=random.Random(i)) == nf
-        assert simplify(w, forest, rng=random.Random(i * 7 + 1)) == nf
+        assert gen.random_schedule_simplify(w, forest, random.Random(i)) == nf
+        assert gen.random_schedule_simplify(
+            w, forest, random.Random(i * 7 + 1)) == nf
         assert simplify(nf, forest) == nf  # idempotent
 
 
@@ -283,7 +283,8 @@ def test_innermost_matches_random_schedules_on_documents():
         for fold in (True, False):
             raw = gamma_symbolic(a.tree, a.forest, fold_concrete=fold)
             nf = simplify(raw, a.forest)
-            assert simplify(raw, a.forest, rng=random.Random(i)) == nf, doc
+            assert gen.random_schedule_simplify(
+                raw, a.forest, random.Random(i)) == nf, doc
             assert simplify(nf, a.forest) is nf
 
 
@@ -313,12 +314,18 @@ def test_merge_values_matches_pairwise_scan(forest):
                     == _pairwise_scan(values, forest, seq_op)), values
 
 
+def _wrapped(table, wrap):
+    """The rule table with every rule replaced by wrap(rule)."""
+    return {cls: tuple(wrap(r) for r in rules) for cls, rules in table.items()}
+
+
 def test_simplify_rule_calls_linear_on_chain(monkeypatch):
     # Work count, not time: each distinct node and each rewrite step tries
     # the rules about once.  Recomputing every site after each step costs
     # steps x nodes calls here (about 80 x 1000, unfolded 500 x 1500).
     a = analyze_text(json.dumps(_symbolic_scaling_doc(500)))
     rules = symbolic._RULES
+    n_rules = sum(len(r) for r in rules.values())
     for fold in (True, False):
         w = gamma_symbolic(a.tree, a.forest, fold_concrete=fold)
         calls = steps = 0
@@ -332,11 +339,10 @@ def test_simplify_rule_calls_linear_on_chain(monkeypatch):
                 return new
             return call
 
-        monkeypatch.setattr(symbolic, "_RULES",
-                            tuple((name, counted(r)) for name, r in rules))
+        monkeypatch.setattr(symbolic, "_RULES", _wrapped(rules, counted))
         simplify(w, a.forest)
         assert steps > 50
-        assert calls <= 2 * len(rules) * (formula_size(w) + steps)
+        assert calls <= 2 * n_rules * (formula_size(w) + steps)
 
 
 def _nodes(w):
@@ -356,22 +362,63 @@ def random_nodes():
             for n in _nodes(gen.random_formula(rng, depth=3))]
 
 
-def test_rules_fire_only_on_their_node_class(forest, random_nodes):
-    # The premise of indexing rules by node class: a rule returns None for
-    # every node that is not of the class it is indexed under.
-    classes = {type(n) for n in random_nodes}
-    assert classes == {Const, WcetId, Plus, Max, Scalar, symbolic.Power,
-                       Restrict}
-    assert set(symbolic._RULE_NODE) == {name for name, _ in symbolic._RULES}
+def test_rule_table_holds_each_rule_once_under_its_class(random_nodes):
+    # Every rule is listed once, under one node class; leaves have no rules.
+    table = symbolic._RULES
+    assert set(table) == {Plus, Max, Scalar, Power, Restrict}
+    listed = [rule for rules in table.values() for rule in rules]
+    defined = {v for k, v in vars(symbolic).items() if k.startswith("_rule_")}
+    assert len(listed) == len(set(listed)) == len(defined) == 13
+    assert set(listed) == defined
+    assert {type(n) for n in random_nodes} == {Const, WcetId, *table}
+
+
+def test_rules_fire_only_on_their_node_class(forest, random_nodes,
+                                             monkeypatch):
+    # Rules do not test their node's class: rewriting must only ever call
+    # a rule on nodes of the class it is listed under.
+    home = {rule: cls for cls, rules in symbolic._RULES.items()
+            for rule in rules}
+    seen = []
+
+    def recorded(rule):
+        def call(node, f):
+            seen.append((rule, type(node)))
+            new = rule(node, f)
+            assert new is None or isinstance(new, symbolic.Formula), \
+                (rule.__name__, render(node))
+            return new
+        return call
+
+    monkeypatch.setattr(symbolic, "_RULES",
+                        _wrapped(symbolic._RULES, recorded))
     for node in random_nodes:
-        for name, rule in symbolic._RULES:
-            if type(node) is not symbolic._RULE_NODE[name]:
-                assert rule(node, forest) is None, (name, render(node))
+        symbolic._rewrite(node, forest)
+    for node in random_nodes[::50]:
+        simplify(node, forest)
+    assert {rule for rule, _ in seen} == set(home)
+    for rule, cls in seen:
+        assert cls is home[rule], rule.__name__
+
+
+# The thirteen rules in the one global order they were once scanned in.
+_SCAN_ORDER = (
+    "plus_const", "max_const", "mult_merge", "restrict_merge",
+    "restrict_distribute", "distributivity", "restrict_zero",
+    "restrict_fold", "scalar_fold", "scalar_restrict", "power_zero",
+    "power_extract", "power_fold",
+)
 
 
 def _reference_rewrite(w, f):
-    """Rewrite by a scan of every rule in `_RULES` order."""
-    for _, rule in symbolic._RULES:
+    """Rewrite by a scan of every rule in `_SCAN_ORDER`, each tried on the
+    nodes of its own class only."""
+    home = {rule: cls for cls, rules in symbolic._RULES.items()
+            for rule in rules}
+    for name in _SCAN_ORDER:
+        rule = getattr(symbolic, f"_rule_{name}")
+        if type(w) is not home[rule]:
+            continue
         new = rule(w, f)
         if new is not None and new != w:
             return new
@@ -379,11 +426,12 @@ def _reference_rewrite(w, f):
 
 
 def test_rewrite_matches_full_scan(forest, random_nodes):
-    table = symbolic._rules_by_node()
+    # The class-keyed table keeps, within each class, the order of the
+    # global scan, so the first rule to fire is the same one.
     fired = 0
     for node in random_nodes:
         want = _reference_rewrite(node, forest)
-        assert symbolic._rewrite(node, forest, table) == want, render(node)
+        assert symbolic._rewrite(node, forest) == want, render(node)
         fired += want is not None
     assert fired > 1000
 
@@ -515,14 +563,14 @@ def _reference_gamma_symbolic(t, f):
         elif isinstance(node, cft.Seq):
             base = plus(kids)
         else:
-            base = power(kids[0], kids[1], node.header, node.bound)
+            base = Power(kids[0], kids[1], node.header, node.bound)
         ann = node.annotation
         if ann is not None and ann.max is not None:
             if isinstance(base, Const) and isinstance(ann.max, int):
                 base = Const(restrict_abstract(base.value, ann.loop,
                                                ann.max, f))
             else:
-                base = restrict(base, str(ann.loop), ann.max)
+                base = Restrict(base, str(ann.loop), ann.max)
         return base
 
     return build(t)
@@ -565,8 +613,8 @@ def test_build_fold_matches_reference_on_frozen_corpus(monkeypatch):
             return new
         return call
 
-    monkeypatch.setattr(symbolic, "_RULES", tuple(
-        (name, counted(r)) for name, r in symbolic._RULES))
+    monkeypatch.setattr(symbolic, "_RULES",
+                        _wrapped(symbolic._RULES, counted))
     fewer = 0
     for doc in docs:
         a = analyze_text(json.dumps(doc))
@@ -604,7 +652,7 @@ def test_substitute_type_errors():
     with pytest.raises(TypeMismatch):
         substitute(scalar("k1", W1), {"k1": -2})
     with pytest.raises(TypeMismatch):
-        substitute(restrict(W1, "lp1", 1), {"lp1": 9})
+        substitute(Restrict(W1, "lp1", 1), {"lp1": 9})
 
 
 def test_evaluate_requires_bindings(forest):
@@ -613,7 +661,7 @@ def test_evaluate_requires_bindings(forest):
     with pytest.raises(UnboundIdentifier):
         evaluate(scalar("k1", CONST_ZERO), {}, forest)
     with pytest.raises(UnboundIdentifier):
-        evaluate(power(CONST_ZERO, CONST_ZERO, "h1", "k1"), {}, forest)
+        evaluate(Power(CONST_ZERO, CONST_ZERO, "h1", "k1"), {}, forest)
 
 
 _V5 = abstract(TOP, const_seq(5))
@@ -705,7 +753,7 @@ def test_free_identifiers_classification(forest):
 
 
 def test_loop_binding_resolves_restrict(forest):
-    w = restrict(Const(abstract(TOP, parse_seq("[|5]"))), "lp1", 2)
+    w = Restrict(Const(abstract(TOP, parse_seq("[|5]"))), "lp1", 2)
     got = evaluate(w, {"lp1": "h1"}, forest)
     assert got == parse_abstract("(loop=h1, [5,5|0])")
 
@@ -723,6 +771,7 @@ def test_parse_render_roundtrip_random():
 
 
 def test_parse_errors():
-    for bad in ["(?? w1)", "(+ w1", "(* 2 w1) trailing", "(ann w1 TOP)"]:
+    for bad in ["(?? w1)", "(+ w1", "(* 2 w1) trailing", "(ann w1 TOP)",
+                ")", "(ann a ) 3)", "(* -1 x)"]:
         with pytest.raises(ValueError):
             parse(bad)
