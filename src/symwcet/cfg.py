@@ -457,7 +457,7 @@ class LoopForest:
     block_loop: dict[str, str]  # block -> smallest loop around it, document order
     idom: dict[str, str | None]  # block -> immediate dominator (entry: None)
     # block -> number in the reverse postorder of the dominator pass's DFS
-    rpo: dict[str, int] = field(default_factory=dict)
+    rpo: dict[str, int]
 
 
 def build_loop_forest(g: Cfg, bounds: dict[str, int | str] | None = None) -> LoopForest:

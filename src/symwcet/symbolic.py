@@ -630,7 +630,7 @@ def _bind_loop(v: Value, bindings: dict, f: LoopForest | None) -> Value:
     if isinstance(v, str):
         if v in bindings:
             val = bindings[v]
-            if not isinstance(val, str):
+            if not is_identifier(val):
                 raise TypeMismatch(f"loop identifier {v!r} must bind a "
                                    f"block id, got {val!r}")
             return val

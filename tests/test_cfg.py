@@ -255,7 +255,7 @@ def _three_pass_loop_forest(g):
     """The loop forest from three graph passes: the dominator pass, a
     dominance test on every edge for the back edges, then the cycle search
     on the graph without them."""
-    idom = immediate_dominators(g.entry, g.succs, g.preds)[0]
+    idom, rpo = immediate_dominators(g.entry, g.succs, g.preds)
     span = _dom_intervals(idom)
     backs = []
     for s, t in g.edges:
@@ -295,7 +295,8 @@ def _three_pass_loop_forest(g):
                          tuple(entries[h]), tuple(exits[h]), f"x_{h}")
              for h in headers}
     block_loop = {b: inner[b] for b in g.blocks if b in inner}
-    return LoopForest(loops, {h: parent[h] for h in headers}, block_loop, idom)
+    return LoopForest(loops, {h: parent[h] for h in headers}, block_loop,
+                      idom, rpo)
 
 
 def _forest_or_error(build, g):

@@ -1,6 +1,7 @@
 """The library holds only what the program uses: every top-level function
 and class in src/symwcet is referred to, outside its own definition, from
-src/, perfbench/ or README.md.  Code that only tests call lives in tests/."""
+src/, perfbench/ or README.md, and every field of its classes is read
+there.  Code that only tests call lives in tests/."""
 
 from __future__ import annotations
 
@@ -52,3 +53,28 @@ def test_every_library_definition_has_a_non_test_user():
             if not here and d.name not in elsewhere:
                 unused.append(f"{path.name}: {d.name}")
     assert unused == []
+
+
+def test_every_record_field_has_a_non_test_reader():
+    # A field counts as read when src/ or perfbench/ loads an attribute, or
+    # passes a keyword, of its name; README words do not count.
+    readers: set[str] = set()
+    trees = {path: ast.parse(path.read_text()) for path in USERS}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute)
+                    and isinstance(node.ctx, ast.Load)):
+                readers.add(node.attr)
+            elif isinstance(node, ast.keyword) and node.arg:
+                readers.add(node.arg)
+    unread = []
+    for path in MODULES:
+        for cls in ast.walk(trees[path]):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for stmt in cls.body:
+                if (isinstance(stmt, ast.AnnAssign)
+                        and isinstance(stmt.target, ast.Name)
+                        and stmt.target.id not in readers):
+                    unread.append(f"{path.name}: {cls.name}.{stmt.target.id}")
+    assert unread == []

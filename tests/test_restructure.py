@@ -1,4 +1,4 @@
-"""Loop-DAG construction, forced passage, and CFG-to-tree restructuring."""
+"""Region graphs, forced passage, and CFG-to-tree restructuring."""
 
 from __future__ import annotations
 
@@ -9,8 +9,8 @@ import pytest
 
 import generators as gen
 from symwcet import cfg, cft, restructure
-from symwcet.cfg import TOP, build_loop_forest, parse_program
-from symwcet.restructure import build_cft, forced_passage, region_dags
+from symwcet.cfg import build_loop_forest, parse_program
+from symwcet.restructure import DagNode, _Builder, build_cft
 
 
 def _fig2():
@@ -18,51 +18,84 @@ def _fig2():
     return p.cfg, build_loop_forest(p.cfg, p.loop_bounds)
 
 
-def _shape(dag):
-    nodes = sorted(str(n) for n in dag.nodes)
-    edges = sorted((str(a), str(b)) for a, b in dag.edges)
-    return nodes, edges
+def _region(b: _Builder, level: str | None):
+    """The region graph of loop `level` (None: the program) as the builder
+    reads it: its start, its nodes (blocks whose innermost loop is the
+    level, loops whose parent is, and the two sinks), each node's
+    predecessors, and its dominator tree over the nodes reachable from the
+    start."""
+    f = b.f
+    start = (b.block_node[level] if level is not None
+             else b.representative(b.g.entry, None))
+    nodes = [b.block_node[x] for x in b.g.blocks
+             if f.block_loop.get(x) == level]
+    nodes += [b.loop_node[h] for h in f.loops if f.parent[h] == level]
+    nodes += [DagNode("next", level or ""), DagNode("exit", level or "")]
+    preds = {n: b.preds(n) for n in nodes}
+    idom = {n: b.idom(n) for n in nodes
+            if n.kind in ("block", "loop") or preds[n]}
+    return start, nodes, preds, idom
+
+
+def _regions(g, f):
+    b = _Builder(g, f)
+    return b, {level: _region(b, level) for level in (None, *f.loops)}
+
+
+def _succs(nodes, preds):
+    succs = {n: [] for n in nodes}
+    for n in nodes:
+        for q in preds[n]:
+            succs[q].append(n)
+    return succs
+
+
+def _shape(nodes, preds):
+    names = sorted(str(n) for n in nodes)
+    edges = sorted((str(p), str(n)) for n in nodes for p in preds[n])
+    return names, edges
+
+
+def _passage(b, start, end):
+    return [str(n) for n in b.passage(start, end)]
 
 
 # ---------------------------------------------------------------------------
-# Region DAGs for the running example
+# Region graphs for the running example
 # ---------------------------------------------------------------------------
 
 
 def test_outer_loop_dag():
-    g, f = _fig2()
-    dag = region_dags(g, f)["b1"]
-    nxt, ext = dag.next, dag.exit
-    nodes, edges = _shape(dag)
-    assert nodes == ["L_b2", "b1", "b3", "b6", "exit", "next"]
-    assert edges == [("L_b2", "b3"), ("b1", "L_b2"), ("b1", "b6"),
-                     ("b1", "exit"), ("b3", "next"), ("b6", "b3")]
-    assert str(dag.start) == "b1"
-    assert [str(n) for n in forced_passage(dag, nxt)] == ["b3", "next"]
-    assert [str(n) for n in forced_passage(dag, ext)] == ["exit"]
+    b, regions = _regions(*_fig2())
+    start, nodes, preds, _ = regions["b1"]
+    assert _shape(nodes, preds) == (
+        ["L_b2", "b1", "b3", "b6", "exit", "next"],
+        [("L_b2", "b3"), ("b1", "L_b2"), ("b1", "b6"), ("b1", "exit"),
+         ("b3", "next"), ("b6", "b3")])
+    assert str(start) == "b1"
+    assert _passage(b, start, DagNode("next", "b1")) == ["b3", "next"]
+    assert _passage(b, start, DagNode("exit", "b1")) == ["exit"]
 
 
 def test_inner_loop_dag():
-    g, f = _fig2()
-    dag = region_dags(g, f)["b2"]
-    nxt, ext = dag.next, dag.exit
-    nodes, edges = _shape(dag)
-    assert nodes == ["b2", "b4", "exit", "next"]
-    assert edges == [("b2", "b4"), ("b2", "exit"), ("b4", "next")]
-    assert str(dag.start) == "b2"
-    assert [str(n) for n in forced_passage(dag, ext)] == ["exit"]
-    assert [str(n) for n in forced_passage(dag, nxt)] == ["b4", "next"]
+    b, regions = _regions(*_fig2())
+    start, nodes, preds, _ = regions["b2"]
+    assert _shape(nodes, preds) == (
+        ["b2", "b4", "exit", "next"],
+        [("b2", "b4"), ("b2", "exit"), ("b4", "next")])
+    assert str(start) == "b2"
+    assert _passage(b, start, DagNode("exit", "b2")) == ["exit"]
+    assert _passage(b, start, DagNode("next", "b2")) == ["b4", "next"]
 
 
 def test_top_level_dag():
-    g, f = _fig2()
-    dag = region_dags(g, f)[None]
-    nxt, ext = dag.next, dag.exit
-    nodes, edges = _shape(dag)
-    assert nodes == ["L_b1", "b5", "exit", "next"]
-    assert edges == [("L_b1", "b5"), ("b5", "exit")]
-    assert str(dag.start) == "L_b1"
-    assert [str(n) for n in forced_passage(dag, ext)] == ["b5", "exit"]
+    b, regions = _regions(*_fig2())
+    start, nodes, preds, _ = regions[None]
+    assert _shape(nodes, preds) == (
+        ["L_b1", "b5", "exit", "next"],
+        [("L_b1", "b5"), ("b5", "exit")])
+    assert str(start) == "L_b1"
+    assert _passage(b, start, DagNode("exit")) == ["b5", "exit"]
 
 
 def test_dags_are_acyclic_on_random_docs():
@@ -71,38 +104,37 @@ def test_dags_are_acyclic_on_random_docs():
         doc = gen.random_doc(rng, depth=3, noise=3)
         p = parse_program(json.dumps(doc))
         f = build_loop_forest(p.cfg, p.loop_bounds)
-        for dag in region_dags(p.cfg, f).values():
+        b, regions = _regions(p.cfg, f)
+        for _, nodes, preds, _ in regions.values():
+            # Predecessors are distinct nodes of the same region, never
+            # the node itself, in `node_key` order (the order of an Alt's
+            # children).
+            for n in nodes:
+                assert preds[n] == sorted(set(preds[n]), key=b.node_key), doc
+                assert n not in preds[n] and set(preds[n]) <= set(nodes), doc
             # Kahn: consuming every node proves acyclicity.
-            indeg = {n: 0 for n in dag.nodes}
-            for _, b in dag.edges:
-                indeg[b] += 1
+            succs = _succs(nodes, preds)
+            indeg = {n: len(preds[n]) for n in nodes}
             queue = [n for n, d in indeg.items() if d == 0]
             seen = 0
             while queue:
                 n = queue.pop()
                 seen += 1
-                for s in dag.succs[n]:
+                for s in succs[n]:
                     indeg[s] -= 1
                     if indeg[s] == 0:
                         queue.append(s)
-            assert seen == len(dag.nodes), doc
-            # The adjacency recorded as edges were placed is the edge list's.
-            succs = {n: [] for n in dag.nodes}
-            preds = {n: [] for n in dag.nodes}
-            for a, b in dag.edges:
-                succs[a].append(b)
-                preds[b].append(a)
-            assert dag.succs == succs and dag.preds == preds, doc
+            assert seen == len(nodes), doc
 
 
 def test_region_edge_against_reverse_postorder_is_refused():
-    # Every region edge between block and loop nodes must go forward in
-    # the CFG's reverse postorder; numbering the blocks backwards makes the
-    # first such edge fail the check.
+    # A block or loop node's predecessors must come before it in the CFG's
+    # reverse postorder; numbering the blocks backwards makes the first
+    # predecessor the builder reads fail the check.
     g, f = _fig2()
     f.rpo = {b: -i for b, i in f.rpo.items()}
     with pytest.raises(AssertionError, match="has a cycle"):
-        region_dags(g, f)
+        build_cft(g, f)
 
 
 def test_one_dominator_tree_per_region(monkeypatch):
@@ -152,11 +184,12 @@ def test_region_idom_matches_dominator_pass():
     for doc in _region_corpus():
         p = parse_program(json.dumps(doc))
         f = build_loop_forest(p.cfg, p.loop_bounds)
-        for d in region_dags(p.cfg, f).values():
-            assert d.idom == cfg.immediate_dominators(d.start, d.succs,
-                                                      d.preds)[0], doc
+        for level, (start, nodes, preds, idom) in \
+                _regions(p.cfg, f)[1].items():
+            assert idom == cfg.immediate_dominators(
+                start, _succs(nodes, preds), preds)[0], doc
             regions += 1
-            entry_loops += d.level == TOP and d.start.kind == "loop"
+            entry_loops += level is None and start.kind == "loop"
     assert regions >= 1000
     assert entry_loops >= 3
 
@@ -179,13 +212,14 @@ def test_one_node_object_per_block_and_loop():
             names += 1
             assert objects.setdefault((n.kind, n.id), id(n)) == id(n), (n, doc)
 
-        for d in region_dags(p.cfg, f).values():
-            for n in (*d.nodes, d.start, d.next, d.exit):
+        for start, nodes, preds, idom in _regions(p.cfg, f)[1].values():
+            see(start)
+            for n in nodes:
                 see(n)
-            for a, b in d.edges:
-                see(a)
-                see(b)
-            for n, dom in d.idom.items():
+                for q in preds[n]:  # the edge q -> n
+                    see(q)
+                    see(n)
+            for n, dom in idom.items():
                 see(n)
                 if dom is not None:
                     see(dom)

@@ -740,6 +740,23 @@ def test_evaluate_unbound_loop_identifier_is_refused(forest):
         parse_abstract("(loop=TOP, [|10])")
 
 
+def test_loop_identifier_binds_only_identifier_shaped_block_ids(forest):
+    # Every block id is an identifier, so a loop position bound to any
+    # other string is refused: substituted, it would render as text that
+    # `parse` refuses, and evaluated, it would name no possible loop.
+    for text in ("(ann w1 lp1 2)", "(pow w1 (l=TOP,[|0]) lp1 2)"):
+        w = parse(text)
+        for val in ("3", "-x y", ""):
+            message = ("loop identifier 'lp1' must bind a block id, "
+                       f"got {val!r}")
+            with pytest.raises(TypeMismatch) as info:
+                substitute(w, {"lp1": val})
+            assert str(info.value) == message
+            with pytest.raises(TypeMismatch) as info:
+                evaluate(w, {"w1": _V5, "lp1": val}, forest)
+            assert str(info.value) == message
+
+
 def test_evaluate_refuses_non_formulas(forest):
     with pytest.raises(TypeError, match="not a formula"):
         evaluate(("w1",), {}, forest)
