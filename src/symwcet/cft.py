@@ -3,8 +3,12 @@
 Trees are immutable values built from Leaf/Alt/Seq/Loop nodes.  Any node can
 carry one context annotation bounding how often its paths occur per entry of
 an enclosing loop.  This module also hosts the annotation-driven transforms:
-attaching annotations to nodes and splitting a leaf into annotated variants
-(the cache hit/miss modeling device).
+attaching annotations to leaves named by label and splitting a leaf into
+annotated variants (the cache hit/miss modeling device).
+
+Queries, which find, collect or count nodes, go through the one iterative
+preorder `walk`, so they work at any depth.  Folds, which build one value
+per node (`strip_annotations`, `to_sexpr`), recurse.
 """
 
 from __future__ import annotations
@@ -103,11 +107,30 @@ def child_nodes(t: Cft) -> tuple[Cft, ...]:
     return (t.body, t.exit)
 
 
+def walk(t: Cft):
+    """Every node of t in preorder (a Loop's body before its exit).
+
+    Yields (node, path, loops): path is the node's child-index path from t
+    (Loop children are 0=body, 1=exit) and loops holds the headers of the
+    loops whose body holds the node, outermost first.  A Loop's exit lies
+    outside that loop.
+    """
+    stack: list[tuple[Cft, tuple[int, ...], tuple[str, ...]]] = [(t, (), ())]
+    while stack:
+        node, path, loops = stack.pop()
+        yield node, path, loops
+        if isinstance(node, Loop):
+            stack.append((node.exit, path + (1,), loops))
+            stack.append((node.body, path + (0,), loops + (node.header,)))
+        elif isinstance(node, (Alt, Seq)):
+            kids = node.children
+            stack.extend((kids[i], path + (i,), loops)
+                         for i in range(len(kids) - 1, -1, -1))
+
+
 def subtrees(t: Cft):
     """All nodes of t in preorder (Loop: body before exit)."""
-    yield t
-    for c in child_nodes(t):
-        yield from subtrees(c)
+    return (node for node, _, _ in walk(t))
 
 
 def leaves(t: Cft) -> list[Leaf]:
@@ -120,97 +143,73 @@ def strip_suffix(label: str) -> str:
 
 
 def _replace_node(t: Cft, path: tuple[int, ...], new: Cft) -> Cft:
-    if not path:
-        return new
-    i, rest = path[0], path[1:]
-    if isinstance(t, (Alt, Seq)):
-        kids = list(t.children)
-        kids[i] = _replace_node(kids[i], rest, new)
-        return replace(t, children=tuple(kids))
-    if isinstance(t, Loop):
-        if i == 0:
-            return replace(t, body=_replace_node(t.body, rest, new))
-        return replace(t, exit=_replace_node(t.exit, rest, new))
-    raise UnknownBlock(f"path {path} descends below a leaf")
+    """t with the node at path replaced by new, rebuilt along the path."""
+    spine = [t]
+    for i in path[:-1]:
+        spine.append(child_nodes(spine[-1])[i])
+    for node, i in zip(reversed(spine), reversed(path)):
+        if isinstance(node, Loop):
+            new = (replace(node, body=new) if i == 0
+                   else replace(node, exit=new))
+        else:
+            kids = list(node.children)
+            kids[i] = new
+            new = replace(node, children=tuple(kids))
+    return new
 
 
-def _find_paths(t: Cft, want) -> list[tuple[int, ...]]:
-    """Paths of the nodes that satisfy want, in preorder."""
-    found: list[tuple[int, ...]] = []
-    stack: list[tuple[Cft, tuple[int, ...]]] = [(t, ())]
-    while stack:
-        node, path = stack.pop()
-        if want(node):
-            found.append(path)
-        kids = child_nodes(node)
-        stack.extend((kids[i], path + (i,))
-                     for i in range(len(kids) - 1, -1, -1))
-    return found
-
-
-def resolve_label(t: Cft, target: str) -> tuple[int, ...]:
-    """Find the unique node for a leaf-label target.
+def _find_leaf(t: Cft, target: str):
+    """The leaf a label target names, in one walk of t.
 
     Exact labels win; otherwise the target matches leaves whose label minus
     the '#k' duplication suffix equals it.  Several matches need a suffixed
-    target to disambiguate.
+    target to disambiguate.  Returns (leaf, path, loops) as walk() yields
+    them, and the set of t's leaf labels.
     """
-    exact = _find_paths(t, lambda n: isinstance(n, Leaf) and n.label == target)
-    if len(exact) == 1:
-        return exact[0]
+    exact = []
+    loose = []
+    labels: set[str] = set()
+    for found in walk(t):
+        node = found[0]
+        if isinstance(node, Leaf):
+            labels.add(node.label)
+            if node.label == target:
+                exact.append(found)
+            elif strip_suffix(node.label) == target:
+                loose.append(found)
     if len(exact) > 1:
         # Leaf labels are unique after renaming; duplicates mean the caller
         # fed an un-renamed tree.
         raise AmbiguousTarget(f"label {target!r} matches {len(exact)} leaves")
-    loose = _find_paths(
-        t, lambda n: isinstance(n, Leaf) and strip_suffix(n.label) == target)
+    if exact:
+        return exact[0], labels
     if not loose:
         raise UnknownBlock(f"no leaf matches target {target!r}")
     if len(loose) > 1:
-        labels = [node_at(t, p).label for p in loose]  # type: ignore[union-attr]
         raise AmbiguousTarget(
-            f"target {target!r} matches duplicated leaves {labels}; "
+            f"target {target!r} matches duplicated leaves "
+            f"{[node.label for node, _, _ in loose]}; "
             "use a '#k'-suffixed label")
-    return loose[0]
+    return loose[0], labels
 
 
-def node_at(t: Cft, path: tuple[int, ...]) -> Cft:
-    node = t
-    for i in path:
-        kids = child_nodes(node)
-        if i >= len(kids):
-            raise UnknownBlock(f"path {path} leaves the tree")
-        node = kids[i]
-    return node
-
-
-def _check_ancestor(t: Cft, path: tuple[int, ...], a: Annotation) -> None:
+def _check_ancestor(loops: tuple[str, ...], a: Annotation) -> None:
+    """a must name TOP or a loop whose body holds the node (see walk)."""
     if a.loop == TOP:
         return
     if a.loop.kind != "loop":
         raise NonAncestorLoop(f"annotation loop {a.loop} is not a loop")
-    node = t
-    enclosing: list[str] = []
-    for i in path:
-        if isinstance(node, Loop) and i == 0:
-            # Only the body subtree counts as inside the loop.
-            enclosing.append(node.header)
-        node = child_nodes(node)[i]
-    if a.loop.header not in enclosing:
+    if a.loop.header not in loops:
         raise NonAncestorLoop(
             f"loop {a.loop.header} does not enclose the annotated node "
-            f"(enclosing loops: {enclosing or 'none'})")
+            f"(enclosing loops: {list(loops) or 'none'})")
 
 
-def attach_annotation(t: Cft, target: str | tuple[int, ...], a: Annotation) -> Cft:
-    """Return t with annotation a set on the target node.
-
-    target is a leaf label (rename-suffix aware) or an explicit child-index
-    path (Loop children are 0=body, 1=exit).  Replaces any prior annotation.
-    """
-    path = resolve_label(t, target) if isinstance(target, str) else target
-    node = node_at(t, path)
-    _check_ancestor(t, path, a)
+def attach_annotation(t: Cft, target: str, a: Annotation) -> Cft:
+    """Return t with annotation a set on the leaf a label target names
+    (rename-suffix aware).  Replaces any prior annotation."""
+    (node, path, loops), _ = _find_leaf(t, target)
+    _check_ancestor(loops, a)
     return _replace_node(t, path, replace(node, annotation=a))
 
 
@@ -223,14 +222,10 @@ def split_leaf(
 
     A single unannotated variant degenerates into a plain rename.
     """
-    path = resolve_label(t, block)
-    node = node_at(t, path)
-    if not isinstance(node, Leaf):
-        raise UnknownBlock(f"split target {block!r} is not a leaf")
+    (node, path, loops), existing = _find_leaf(t, block)
     ids = [vid for vid, _, _ in variants]
     if len(set(ids)) != len(ids):
         raise DuplicateVariantId(f"split of {block!r} repeats variant ids {ids}")
-    existing = {leaf.label for leaf in leaves(t)}
     clash = existing & set(ids)
     if clash:
         raise DuplicateVariantId(
@@ -238,7 +233,7 @@ def split_leaf(
     new_leaves: list[Cft] = []
     for vid, wcet, ann in variants:
         if ann is not None:
-            _check_ancestor(t, path, ann)
+            _check_ancestor(loops, ann)
         new_leaves.append(Leaf(vid, wcet, ann))
     repl = alt(new_leaves)
     if node.annotation is not None and repl.annotation is None:

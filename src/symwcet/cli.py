@@ -348,6 +348,11 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, json.JSONDecodeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        # A cache hit compares equal formulas by recursive __eq__, which can
+        # exceed the recursion limit where building them did not; the next
+        # call starts from an empty cache, as a fresh process does.
+        symbolic.sort_key.cache_clear()
 
 
 if __name__ == "__main__":

@@ -4,6 +4,8 @@ Desk-scale reference semantics used to cross-check the analysis: enumerate
 the bounded executions of a program graph, enumerate the paths a
 control-flow tree admits, and compare both against the abstract WCET.
 Everything here is exponential by design and guarded by explicit budgets.
+Annotations and the loops entered above them are read off `cft.walk`;
+`tpaths` builds path sets per node and recurses, as the tree's folds do.
 """
 
 from __future__ import annotations
@@ -94,11 +96,6 @@ def gpaths_bounded(g: Cfg, f: LoopForest, end: str | None = None,
 # ---------------------------------------------------------------------------
 
 
-def _annotated_nodes(t: cft.Cft) -> list[tuple[cft.Cft, cft.Annotation]]:
-    return [(n, n.annotation) for n in cft.subtrees(t)
-            if n.annotation is not None]
-
-
 def patterns_of(t: cft.Cft, max_paths: int = MAX_PATHS) -> tuple[tuple[str, ...], ...]:
     """Deduplicated label words an annotated subtree can contribute; the
     empty word is dropped (it never constrains anything)."""
@@ -154,8 +151,9 @@ def tpaths(t: cft.Cft, max_paths: int = MAX_PATHS) -> list[LeafPath]:
     bound = _require_int(t.bound, f"bound of loop {t.header!r}")
     ref = loop_ref(t.header)
     filters: list[tuple[tuple[tuple[str, ...], ...], int]] = []
-    for node, ann in _annotated_nodes(t.body):
-        if ann.loop == ref and ann.max is not None:
+    for node in cft.subtrees(t.body):
+        ann = node.annotation
+        if ann is not None and ann.loop == ref and ann.max is not None:
             cap = _require_int(ann.max, f"cap for loop {t.header!r}")
             filters.append((patterns_of(node, max_paths), cap))
     body = tpaths(t.body, max_paths)
@@ -179,22 +177,12 @@ def _external_filters(t: cft.Cft, max_paths: int = MAX_PATHS):
     """Annotations not resolved by any loop inside t: per-run ones and those
     naming a loop t does not enter."""
     out: list[tuple[tuple[tuple[str, ...], ...], int]] = []
-
-    def walk(node: cft.Cft, entered: frozenset[str]) -> None:
+    for node, _, entered in cft.walk(t):
         ann = node.annotation
-        if ann is not None and ann.max is not None:
-            external = ann.loop == TOP or (ann.loop.header not in entered)
-            if external:
-                cap = _require_int(ann.max, "annotation cap")
-                out.append((patterns_of(node, max_paths), cap))
-        if isinstance(node, cft.Loop):
-            walk(node.body, entered | {node.header})
-            walk(node.exit, entered)
-        elif isinstance(node, (cft.Alt, cft.Seq)):
-            for c in node.children:
-                walk(c, entered)
-
-    walk(t, frozenset())
+        if ann is not None and ann.max is not None and (
+                ann.loop == TOP or ann.loop.header not in entered):
+            cap = _require_int(ann.max, "annotation cap")
+            out.append((patterns_of(node, max_paths), cap))
     return out
 
 

@@ -169,17 +169,6 @@ def scalar(coeff: Value, operand: Formula) -> Formula:
     return Scalar(coeff, operand)
 
 
-def operand_count(w: Formula) -> int:
-    """Number of atomic operands (constants and cost identifiers)."""
-    if isinstance(w, (Const, WcetId)):
-        return 1
-    if isinstance(w, (Plus, Max)):
-        return sum(operand_count(op) for op in w.operands)
-    if isinstance(w, (Scalar, Restrict)):
-        return operand_count(w.operand)
-    return operand_count(w.body) + operand_count(w.exit)
-
-
 def _children(w: Formula) -> tuple[Formula, ...]:
     if isinstance(w, (Plus, Max)):
         return w.operands
@@ -188,6 +177,21 @@ def _children(w: Formula) -> tuple[Formula, ...]:
     if isinstance(w, Power):
         return (w.body, w.exit)
     return ()
+
+
+def walk(w: Formula):
+    """Every node of w in preorder (operands left to right, a Power's body
+    before its exit), without recursion."""
+    stack = [w]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(reversed(_children(node)))
+
+
+def operand_count(w: Formula) -> int:
+    """Number of atomic operands (constants and cost identifiers)."""
+    return sum(isinstance(node, (Const, WcetId)) for node in walk(w))
 
 
 def _with_children(w: Formula, kids: list[Formula]) -> Formula:
@@ -214,17 +218,9 @@ def _const_valued(w: Formula) -> bool:
     Restrict introduces finite prefixes; everything else preserves
     rank-uniformity given the constant-identifier convention above.
     """
-    if isinstance(w, Const):
-        return not w.value.seq.prefix
-    if isinstance(w, WcetId):
-        return True
-    if isinstance(w, Scalar):
-        return _const_valued(w.operand)
-    if isinstance(w, (Plus, Max)):
-        return all(_const_valued(op) for op in w.operands)
-    if isinstance(w, Power):
-        return _const_valued(w.body) and _const_valued(w.exit)
-    return False
+    return not any(isinstance(node, Restrict)
+                   or (isinstance(node, Const) and node.value.seq.prefix)
+                   for node in walk(w))
 
 
 def _rule_plus_const(w: Plus, f: LoopForest) -> Formula | None:
@@ -733,9 +729,7 @@ def identifiers(w: Formula, f: LoopForest
         if isinstance(v, str):
             counts.add(v)
 
-    stack = [w]
-    while stack:
-        node = stack.pop()
+    for node in walk(w):
         if isinstance(node, WcetId):
             costs.add(node.name)
         elif isinstance(node, Scalar):
@@ -746,7 +740,6 @@ def identifiers(w: Formula, f: LoopForest
         elif isinstance(node, Power):
             loop_id(node.header)
             count_id(node.count)
-        stack.extend(_children(node))
     return costs, counts, loops
 
 

@@ -185,18 +185,9 @@ def random_doc(rng: random.Random, depth: int = 3, noise: int = 3,
 def _body_leaves(t: cft.Cft):
     """Leaf label -> headers of the loops whose body subtree contains it."""
     out: dict[str, tuple[str, ...]] = {}
-
-    def walk(node: cft.Cft, inside: tuple[str, ...]) -> None:
+    for node, _, inside in cft.walk(t):
         if isinstance(node, cft.Leaf):
             out.setdefault(node.label, inside)
-        elif isinstance(node, (cft.Alt, cft.Seq)):
-            for c in node.children:
-                walk(c, inside)
-        else:
-            walk(node.body, inside + (node.header,))
-            walk(node.exit, inside)
-
-    walk(t, ())
     return out
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -15,17 +16,18 @@ from symwcet.cft import (
     Leaf,
     Loop,
     Seq,
+    _find_leaf,
     alt,
     attach_annotation,
+    child_nodes,
     leaves,
-    node_at,
-    resolve_label,
     seq,
     split_leaf,
     strip_annotations,
     strip_suffix,
     subtrees,
     to_sexpr,
+    walk,
 )
 from symwcet.errors import (
     AmbiguousTarget,
@@ -33,6 +35,7 @@ from symwcet.errors import (
     NonAncestorLoop,
     UnknownBlock,
 )
+from symwcet.pipeline import analyze_text
 from symwcet.restructure import build_cft
 
 A = Leaf("a", 1)
@@ -44,6 +47,18 @@ def _looped():
     # (seq (loop h (seq h (alt a b)) 3 h) c)
     body = seq([Leaf("h", 1), alt([A, B])])
     return seq([Loop("h", body, 3, Leaf("h", 1)), C])
+
+
+def node_at(t, path):
+    """The node at a child-index path (Loop children are 0=body, 1=exit)."""
+    for i in path:
+        t = child_nodes(t)[i]
+    return t
+
+
+def resolve_label(t, target):
+    """The path of the leaf a label target names."""
+    return _find_leaf(t, target)[0][1]
 
 
 # ---------------------------------------------------------------------------
@@ -81,6 +96,55 @@ def test_subtrees_preorder():
              for n in subtrees(t)]
     assert kinds == ["Seq", "a", "Alt", "b", "c"]
     assert [l.label for l in leaves(t)] == ["a", "b", "c"]
+
+
+def _recursive_preorder(t):
+    yield t
+    for c in child_nodes(t):
+        yield from _recursive_preorder(c)
+
+
+def _enclosing_by_replay(t, path):
+    """Headers of the loops whose body holds the node at path, found by
+    replaying the path from the root: a Loop's body (child 0) is inside
+    the loop, its exit is not."""
+    enclosing = []
+    for i in path:
+        if isinstance(t, Loop) and i == 0:
+            enclosing.append(t.header)
+        t = child_nodes(t)[i]
+    return enclosing
+
+
+def _random_tree(rng, depth):
+    if depth == 0 or rng.random() < 0.25:
+        return Leaf(rng.choice("abc"), 1)
+    kind = rng.randrange(3)
+    if kind == 0:
+        return Seq(tuple(_random_tree(rng, depth - 1)
+                         for _ in range(rng.randrange(4))))
+    if kind == 1:
+        return Alt(tuple(_random_tree(rng, depth - 1)
+                         for _ in range(rng.randint(2, 3))))
+    return Loop(f"h{rng.randrange(5)}", _random_tree(rng, depth - 1), 2,
+                _random_tree(rng, depth - 1))
+
+
+def test_walk_matches_recursive_preorder_and_path_replay():
+    rng = random.Random(14)
+    trees = [_random_tree(rng, 5) for _ in range(2000)]
+    trees += [analyze_text(json.dumps(doc)).tree
+              for doc in _restructure_corpus()]
+    loops_seen = 0
+    for t in trees:
+        walked = list(walk(t))
+        want = list(_recursive_preorder(t))
+        assert len(walked) == len(want)
+        for (node, path, loops), ref in zip(walked, want):
+            assert node is ref and node_at(t, path) is node
+            assert list(loops) == _enclosing_by_replay(t, path)
+            loops_seen += bool(loops)
+    assert loops_seen >= 10000, loops_seen
 
 
 def test_strip_suffix():
@@ -233,11 +297,6 @@ def test_resolve_unknown():
         resolve_label(_looped(), "zz")
 
 
-def test_node_at_bad_path():
-    with pytest.raises(UnknownBlock):
-        node_at(_looped(), (0, 9))
-
-
 # ---------------------------------------------------------------------------
 # Annotation attachment
 # ---------------------------------------------------------------------------
@@ -268,10 +327,10 @@ def test_attach_rejects_non_ancestor():
         attach_annotation(t, "a", Annotation(BOT, 1))
 
 
-def test_attach_by_path_replaces_prior():
+def test_attach_replaces_prior():
     t = _looped()
-    out = attach_annotation(t, (1,), Annotation(TOP, 5))
-    out = attach_annotation(out, (1,), Annotation(TOP, 7))
+    out = attach_annotation(t, "c", Annotation(TOP, 5))
+    out = attach_annotation(out, "c", Annotation(TOP, 7))
     assert node_at(out, (1,)).annotation == Annotation(TOP, 7)
 
 
@@ -328,7 +387,33 @@ def test_split_variant_annotation_scope_checked():
 
 def test_strip_annotations():
     t = attach_annotation(_looped(), "c", Annotation(TOP, 3))
-    t = attach_annotation(t, (0,), Annotation(TOP, 1))
+    loop, c = t.children
+    t = replace(t, children=(replace(loop, annotation=Annotation(TOP, 1)), c))
     bare = strip_annotations(t)
     assert all(n.annotation is None for n in subtrees(bare))
     assert to_sexpr(bare) == to_sexpr(t)
+
+
+# ---------------------------------------------------------------------------
+# Deep trees
+# ---------------------------------------------------------------------------
+
+
+def test_queries_and_edits_on_a_deep_loop_nest():
+    # Each raised RecursionError while subtrees recursed.
+    depth = 3000
+    t = Leaf("x", 1)
+    for d in reversed(range(depth)):
+        t = Loop(f"h{d}", t, 2, Leaf(f"e{d}", 1))
+    assert sum(1 for _ in subtrees(t)) == 2 * depth + 1
+    assert [l.label for l in leaves(t)] == (
+        ["x"] + [f"e{d}" for d in reversed(range(depth))])
+    outer = Annotation(loop_ref("h0"), 1)
+    out = attach_annotation(t, "x", outer)
+    assert leaves(out)[0] == Leaf("x", 1, outer)
+    assert leaves(t)[0].annotation is None
+    out = split_leaf(t, "x", [("x1", 1, outer), ("x2", 2, None)])
+    assert leaves(out)[:2] == [Leaf("x1", 1, outer), Leaf("x2", 2)]
+    with pytest.raises(NonAncestorLoop):
+        attach_annotation(t, f"e{depth - 1}",
+                          Annotation(loop_ref(f"h{depth - 1}"), 1))

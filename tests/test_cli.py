@@ -194,6 +194,19 @@ def test_shared_parser_keeps_no_state_between_calls(capsys, sym_path):
     assert _run(capsys, first) == (0, "96\n", "")
 
 
+def test_repeated_calls_answer_as_the_first(capsys, tmp_path):
+    # The process-wide sort_key cache compares a hit with the formulas'
+    # recursive __eq__: left filled, it made the second of two identical
+    # calls on a deep nest exit 3.
+    p = tmp_path / "nest.json"
+    p.write_text(json.dumps(gen.loop_nest_doc(200, bound="n")))
+    for argv in (["wcet", "--input", str(p), "--bind", "n=2"],
+                 ["formula", "--input", str(p)]):
+        first = _run(capsys, argv)
+        assert first[0] == 0
+        assert _run(capsys, argv) == first
+
+
 # ---------------------------------------------------------------------------
 # Failure exit codes
 # ---------------------------------------------------------------------------

@@ -116,6 +116,17 @@ def test_sizes():
     w = parse("(+ (* 2 w1) (max w2 (l=TOP,[|3])))")
     assert formula_size(w) == 6
     assert operand_count(w) == 3
+    assert [type(n).__name__ for n in symbolic.walk(w)] == [
+        "Plus", "Scalar", "WcetId", "Max", "Const", "WcetId"]
+
+
+def test_queries_walk_deep_power_chain():
+    # Each raised RecursionError while the queries recursed.
+    w = WcetId("w")
+    for _ in range(3000):
+        w = Power(w, WcetId("e"), "h", "n")
+    assert operand_count(w) == 3001
+    assert symbolic._const_valued(w)
 
 
 def test_formula_order_total():
