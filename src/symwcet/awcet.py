@@ -138,10 +138,8 @@ def _top_sum(s: WcetSeq, n: int) -> int:
     return total + n * s.tail
 
 
-def ms_restrict(s: WcetSeq, n: int | None) -> WcetSeq:
-    """Keep the n greatest costs, zero out the rest; None keeps everything."""
-    if n is None:
-        return s
+def ms_restrict(s: WcetSeq, n: int) -> WcetSeq:
+    """Keep the n greatest costs, zero out the rest."""
     runs: list[Run] = []
     for v, k in s.prefix:
         if n <= k:
@@ -325,7 +323,7 @@ def scalar_abstract(k: int, a: AbstractWcet) -> AbstractWcet:
 def restrict_abstract(
     a: AbstractWcet,
     loop: LoopRef,
-    m: int | None,
+    m: int,
     f: LoopForest,
     strict: bool = False,
 ) -> AbstractWcet:
@@ -335,7 +333,7 @@ def restrict_abstract(
     loop: the cap would then count executions of something else entirely.
     """
     new_loop = loop_meet(a.loop, loop, f)
-    if strict and m is not None and new_loop == BOT:
+    if strict and new_loop == BOT:
         raise IncomparableLoops(
             f"cannot cap {a.loop}-relative costs per entry of {loop}")
     return abstract(new_loop, ms_restrict(a.seq, m))
@@ -375,7 +373,7 @@ def loop_abstract(
 # ---------------------------------------------------------------------------
 
 
-def _concrete(value: int | str | None, what: str) -> int | None:
+def _concrete(value: int | str, what: str) -> int:
     if isinstance(value, str):
         raise SymbolicValuePresent(f"{what} is symbolic: {value!r}")
     return value

@@ -191,6 +191,9 @@ def parse_program(text: str) -> Program:
         bid = item["id"]
         if not is_identifier(bid):
             raise DocumentError(f"block id {bid!r} is not a valid identifier")
+        if bid == "TOP" or bid == "BOT":
+            raise DocumentError(f"block id {bid!r} is reserved for an end of "
+                                "the loop lattice")
         if bid in blocks:
             raise DocumentError(f"duplicate block id {bid!r}")
         wcet = item["wcet"]

@@ -28,13 +28,10 @@ from .records import slot_init
 @slot_init
 @dataclass(frozen=True, slots=True)
 class Annotation:
-    """Target runs at most `max` times per entry of `loop`.
-
-    max None means unbounded; (TOP, None) is the do-nothing annotation.
-    """
+    """Target runs at most `max` times per entry of `loop`."""
 
     loop: LoopRef
-    max: int | str | None
+    max: int | str
 
 
 @slot_init

@@ -153,7 +153,7 @@ def tpaths(t: cft.Cft, max_paths: int = MAX_PATHS) -> list[LeafPath]:
     filters: list[tuple[tuple[tuple[str, ...], ...], int]] = []
     for node in cft.subtrees(t.body):
         ann = node.annotation
-        if ann is not None and ann.loop == ref and ann.max is not None:
+        if ann is not None and ann.loop == ref:
             cap = _require_int(ann.max, f"cap for loop {t.header!r}")
             filters.append((patterns_of(node, max_paths), cap))
     body = tpaths(t.body, max_paths)
@@ -179,8 +179,8 @@ def _external_filters(t: cft.Cft, max_paths: int = MAX_PATHS):
     out: list[tuple[tuple[tuple[str, ...], ...], int]] = []
     for node, _, entered in cft.walk(t):
         ann = node.annotation
-        if ann is not None and ann.max is not None and (
-                ann.loop == TOP or ann.loop.header not in entered):
+        if ann is not None and (ann.loop == TOP
+                                or ann.loop.header not in entered):
             cap = _require_int(ann.max, "annotation cap")
             out.append((patterns_of(node, max_paths), cap))
     return out

@@ -18,7 +18,6 @@ from .restructure import build_cft
 
 @dataclass
 class Analysis:
-    program: Program
     cfg: Cfg
     forest: LoopForest
     tree: cft.Cft
@@ -53,8 +52,8 @@ def analyze(program: Program) -> Analysis:
         ann = cft.Annotation(parse_loop_ref(spec.loop), spec.max)
         tree = cft.attach_annotation(tree, spec.target, ann)
 
-    return Analysis(program=program, cfg=g, forest=forest, tree=tree,
-                    rename_map=rename_map, variant_map=variant_map)
+    return Analysis(cfg=g, forest=forest, tree=tree, rename_map=rename_map,
+                    variant_map=variant_map)
 
 
 def analyze_text(text: str) -> Analysis:

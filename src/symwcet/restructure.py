@@ -195,11 +195,10 @@ class _Builder:
                 children.append(cft.alt([
                     self.tree(prev, p, include_start=False) for p in preds
                 ]))
-            elif preds and preds[0] != prev:
-                # The lone predecessor is normally the previous anchor; when
-                # it is not, the recursion picks up the nodes in between.
-                children.append(self.tree(prev, preds[0],
-                                          include_start=False))
+            else:
+                # A lone predecessor is the node's immediate dominator,
+                # which the passage has just left.
+                assert preds in ([], [prev]), f"{forced} follows {preds}"
             emitted = self.emit(forced)
             if emitted is not None:
                 children.append(emitted)

@@ -133,10 +133,13 @@ def sort_key(w: Formula) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def plus(operands: Iterable[Formula]) -> Formula:
+def _nary(cls: type, operands: Iterable[Formula]) -> Formula:
+    """The canonical sum (cls Plus) or maximum (cls Max) of the operands:
+    nested ones of the same class flattened, zeros dropped, the rest
+    sorted; one operand stands alone and none is zero."""
     flat: list[Formula] = []
     for op in operands:
-        if isinstance(op, Plus):
+        if isinstance(op, cls):
             flat.extend(op.operands)
         elif op != CONST_ZERO:
             flat.append(op)
@@ -144,21 +147,15 @@ def plus(operands: Iterable[Formula]) -> Formula:
         return CONST_ZERO
     if len(flat) == 1:
         return flat[0]
-    return Plus(tuple(sorted(flat, key=sort_key)))
+    return cls(tuple(sorted(flat, key=sort_key)))
+
+
+def plus(operands: Iterable[Formula]) -> Formula:
+    return _nary(Plus, operands)
 
 
 def max_(operands: Iterable[Formula]) -> Formula:
-    flat: list[Formula] = []
-    for op in operands:
-        if isinstance(op, Max):
-            flat.extend(op.operands)
-        elif op != CONST_ZERO:
-            flat.append(op)
-    if not flat:
-        return CONST_ZERO
-    if len(flat) == 1:
-        return flat[0]
-    return Max(tuple(sorted(flat, key=sort_key)))
+    return _nary(Max, operands)
 
 
 def scalar(coeff: Value, operand: Formula) -> Formula:
@@ -223,84 +220,81 @@ def _const_valued(w: Formula) -> bool:
                    for node in walk(w))
 
 
-def _rule_plus_const(w: Plus, f: LoopForest) -> Formula | None:
-    consts = [op.value for op in w.operands if isinstance(op, Const)]
-    if len(consts) < 2:
+def _merge(operands: tuple[Formula, ...], key: Callable,
+           merge: Callable, make: Callable) -> Formula | None:
+    """`make` over the operands with each group of two or more that share a
+    `key` replaced by `merge(group)`, members in operand order; an operand
+    whose key is None stays alone.  None when no group has two members."""
+    groups: dict[object, list[Formula]] = {}
+    out: list[Formula] = []
+    shared = False
+    for op in operands:
+        k = key(op)
+        if k is None:
+            out.append(op)
+        elif k in groups:
+            groups[k].append(op)
+            shared = True
+        else:
+            groups[k] = [op]
+    if not shared:
         return None
-    rest = [op for op in w.operands if not isinstance(op, Const)]
-    return plus(rest + [Const(fold(consts, plus_abstract, f))])
+    out.extend(merge(g) if len(g) > 1 else g[0] for g in groups.values())
+    return make(out)
+
+
+def _const_key(op: Formula) -> bool | None:
+    return True if isinstance(op, Const) else None
+
+
+def _rule_plus_const(w: Plus, f: LoopForest) -> Formula | None:
+    return _merge(w.operands, _const_key, lambda g: Const(
+        fold([c.value for c in g], plus_abstract, f)), plus)
 
 
 def _rule_max_const(w: Max, f: LoopForest) -> Formula | None:
-    consts = [op.value for op in w.operands if isinstance(op, Const)]
-    if len(consts) < 2:
-        return None
-    rest = [op for op in w.operands if not isinstance(op, Const)]
-    return max_(rest + [Const(fold(consts, max_abstract, f))])
+    return _merge(w.operands, _const_key, lambda g: Const(
+        fold([c.value for c in g], max_abstract, f)), max_)
 
 
 def _rule_distributivity(w: Max, f: LoopForest) -> Formula | None:
     # (cst1 + r) max (cst2 + r) -> (cst1 max cst2) + r, restricted to
     # factoring constants over a shared rank-uniform residue.
-    groups: dict[tuple, list[tuple[AbstractWcet, int]]] = {}
-    for i, op in enumerate(w.operands):
+    def key(op: Formula) -> tuple | None:
         if not isinstance(op, Plus):
-            continue
-        consts = [x for x in op.operands if isinstance(x, Const)]
-        rest = tuple(x for x in op.operands if not isinstance(x, Const))
-        if len(consts) != 1 or not rest:
-            continue
-        if not all(_const_valued(x) for x in rest):
-            continue
-        key = tuple(sort_key(x) for x in rest)
-        groups.setdefault(key, []).append((consts[0].value, i))
-    replacement: dict[int, list[Formula]] = {}
-    for members in groups.values():
-        if len(members) < 2:
-            continue
-        merged = fold([v for v, _ in members], max_abstract, f)
-        first = w.operands[members[0][1]]
-        rest = tuple(x for x in _as_plus(first) if not isinstance(x, Const))
-        replacement[members[0][1]] = [plus([Const(merged), *rest])]
-        for _, i in members[1:]:
-            replacement[i] = []
-    if not replacement:
-        return None
-    out: list[Formula] = []
-    for i, op in enumerate(w.operands):
-        out.extend(replacement[i] if i in replacement else [op])
-    return max_(out)
+            return None
+        rest = [x for x in op.operands if not isinstance(x, Const)]
+        if (len(rest) != len(op.operands) - 1 or not rest
+                or not all(_const_valued(x) for x in rest)):
+            return None
+        return tuple(sort_key(x) for x in rest)
+
+    def merge(g: list[Plus]) -> Formula:
+        consts = [x.value for op in g for x in op.operands
+                  if isinstance(x, Const)]
+        return plus([Const(fold(consts, max_abstract, f)),
+                     *(x for x in g[0].operands if not isinstance(x, Const))])
+
+    return _merge(w.operands, key, merge, max_)
 
 
-def _as_plus(w: Formula) -> tuple[Formula, ...]:
-    return w.operands if isinstance(w, Plus) else (w,)
+def _weighted(op: Formula) -> tuple[int, Formula]:
+    # (k, x) for k*x with an integer k, else (1, op).
+    if isinstance(op, Scalar) and isinstance(op.coeff, int):
+        return op.coeff, op.operand
+    return 1, op
 
 
 def _rule_mult_merge(w: Plus, f: LoopForest) -> Formula | None:
     # x + 2*x + y -> 3*x + y for integer coefficients.
-    groups: dict[tuple, list[tuple[int, Formula]]] = {}
-    order: list[Formula] = []
-    for op in w.operands:
-        if isinstance(op, Const):
-            continue
-        if isinstance(op, Scalar) and isinstance(op.coeff, int):
-            weight, residue = op.coeff, op.operand
-        else:
-            weight, residue = 1, op
-        key = sort_key(residue)
-        if key not in groups:
-            order.append(residue)
-        groups.setdefault(key, []).append((weight, op))
-    if all(len(members) < 2 for members in groups.values()):
-        return None
-    out: list[Formula] = [op for op in w.operands if isinstance(op, Const)]
-    for residue in order:
-        members = groups[sort_key(residue)]
-        if len(members) == 1:
-            out.append(members[0][1])
-        else:
-            out.append(scalar(sum(k for k, _ in members), residue))
-    return plus(out)
+    def key(op: Formula) -> tuple | None:
+        return None if isinstance(op, Const) else sort_key(_weighted(op)[1])
+
+    def merge(g: list[Formula]) -> Formula:
+        weights = [_weighted(op) for op in g]
+        return scalar(sum(k for k, _ in weights), weights[0][1])
+
+    return _merge(w.operands, key, merge, plus)
 
 
 def _rule_restrict_merge(w: Plus, f: LoopForest) -> Formula | None:
@@ -308,21 +302,17 @@ def _rule_restrict_merge(w: Plus, f: LoopForest) -> Formula | None:
     # restricts that can never fold (symbolic count or unresolvable loop).
     # Fold-enabled restricts go the other way (restrict-distribute), and the
     # complementary guards keep the pair from looping.
-    groups: dict[tuple, list[Restrict]] = {}
-    for op in w.operands:
+    def key(op: Formula) -> tuple | None:
         if (isinstance(op, Restrict)
                 and not (isinstance(op.count, int)
                          and _loop_of(op.loop, f) is not None)):
-            groups.setdefault((_vkey(op.loop), _vkey(op.count)), []).append(op)
-    if all(len(g) < 2 for g in groups.values()):
+            return _vkey(op.loop), _vkey(op.count)
         return None
-    merged = {id(op) for g in groups.values() if len(g) > 1 for op in g}
-    out = [op for op in w.operands if id(op) not in merged]
-    for g in groups.values():
-        if len(g) > 1:
-            out.append(Restrict(plus([r.operand for r in g]),
-                                g[0].loop, g[0].count))
-    return plus(out)
+
+    def merge(g: list[Restrict]) -> Formula:
+        return Restrict(plus([r.operand for r in g]), g[0].loop, g[0].count)
+
+    return _merge(w.operands, key, merge, plus)
 
 
 def _rule_restrict_distribute(w: Restrict, f: LoopForest) -> Formula | None:
@@ -551,7 +541,7 @@ def gamma_symbolic(t: cft.Cft, f: LoopForest,
             else:
                 base = Power(body, exit_, node.header, node.bound)
         ann = node.annotation
-        if ann is not None and ann.max is not None:
+        if ann is not None:
             if fold_concrete and type(base) is Const \
                     and isinstance(ann.max, int):
                 base = Const(restrict_abstract(base.value, ann.loop,
@@ -591,8 +581,7 @@ def _structural_operands(node: cft.Cft) -> tuple[int, bool]:
             if not z:
                 count += n
         count, zero = (count, False) if count else (1, True)
-    ann = node.annotation
-    if ann is not None and ann.max is not None:
+    if node.annotation is not None:
         zero = False
     return count, zero
 

@@ -138,7 +138,6 @@ def test_ms_ranksum_pinned():
 
 def test_ms_restrict_pinned():
     assert ms_restrict(parse_seq("[9,8|5]"), 3) == parse_seq("[9,8,5|0]")
-    assert ms_restrict(parse_seq("[9,8|5]"), None) == parse_seq("[9,8|5]")
     assert ms_restrict(parse_seq("[9,8|5]"), 0) == ZERO_SEQ
 
 
@@ -305,7 +304,6 @@ def test_runs_match_list_semantics(a, b, n, x, i):
     ea, eb = expand(a), expand(b)
     assert ms_index(a, i) == ref_index(ea, i)
     assert expand(ms_restrict(a, n)) == ref_restrict(ea, n)
-    assert ms_restrict(a, None) == a
     assert expand(ms_merge(a, b)) == ref_merge(ea, eb)
     assert expand(ms_ranksum(a, b)) == ref_ranksum(ea, eb)
     assert expand(ms_scalar(x, a)) == ref_scalar(x, ea)
@@ -405,8 +403,6 @@ def test_restrict_abstract_strictness(fig2):
     assert out == abstract(loop_ref("b2"), parse_seq("[9,8,5|0]"))
     with pytest.raises(IncomparableLoops):
         restrict_abstract(a, loop_ref("zz"), 3, f, strict=True)
-    # Unbounded caps carry no counting, so strict mode lets them through.
-    assert restrict_abstract(a, loop_ref("zz"), None, f, strict=True).loop == BOT
 
 
 def test_loop_abstract_self_relative(fig2):

@@ -98,6 +98,10 @@ PARSE_MESSAGES = [
      "block id '1a' is not a valid identifier"),
     ("non-string block id", {"blocks": [{"id": 7, "wcet": 1}, _B]},
      "block id 7 is not a valid identifier"),
+    ("block TOP", {"blocks": [{"id": "TOP", "wcet": 1}, _B]},
+     "block id 'TOP' is reserved for an end of the loop lattice"),
+    ("block BOT", {"blocks": [{"id": "BOT", "wcet": 1}, _B]},
+     "block id 'BOT' is reserved for an end of the loop lattice"),
     ("duplicate block", {"blocks": [{"id": "a", "wcet": 1}, _B,
                                     {"id": "a", "wcet": 3}]},
      "duplicate block id 'a'"),
@@ -129,6 +133,15 @@ PARSE_MESSAGES = [
      "edge ['yy', 'zz'] references unknown block 'yy'"),
     ("duplicate edge", {"edges": [["a", "b"], ["a", "b"]]},
      "duplicate edge ['a', 'b']"),
+    ("null cap", {"annotations": [{"target": "b", "loop": "TOP",
+                                   "max": None}]},
+     "annotation max for b: expected integer or identifier, got None"),
+    ("null variant cap", {"splits": [{"block": "b", "variants": [
+        {"id": "v", "wcet": 1, "annotation": {"loop": "TOP", "max": None}}]}]},
+     "variant v annotation max: expected integer or identifier, got None"),
+    ("missing variant cap", {"splits": [{"block": "b", "variants": [
+        {"id": "v", "wcet": 1, "annotation": {"loop": "TOP"}}]}]},
+     "variant v annotation: missing keys ['max']"),
 ]
 
 
@@ -138,6 +151,19 @@ def test_parse_messages_pinned(case, fields, message):
     with pytest.raises(DocumentError) as info:
         parse_program(_doc(**fields))
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("header", ["TOP", "BOT"])
+def test_lattice_ends_are_not_block_ids(header):
+    # Annotations name their loop by block id, read as a lattice point:
+    # a loop headed by TOP or BOT could not be named.
+    doc = _doc(blocks=[{"id": "a", "wcet": 1}, {"id": header, "wcet": 2},
+                       {"id": "c", "wcet": 3}],
+               edges=[["a", header], [header, header], [header, "c"]],
+               exit="c", loop_bounds={header: 4},
+               annotations=[{"target": header, "loop": header, "max": 2}])
+    with pytest.raises(DocumentError, match="reserved"):
+        parse_program(doc)
 
 
 def test_parse_rejects_non_json():

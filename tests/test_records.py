@@ -26,7 +26,7 @@ RECORDS = [
     LoopInfo("h", frozenset({"h", "t"}), (("t", "h"),), (("e", "h"),),
              (("h", "x"),), "n"),
     cft.Annotation(loop_ref("h"), 2),
-    cft.Leaf("a", 1, cft.Annotation(TOP, None)),
+    cft.Leaf("a", 1, cft.Annotation(TOP, 1)),
     cft.Alt((A, B)),
     cft.Seq((A, B), cft.Annotation(TOP, 4)),
     cft.Loop("h", A, 2, B),

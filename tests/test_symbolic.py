@@ -517,9 +517,9 @@ def test_build_fold_leaves_one_constant(forest):
 
 def _random_tree(rng, depth):
     """A random tree with cost-0 leaves, empty Seqs and annotations whose
-    cap is None, an integer or an identifier."""
-    ann = rng.choice([None, None, cft.Annotation(TOP, None),
-                      cft.Annotation(TOP, 2), cft.Annotation(TOP, "k")])
+    cap is an integer or an identifier."""
+    ann = rng.choice([None, None, cft.Annotation(TOP, 2),
+                      cft.Annotation(TOP, "k")])
     if depth == 0 or rng.random() < 0.3:
         return cft.Leaf("b", rng.choice([0, 0, 3, "w1"]), ann)
     kind = rng.randrange(3)
@@ -537,7 +537,7 @@ def _random_tree(rng, depth):
 
 def test_structural_operand_count_matches_unfolded_formula(forest):
     rng = random.Random(67)
-    zeros = empty_seqs = uncapped = 0
+    zeros = empty_seqs = 0
     for _ in range(2000):
         t = _random_tree(rng, 4)
         want = operand_count(gamma_symbolic(t, forest, fold_concrete=False))
@@ -545,8 +545,7 @@ def test_structural_operand_count_matches_unfolded_formula(forest):
         for n in cft.subtrees(t):
             zeros += isinstance(n, cft.Leaf) and n.wcet == 0
             empty_seqs += isinstance(n, cft.Seq) and not n.children
-            uncapped += n.annotation is not None and n.annotation.max is None
-    assert zeros >= 500 and empty_seqs >= 200 and uncapped >= 500
+    assert zeros >= 500 and empty_seqs >= 200
     docs = [gen.running_example_doc(), gen.persistence_doc(),
             gen.triangular_doc(), gen.scaling_doc(20)]
     for i in range(300):
@@ -576,7 +575,7 @@ def _reference_gamma_symbolic(t, f):
         else:
             base = Power(kids[0], kids[1], node.header, node.bound)
         ann = node.annotation
-        if ann is not None and ann.max is not None:
+        if ann is not None:
             if isinstance(base, Const) and isinstance(ann.max, int):
                 base = Const(restrict_abstract(base.value, ann.loop,
                                                ann.max, f))
