@@ -4,14 +4,19 @@ Parses and validates JSON program documents, computes dominators, detects
 irreducible control flow, builds the natural-loop forest, and provides the
 loop lattice (loops ordered by nesting, completed with TOP and BOT) that the
 rest of the analysis is parameterized over.
+
+Parsing numbers the blocks once, in document order.  Dominators and the
+loop forest are lists indexed by those numbers; block ids come back only
+where a result is named (loop headers, edges, error texts).
 """
 
 from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
-from typing import Hashable, Mapping, NamedTuple, Sequence, TypeVar
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DocumentError, IrreducibleLoop
 from .records import slot_init
@@ -19,7 +24,6 @@ from .records import slot_init
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 Edge = tuple[str, str]
-N = TypeVar("N", bound=Hashable)  # a graph node
 
 
 def is_identifier(s: object) -> bool:
@@ -81,24 +85,26 @@ class Block:
 
 @dataclass
 class Cfg:
+    """A program graph.  Blocks are numbered once, in document order; the
+    analysis runs on those numbers, and names appear only at its ends."""
+
     name: str
     blocks: dict[str, Block]  # insertion-ordered
-    edges: tuple[Edge, ...]
+    edges: tuple[Edge, ...]  # document order
     entry: str
     exit: str
-    succs: dict[str, tuple[str, ...]] = field(init=False)
-    preds: dict[str, tuple[str, ...]] = field(init=False)
-    block_index: dict[str, int] = field(init=False)
+    ids: list[str]  # block number -> block id
+    block_index: dict[str, int]  # block id -> block number
+    edge_ids: list[tuple[int, int]]  # the edges on block numbers, in order
+    succ_ids: list[list[int]]  # block number -> successors, in edge order
+    pred_ids: list[list[int]]  # block number -> predecessors, in edge order
 
-    def __post_init__(self) -> None:
-        succs: dict[str, list[str]] = {b: [] for b in self.blocks}
-        preds: dict[str, list[str]] = {b: [] for b in self.blocks}
-        for s, t in self.edges:
-            succs[s].append(t)
-            preds[t].append(s)
-        self.succs = {b: tuple(v) for b, v in succs.items()}
-        self.preds = {b: tuple(v) for b, v in preds.items()}
-        self.block_index = {b: i for i, b in enumerate(self.blocks)}
+    @cached_property
+    def succs(self) -> dict[str, tuple[str, ...]]:
+        """Block id -> successor ids, in edge order."""
+        ids = self.ids
+        return {b: tuple(ids[t] for t in out)
+                for b, out in zip(ids, self.succ_ids)}
 
 
 @dataclass(frozen=True)
@@ -201,33 +207,44 @@ def parse_program(text: str) -> Program:
             wcet = _check_value(wcet, f"block {bid} wcet")
         blocks[bid] = Block(bid, wcet)
 
+    ids = list(blocks)
+    index = dict(zip(ids, range(len(ids))))
+
     raw_edges = obj["edges"]
     if not isinstance(raw_edges, list):
         raise DocumentError("edges must be a list")
     edges: list[Edge] = []
-    seen_edges: set[Edge] = set()
+    edge_ids: list[tuple[int, int]] = []
+    succ_ids: list[list[int]] = [[] for _ in ids]
+    pred_ids: list[list[int]] = [[] for _ in ids]
+    seen_edges: set[tuple[int, int]] = set()
     for item in raw_edges:
         if (not isinstance(item, list) or len(item) != 2
                 or not isinstance(item[0], str) or not isinstance(item[1], str)):
             raise DocumentError(f"edge must be a [source, target] pair, got {item!r}")
-        e = (item[0], item[1])
-        for end in e:
-            if end not in blocks:
-                raise DocumentError(f"edge {item!r} references unknown block {end!r}")
+        s, t = index.get(item[0]), index.get(item[1])
+        if s is None or t is None:
+            end = item[0] if s is None else item[1]
+            raise DocumentError(f"edge {item!r} references unknown block {end!r}")
+        e = (s, t)
         if e in seen_edges:
             raise DocumentError(f"duplicate edge {item!r}")
         seen_edges.add(e)
-        edges.append(e)
+        edges.append((item[0], item[1]))
+        edge_ids.append(e)
+        succ_ids[s].append(t)
+        pred_ids[t].append(s)
 
     entry = obj["entry"]
     exit_ = obj["exit"]
     for role, bid in (("entry", entry), ("exit", exit_)):
         if not isinstance(bid, str) or bid not in blocks:
             raise DocumentError(f"{role} block {bid!r} does not exist")
-    if any(s == exit_ for s, _ in edges):
+    if succ_ids[index[exit_]]:
         raise DocumentError(f"exit block {exit_!r} must not have outgoing edges")
 
-    g = Cfg(name, blocks, tuple(edges), entry, exit_)
+    g = Cfg(name, blocks, tuple(edges), entry, exit_, ids, index, edge_ids,
+            succ_ids, pred_ids)
     _check_connectivity(g)
 
     loop_bounds: dict[str, int | str] = {}
@@ -301,27 +318,21 @@ def parse_program(text: str) -> Program:
 
 
 def _check_connectivity(g: Cfg) -> None:
-    seen = {g.entry}
-    stack = [g.entry]
-    while stack:
-        for t in g.succs[stack.pop()]:
-            if t not in seen:
-                seen.add(t)
-                stack.append(t)
-    unreachable = set(g.blocks) - seen
-    if unreachable:
-        raise DocumentError(f"blocks unreachable from entry: {sorted(unreachable)}")
-    # Every block must be able to reach the exit.
-    seen = {g.exit}
-    stack = [g.exit]
-    while stack:
-        for t in g.preds[stack.pop()]:
-            if t not in seen:
-                seen.add(t)
-                stack.append(t)
-    stuck = set(g.blocks) - seen
-    if stuck:
-        raise DocumentError(f"blocks that cannot reach exit: {sorted(stuck)}")
+    ids = g.ids
+    for start, step, fault in ((g.entry, g.succ_ids, "unreachable from entry"),
+                               (g.exit, g.pred_ids, "that cannot reach exit")):
+        # Every block must be reachable from the entry, and reach the exit.
+        seen = bytearray(len(ids))
+        stack = [g.block_index[start]]
+        seen[stack[0]] = 1
+        while stack:
+            for t in step[stack.pop()]:
+                if not seen[t]:
+                    seen[t] = 1
+                    stack.append(t)
+        if not all(seen):
+            missed = sorted(ids[b] for b in range(len(ids)) if not seen[b])
+            raise DocumentError(f"blocks {fault}: {missed}")
 
 
 # ---------------------------------------------------------------------------
@@ -329,54 +340,60 @@ def _check_connectivity(g: Cfg) -> None:
 # ---------------------------------------------------------------------------
 
 
-def immediate_dominators(start: N, succs: Mapping[N, Sequence[N]],
-                         preds: Mapping[N, Sequence[N]]
-                         ) -> tuple[dict[N, N | None], dict[N, int]]:
-    """Immediate dominator of every node reachable from start (which maps
-    to None), and each such node's number in the reverse postorder of the
-    one depth-first search that orders the pass.
+def immediate_dominators(start: int, succ: Sequence[Sequence[int]],
+                         pred: Sequence[Sequence[int]]
+                         ) -> tuple[list[int], list[int]]:
+    """Immediate dominator of every node of a graph on the numbers
+    0 .. len(succ) - 1, and each node's number in the reverse postorder of
+    the one depth-first search from start that orders the pass.
 
-    Iterative two-finger intersection over reverse postorder (Cooper,
-    Harvey & Kennedy, "A Simple, Fast Dominance Algorithm", 2001).
+    start and the nodes it does not reach have immediate dominator -1;
+    unreached nodes have reverse-postorder number -1 as well.  Iterative
+    two-finger intersection over reverse postorder (Cooper, Harvey &
+    Kennedy, "A Simple, Fast Dominance Algorithm", 2001).
     """
-    order: list[N] = []
-    seen = {start}
-    stack: list[tuple[N, int]] = [(start, 0)]
+    order: list[int] = []
+    seen = bytearray(len(succ))
+    seen[start] = 1
+    stack = [(start, iter(succ[start]))]
     while stack:
-        node, i = stack.pop()
-        nxt = succs[node]
-        if i < len(nxt):
-            stack.append((node, i + 1))
-            t = nxt[i]
-            if t not in seen:
-                seen.add(t)
-                stack.append((t, 0))
+        node, rest = stack[-1]
+        for t in rest:
+            if not seen[t]:
+                seen[t] = 1
+                stack.append((t, iter(succ[t])))
+                break
         else:
+            stack.pop()
             order.append(node)
     order.reverse()
-    rpo = {n: i for i, n in enumerate(order)}
-    idom: dict[N, N | None] = {start: start}
-
-    def intersect(a: N, b: N) -> N:
-        while a != b:
-            while rpo[a] > rpo[b]:
-                a = idom[a]
-            while rpo[b] > rpo[a]:
-                b = idom[b]
-        return a
+    rpo = [-1] * len(succ)
+    for i, n in enumerate(order):
+        rpo[n] = i
+    idom = [-1] * len(succ)
+    idom[start] = start
 
     changed = True
     while changed:
         changed = False
         for n in order[1:]:
-            new = None
-            for p in preds[n]:
-                if p in idom:
-                    new = p if new is None else intersect(new, p)
-            if new is not None and idom.get(n) != new:
+            new = -1
+            for p in pred[n]:
+                if idom[p] < 0:
+                    continue  # not reached, or not yet placed
+                if new < 0:
+                    new = p
+                    continue
+                a = p
+                while a != new:
+                    while rpo[a] > rpo[new]:
+                        a = idom[a]
+                    while rpo[new] > rpo[a]:
+                        new = idom[new]
+            if new >= 0 and idom[n] != new:
                 idom[n] = new
                 changed = True
-    idom[start] = None
+    idom[start] = -1
     return idom, rpo
 
 
@@ -385,26 +402,33 @@ def immediate_dominators(start: N, succs: Mapping[N, Sequence[N]],
 # ---------------------------------------------------------------------------
 
 
-def _dom_intervals(idom: dict[str, str | None]) -> dict[str, tuple[int, int]]:
-    """Pre- and post-order numbers on the dominator tree: a dominates b
-    exactly when a's interval encloses b's."""
-    kids: dict[str | None, list[str]] = {}
-    for b, d in idom.items():
-        kids.setdefault(d, []).append(b)
-    pre: dict[str, int] = {}
-    out: dict[str, tuple[int, int]] = {}
-    clock = 0
-    stack: list[tuple[str, bool]] = [(b, False) for b in kids[None]]
+def _tree_intervals(parent: Sequence[int], nodes: Iterable[int]
+                    ) -> tuple[list[int], list[int]]:
+    """Preorder intervals on the forest of `nodes` that `parent` gives
+    (-1: a root), children in the order `nodes` lists them.  Node b lies
+    in the subtree of node a exactly when pre[a] <= pre[b] < post[a];
+    nodes not listed keep pre = post = -1."""
+    kids: dict[int, list[int]] = {}
+    for b in nodes:
+        kids.setdefault(parent[b], []).append(b)
+    pre = [-1] * len(parent)
+    post = [-1] * len(parent)
+    order: list[int] = []
+    stack = kids.get(-1, [])[::-1]
     while stack:
-        node, done = stack.pop()
-        clock += 1
-        if done:
-            out[node] = (pre[node], clock)
-            continue
-        pre[node] = clock
-        stack.append((node, True))
-        stack.extend((c, False) for c in kids.get(node, ()))
-    return out
+        b = stack.pop()
+        pre[b] = len(order)
+        post[b] = len(order) + 1
+        order.append(b)
+        below = kids.get(b)
+        if below:
+            stack.extend(reversed(below))
+    # A subtree ends where its last descendant in preorder does.
+    for b in reversed(order):
+        p = parent[b]
+        if p >= 0 and post[p] < post[b]:
+            post[p] = post[b]
+    return pre, post
 
 
 def check_reducible(g: Cfg, backs: set[Edge]) -> None:
@@ -446,7 +470,11 @@ def check_reducible(g: Cfg, backs: set[Edge]) -> None:
 @dataclass(frozen=True, slots=True)
 class LoopInfo:
     header: str
-    body: frozenset[str]
+    # The loop's interval on the loop tree (see `LoopForest`): a loop lies
+    # in this one, itself included, exactly when its pre number is in
+    # [pre, post).
+    pre: int
+    post: int
     back_edges: tuple[Edge, ...]
     entry_edges: tuple[Edge, ...]  # edges into the header from outside the body
     exit_edges: tuple[Edge, ...]  # edges leaving the body
@@ -455,12 +483,21 @@ class LoopInfo:
 
 @dataclass
 class LoopForest:
-    loops: dict[str, LoopInfo]  # header -> LoopInfo, document order
-    parent: dict[str, str | None]  # header -> enclosing header (None = top level)
-    block_loop: dict[str, str]  # block -> smallest loop around it, document order
-    idom: dict[str, str | None]  # block -> immediate dominator (entry: None)
+    """The natural loops of a CFG, on its block numbers.
+
+    A loop is known by its header's block number.  The loop tree is
+    numbered in preorder (children in document order of their headers), so
+    nesting is an interval test: loop a lies in loop b exactly when
+    `b.pre <= a.pre < b.post`.
+    """
+
+    loops: dict[str, LoopInfo]  # header id -> LoopInfo, document order
+    block_loop: list[int]  # block -> header of the innermost loop around it, -1: none
+    parent: list[int]  # header -> header of the enclosing loop, -1: none (and for non-headers)
+    inner_pre: dict[str, int]  # block id -> pre number of its innermost loop (absent: none)
+    idom: list[int]  # block -> immediate dominator (entry: -1)
     # block -> number in the reverse postorder of the dominator pass's DFS
-    rpo: dict[str, int]
+    rpo: list[int]
 
 
 def build_loop_forest(g: Cfg, bounds: dict[str, int | str] | None = None) -> LoopForest:
@@ -468,83 +505,94 @@ def build_loop_forest(g: Cfg, bounds: dict[str, int | str] | None = None) -> Loo
 
     `bounds` maps headers to iteration bounds; a loop without one gets the
     symbolic bound "x_<header>".
+
+    Loop bodies are found innermost first: headers come up in decreasing
+    reverse postorder, each body is searched backwards from its back
+    edges, and each found loop is collapsed into its header by union-find,
+    so an enclosing search steps over it in one move (Tarjan, "Testing
+    flow graph reducibility", 1974; Havlak, "Nesting of reducible and
+    irreducible loops", 1997).  Every block is searched once.
     """
-    idom, rpo = immediate_dominators(g.entry, g.succs, g.preds)
+    ids, pred = g.ids, g.pred_ids
+    n = len(ids)
+    idom, rpo = immediate_dominators(g.block_index[g.entry], g.succ_ids, pred)
     # Back edges are the edges whose target dominates their source.  Such
     # a target is a DFS ancestor of the source, so only the retreating
     # edges of the dominator pass's own search (self-loops included) need
-    # the test.  A retreating edge that is not a back edge means the graph
-    # is irreducible (Hecht & Ullman, "Characterizations of reducible flow
-    # graphs", 1974); only then does the cycle search run, to report it.
-    span = _dom_intervals(idom)
-    backs: list[Edge] = []
+    # the test, on the dominator tree's intervals.  A retreating edge that
+    # is not a back edge means the graph is irreducible (Hecht & Ullman,
+    # "Characterizations of reducible flow graphs", 1974); only then does
+    # the cycle search run, to report it.
+    dom_pre, dom_post = _tree_intervals(idom, range(n))
+    back_from: dict[int, list[int]] = {}  # header -> back-edge sources
     reducible = True
-    for s, t in g.edges:
+    for s, t in g.edge_ids:
         if rpo[t] <= rpo[s]:
-            (s_pre, s_post), (t_pre, t_post) = span[s], span[t]
-            if t_pre <= s_pre and s_post <= t_post:
-                backs.append((s, t))
+            if dom_pre[t] <= dom_pre[s] < dom_post[t]:
+                back_from.setdefault(t, []).append(s)
             else:
                 reducible = False
     if not reducible:
-        check_reducible(g, set(backs))
+        check_reducible(g, {(ids[s], ids[t]) for t, srcs in back_from.items()
+                            for s in srcs})
         raise AssertionError("a retreating edge that is not a back edge, "
                              "but no cycle without back edges")
-    by_header: dict[str, list[Edge]] = {}
-    for s, t in backs:
-        by_header.setdefault(t, []).append((s, t))
 
     bounds = bounds or {}
     for header in bounds:
-        if header not in by_header:
+        if g.block_index.get(header) not in back_from:
             raise DocumentError(f"loop bound for {header!r}, which is not a loop header")
 
-    headers = sorted(by_header, key=g.block_index.__getitem__)
-    bodies: dict[str, set[str]] = {}
-    for h in headers:
-        body = {h}
-        stack = [s for s, _ in by_header[h]]
+    # Innermost first.  A block is a root of the union-find until the
+    # search of its innermost loop collapses it into that loop's header;
+    # from then on its root is the header of the outermost loop found
+    # around it.  Reducible loops are entered at their header only, so a
+    # collapsed loop's other predecessors all lie inside it.
+    root = list(range(n))
+    block_loop = [-1] * n
+    parent = [-1] * n
+    for h in sorted(back_from, key=rpo.__getitem__, reverse=True):
+        block_loop[h] = h
+        stack = list(back_from[h])
         while stack:
-            n = stack.pop()
-            if n in body:
+            b = stack.pop()
+            top = root[b]
+            while top != root[top]:
+                top = root[top]
+            while root[b] != top:
+                root[b], b = top, root[b]
+            if top == h:
                 continue
-            body.add(n)
-            stack.extend(g.preds[n])
-        bodies[h] = body
+            if block_loop[top] == top:
+                parent[top] = h  # a nested loop, found before
+            else:
+                block_loop[top] = h
+            root[top] = h
+            stack.extend(pred[top])
 
-    # Outermost loops first: when h comes up, the smallest loop seen so far
-    # around its header is its parent.  Reducible loops nest cleanly, so
-    # every block of h has that same innermost loop; anything else is a
-    # construction bug.
-    parent: dict[str, str | None] = {}
-    inner: dict[str, str] = {}
-    for h in sorted(headers, key=lambda h: -len(bodies[h])):
-        parent[h] = inner.get(h)
-        for b in bodies[h]:
-            assert inner.get(b) == parent[h], f"overlapping loops at {b}"
-            inner[b] = h
+    headers = sorted(back_from)
+    loop_pre, loop_post = _tree_intervals(parent, headers)
+    inner = [-1 if h < 0 else loop_pre[h] for h in block_loop]
 
     # One pass over the edges: an edge enters its target's loop from outside
     # the body, and exits every loop around its source that lacks its target.
-    entries: dict[str, list[Edge]] = {h: [] for h in headers}
-    exits: dict[str, list[Edge]] = {h: [] for h in headers}
-    for u, v in g.edges:
-        if v in bodies and u not in bodies[v]:
-            entries[v].append((u, v))
-        level = inner.get(u)
-        while level is not None and v not in bodies[level]:
-            exits[level].append((u, v))
+    entries: dict[int, list[Edge]] = {h: [] for h in headers}
+    exits: dict[int, list[Edge]] = {h: [] for h in headers}
+    for (u, v), e in zip(g.edge_ids, g.edges):
+        if block_loop[v] == v and not loop_pre[v] <= inner[u] < loop_post[v]:
+            entries[v].append(e)
+        level, at = block_loop[u], inner[v]
+        while level >= 0 and not loop_pre[level] <= at < loop_post[level]:
+            exits[level].append(e)
             level = parent[level]
 
-    loops = {h: LoopInfo(h, frozenset(bodies[h]), tuple(by_header[h]),
-                         tuple(entries[h]), tuple(exits[h]),
-                         bounds.get(h, f"x_{h}"))
+    loops = {ids[h]: LoopInfo(ids[h], loop_pre[h], loop_post[h],
+                              tuple((ids[s], ids[h]) for s in back_from[h]),
+                              tuple(entries[h]), tuple(exits[h]),
+                              bounds.get(ids[h], f"x_{ids[h]}"))
              for h in headers}
-    # Document order, so that iterating the map does not depend on string
-    # hashing (the bodies above are sets).
-    block_loop = {b: inner[b] for b in g.blocks if b in inner}
-    return LoopForest(loops, {h: parent[h] for h in headers}, block_loop,
-                      idom, rpo)
+    inner_pre = {ids[b]: p for b, p in enumerate(inner) if p >= 0}
+    return LoopForest(loops, block_loop, parent, inner_pre, idom, rpo)
 
 
 # ---------------------------------------------------------------------------
@@ -558,10 +606,12 @@ def loop_leq(a: LoopRef, b: LoopRef, f: LoopForest) -> bool:
         return True
     if a.kind == "top" or b.kind == "bot":
         return False
-    # A header outside this forest is comparable only to itself and the
-    # lattice extremes.
+    # Block a.header lies in loop b when its innermost loop does.  A header
+    # outside this forest is comparable only to itself and the lattice
+    # extremes.
     info = f.loops.get(b.header)
-    return info is not None and a.header in info.body
+    return (info is not None
+            and info.pre <= f.inner_pre.get(a.header, -1) < info.post)
 
 
 def loop_meet(a: LoopRef, b: LoopRef, f: LoopForest) -> LoopRef:

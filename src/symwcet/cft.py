@@ -107,22 +107,34 @@ def child_nodes(t: Cft) -> tuple[Cft, ...]:
 def walk(t: Cft):
     """Every node of t in preorder (a Loop's body before its exit).
 
-    Yields (node, path, loops): path is the node's child-index path from t
-    (Loop children are 0=body, 1=exit) and loops holds the headers of the
-    loops whose body holds the node, outermost first.  A Loop's exit lies
-    outside that loop.
+    Yields (node, path, loops).  path is the node's child-index path from
+    t (Loop children are 0=body, 1=exit) and loops holds the headers of the
+    loops whose body holds the node; a Loop's exit lies outside that loop.
+    Both are linked cells `(last, rest)` ending in None, so a step costs
+    the same at any depth; `spell_out` turns one into a tuple, outermost
+    first.
     """
-    stack: list[tuple[Cft, tuple[int, ...], tuple[str, ...]]] = [(t, (), ())]
+    stack: list[tuple[Cft, tuple | None, tuple | None]] = [(t, None, None)]
     while stack:
         node, path, loops = stack.pop()
         yield node, path, loops
         if isinstance(node, Loop):
-            stack.append((node.exit, path + (1,), loops))
-            stack.append((node.body, path + (0,), loops + (node.header,)))
+            stack.append((node.exit, (1, path), loops))
+            stack.append((node.body, (0, path), (node.header, loops)))
         elif isinstance(node, (Alt, Seq)):
             kids = node.children
-            stack.extend((kids[i], path + (i,), loops)
+            stack.extend((kids[i], (i, path), loops)
                          for i in range(len(kids) - 1, -1, -1))
+
+
+def spell_out(cell: tuple | None) -> tuple:
+    """The values of a linked cell from `walk`, outermost first."""
+    out = []
+    while cell is not None:
+        out.append(cell[0])
+        cell = cell[1]
+    out.reverse()
+    return tuple(out)
 
 
 def subtrees(t: Cft):
@@ -160,8 +172,8 @@ def _find_leaf(t: Cft, target: str):
 
     Exact labels win; otherwise the target matches leaves whose label minus
     the '#k' duplication suffix equals it.  Several matches need a suffixed
-    target to disambiguate.  Returns (leaf, path, loops) as walk() yields
-    them, and the set of t's leaf labels.
+    target to disambiguate.  Returns (leaf, path, loops), path and loops
+    spelled out as tuples, and the set of t's leaf labels.
     """
     exact = []
     loose = []
@@ -178,16 +190,16 @@ def _find_leaf(t: Cft, target: str):
         # Leaf labels are unique after renaming; duplicates mean the caller
         # fed an un-renamed tree.
         raise AmbiguousTarget(f"label {target!r} matches {len(exact)} leaves")
-    if exact:
-        return exact[0], labels
-    if not loose:
-        raise UnknownBlock(f"no leaf matches target {target!r}")
-    if len(loose) > 1:
-        raise AmbiguousTarget(
-            f"target {target!r} matches duplicated leaves "
-            f"{[node.label for node, _, _ in loose]}; "
-            "use a '#k'-suffixed label")
-    return loose[0], labels
+    if not exact:
+        if not loose:
+            raise UnknownBlock(f"no leaf matches target {target!r}")
+        if len(loose) > 1:
+            raise AmbiguousTarget(
+                f"target {target!r} matches duplicated leaves "
+                f"{[node.label for node, _, _ in loose]}; "
+                "use a '#k'-suffixed label")
+    node, path, loops = (exact or loose)[0]
+    return (node, spell_out(path), spell_out(loops)), labels
 
 
 def _check_ancestor(loops: tuple[str, ...], a: Annotation) -> None:

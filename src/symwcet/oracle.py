@@ -179,8 +179,8 @@ def _external_filters(t: cft.Cft, max_paths: int = MAX_PATHS):
     out: list[tuple[tuple[tuple[str, ...], ...], int]] = []
     for node, _, entered in cft.walk(t):
         ann = node.annotation
-        if ann is not None and (ann.loop == TOP
-                                or ann.loop.header not in entered):
+        if ann is not None and (ann.loop == TOP or ann.loop.header
+                                not in cft.spell_out(entered)):
             cap = _require_int(ann.max, "annotation cap")
             out.append((patterns_of(node, max_paths), cap))
     return out

@@ -7,50 +7,36 @@ Back-edges point at a virtual `next` node, departures at a virtual `exit`
 node.  The region graph is then serialized into a tree along its chain of
 forced-passage nodes; hierarchical nodes expand recursively into Loop nodes.
 
-The region graphs are a view, not tables: the tree builder reads a node's
-predecessors and immediate dominator off the CFG and its loop forest when
-it first asks, and remembers them for the rest of the build.  The
-predecessors stand for the CFG edges into the node: a block's `Cfg.preds`,
+Region nodes are integers on the CFG's N block numbers: block i is node i,
+the loop headed by block i is N + i, that loop's `next` is 2N + i and its
+`exit` 3N + i, and the program's exit is 4N.  Sorting nodes sorts blocks
+before loops, each in document order, which is the order of an Alt's
+children.  The region graphs are arrays over these nodes, filled in one
+pass over the CFG's predecessor lists and the forest's edge lists: the
+predecessors stand for the CFG edges into a node (a block's predecessors,
 a loop's `entry_edges`, and the `back_edges` and `exit_edges` of the loop
-whose `next` and `exit` they are.  The immediate dominator of a block or
+whose `next` and `exit` they are).  The immediate dominator of a block or
 loop node stands for its block's (or header's) in `LoopForest.idom`; that
 of `next` or `exit` is the nearest common dominator of its predecessors.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 from .cfg import Cfg, LoopForest
 from . import cft
-
-
-class DagNode(NamedTuple):
-    # A tuple, not a dataclass: nodes are hashed and compared constantly.
-    kind: str  # "block" | "loop" | "next" | "exit"
-    id: str = ""  # block or header; a sink's loop, "" for the program's
-
-    def __str__(self) -> str:
-        if self.kind == "block":
-            return self.id
-        if self.kind == "loop":
-            return f"L_{self.id}"
-        return self.kind
-
-
-_KIND_RANK = {"block": 0, "loop": 1}
 
 
 class _Builder:
     """Serializes region graphs into one tree.
 
-    Each block and each loop has one `DagNode` object per build.  A block
-    or loop node's predecessors come before it in the CFG's reverse
-    postorder (`LoopForest.rpo`, a loop node taking its header's number),
-    which proves every region graph acyclic: in a reducible graph every
-    edge that is not a back edge goes forward in reverse postorder (Hecht
-    & Ullman, 1974), a loop's header comes before its blocks, and an edge
-    into a nested loop enters at its header.
+    `preds[n]` lists node n's predecessors in its region graph, sorted,
+    and `idom[n]` is its immediate dominator there (-1: n starts its
+    region).  A block or loop node's predecessors come before it in the
+    CFG's reverse postorder (`LoopForest.rpo`, a loop node taking its
+    header's number), which proves every region graph acyclic: in a
+    reducible graph every edge that is not a back edge goes forward in
+    reverse postorder (Hecht & Ullman, 1974), a loop's header comes before
+    its blocks, and an edge into a nested loop enters at its header.
 
     Leaves are created in preorder of the final tree (children left to
     right, a Loop's body before its exit), so each is named as it is
@@ -61,94 +47,105 @@ class _Builder:
     def __init__(self, g: Cfg, f: LoopForest):
         self.g = g
         self.f = f
-        self.block_node = {b: DagNode("block", b) for b in g.blocks}
-        self.loop_node = {h: DagNode("loop", h) for h in f.loops}
-        self._preds: dict[DagNode, list[DagNode]] = {}
-        self._idom: dict[DagNode, DagNode | None] = {}
-        self.seen: dict[str, int] = {}
+        n = self.n = len(g.ids)
+        block_loop, rpo, index = f.block_loop, f.rpo, g.block_index
+        preds: list[list[int] | None] = [None] * (4 * n + 1)
+        idom = [-1] * (4 * n + 1)
+        shared: list[int] = []  # nodes with two or more predecessor entries
+        self.preds, self.idom = preds, idom
+        rep = self.representative
+
+        def add(node: int, p: int) -> None:
+            known = preds[node]
+            if known is None:
+                preds[node] = [p]
+            else:
+                known.append(p)
+                if len(known) == 2:
+                    shared.append(node)
+
+        # A loop's header starts its region: its CFG predecessors are back
+        # edges (to `next`) or outside the loop.  Unless a block or loop
+        # node starts its region, the block above it in the CFG's
+        # dominator tree lies inside the region's loop, since the header
+        # dominates it.
+        for v, level in enumerate(block_loop):
+            if v == level:
+                continue
+            for u in g.pred_ids[v]:
+                p = u if block_loop[u] == level else rep(u, level)
+                assert rpo[p % n] < rpo[v], self._cycle(p, v)
+                add(v, p)
+            if f.idom[v] >= 0:
+                idom[v] = rep(f.idom[v], level)
+        for info in f.loops.values():
+            h = index[info.header]
+            level = f.parent[h]
+            for u, _ in info.entry_edges:
+                p = rep(index[u], level)
+                assert rpo[p % n] < rpo[h], self._cycle(p, n + h)
+                add(n + h, p)
+            if f.idom[h] >= 0:
+                idom[n + h] = rep(f.idom[h], level)
+            for u, _ in info.back_edges:
+                add(2 * n + h, rep(index[u], h))
+            for u, _ in info.exit_edges:
+                add(3 * n + h, rep(index[u], h))
+        # Program termination is the pseudo-loop's departure edge.
+        add(4 * n, rep(index[g.exit], -1))
+        for node in shared:
+            preds[node] = sorted(set(preds[node]))  # type: ignore[arg-type]
+
+        # A sink's dominator is the nearest node that dominates every
+        # predecessor.  Dominators come before the nodes they dominate in
+        # reverse postorder, so two-finger intersection finds it.
+        for node in range(2 * n, 4 * n + 1):
+            ps = preds[node]
+            if ps is None:
+                continue
+            dom = ps[0]
+            for a in ps[1:]:
+                while a != dom:
+                    while rpo[a % n] > rpo[dom % n]:
+                        a = idom[a]
+                    while rpo[dom % n] > rpo[a % n]:
+                        dom = idom[dom]
+            idom[node] = dom
+        self.seen = [0] * n
         self.rename: dict[str, str] = {}
 
-    def representative(self, block: str, level: str | None) -> DagNode:
-        # Blocks directly at the level stay themselves; anything inside a
-        # nested loop is represented by that loop's node.
-        cur = self.f.block_loop.get(block)
-        if cur == level:
-            return self.block_node[block]
-        parent = self.f.parent
-        while parent[cur] != level:  # type: ignore[index]
-            cur = parent[cur]  # type: ignore[index]
-        return self.loop_node[cur]  # type: ignore[index]
-
-    def node_key(self, n: DagNode):
-        return (_KIND_RANK[n.kind], self.g.block_index[n.id])
-
-    def preds(self, n: DagNode) -> list[DagNode]:
-        """n's predecessors in its region graph, sorted by `node_key`."""
-        known = self._preds.get(n)
-        if known is not None:
-            return known
-        f, kind = self.f, n.kind
-        if kind == "block":
-            # A loop's header starts its region: its CFG predecessors are
-            # back edges (to `next`) or outside the loop.
-            level = f.block_loop.get(n.id)
-            sources = () if n.id == level else self.g.preds[n.id]
-        elif kind == "loop":
-            level = f.parent[n.id]
-            sources = [u for u, _ in f.loops[n.id].entry_edges]
-        else:
-            level = n.id or None
-            if level is None:
-                # Program termination is the pseudo-loop's departure edge.
-                sources = (self.g.exit,) if kind == "exit" else ()
-            else:
-                info = f.loops[level]
-                sources = [u for u, _ in (info.back_edges if kind == "next"
-                                          else info.exit_edges)]
-        out: list[DagNode] = []
-        for u in sources:
-            p = self.representative(u, level)
-            if p != n and p not in out:
-                out.append(p)
-        if kind == "block" or kind == "loop":
-            for p in out:
-                assert f.rpo[p.id] < f.rpo[n.id], \
-                    f"region graph for {level} has a cycle through {p} -> {n}"
-        if len(out) >= 2:
-            out.sort(key=self.node_key)
-        self._preds[n] = out
-        return out
-
-    def idom(self, n: DagNode) -> DagNode | None:
-        """n's immediate dominator in its region graph (None: its start)."""
-        if n in self._idom:
-            return self._idom[n]
+    def representative(self, block: int, level: int) -> int:
+        """The node of `block` in the region of loop `level` (-1: the
+        program): the block itself when it lies directly at the level,
+        else the node of the nested loop it lies in."""
         f = self.f
-        if n.kind == "block" or n.kind == "loop":
-            level = (f.block_loop.get(n.id) if n.kind == "block"
-                     else f.parent[n.id])
-            above = f.idom[n.id]
-            # Unless n starts the region, that block lies inside the
-            # region's loop, since the header dominates n.
-            dom = (None if above is None or n.id == level
-                   else self.representative(above, level))
-        else:
-            # The nearest node that dominates every predecessor.
-            preds = self.preds(n)
-            dom = preds[0]
-            for p in preds[1:]:
-                chain: set[DagNode] = set()
-                cur: DagNode | None = dom
-                while cur is not None:
-                    chain.add(cur)
-                    cur = self.idom(cur)
-                while p not in chain:
-                    p = self.idom(p)  # type: ignore[assignment]
-                dom = p
-        self._idom[n] = dom
-        return dom
+        cur = f.block_loop[block]
+        if cur == level:
+            return block
+        parent = f.parent
+        while parent[cur] != level:
+            cur = parent[cur]
+        return self.n + cur
 
-    def passage(self, start: DagNode, end: DagNode) -> list[DagNode]:
+    def name(self, node: int) -> str:
+        """How messages name a node: a block's id, L_<header>, next, exit."""
+        n, ids = self.n, self.g.ids
+        if node < n:
+            return ids[node]
+        if node < 2 * n:
+            return f"L_{ids[node - n]}"
+        return "next" if node < 3 * n else "exit"
+
+    def _cycle(self, p: int, node: int) -> str:
+        """The message for a region edge p -> node against reverse
+        postorder, naming the region by its loop's header."""
+        n, f = self.n, self.f
+        level = f.block_loop[node] if node < n else f.parent[node - n]
+        region = None if level < 0 else self.g.ids[level]
+        return (f"region graph for {region} has a cycle through "
+                f"{self.name(p)} -> {self.name(node)}")
+
+    def passage(self, start: int, end: int) -> list[int]:
         """The forced passage: nodes every start-to-end walk must pass,
         ordered start-side first.
 
@@ -156,33 +153,36 @@ class _Builder:
         these are exactly the dominators of end that start dominates: the
         segment of end's idom chain below start.
         """
-        chain: list[DagNode] = []
-        cur: DagNode | None = end
+        chain: list[int] = []
+        cur = end
+        idom = self.idom
         while cur != start:
-            assert cur is not None, f"{start} does not dominate {end}"
+            assert cur >= 0, \
+                f"{self.name(start)} does not dominate {self.name(end)}"
             chain.append(cur)
-            cur = self.idom(cur)
+            cur = idom[cur]
         chain.reverse()
         return chain
 
-    def emit(self, n: DagNode) -> cft.Cft | None:
-        if n.kind == "block":
-            label = n.id
-            k = self.seen.get(label, 0)
-            self.seen[label] = k + 1
+    def emit(self, node: int) -> cft.Cft | None:
+        n, ids = self.n, self.g.ids
+        if node < n:
+            label = ids[node]
+            k = self.seen[node]
+            self.seen[node] = k + 1
             if k:
                 label = f"{label}#{k}"
-                self.rename[label] = n.id
-            return cft.Leaf(label, self.g.blocks[n.id].wcet)
-        if n.kind == "loop":
-            h, start = n.id, self.block_node[n.id]
-            body = self.tree(start, DagNode("next", h), include_start=True)
-            exit_tree = self.tree(start, DagNode("exit", h), True)
-            return cft.Loop(h, body, self.f.loops[h].bound, exit_tree)
+                self.rename[label] = ids[node]
+            return cft.Leaf(label, self.g.blocks[ids[node]].wcet)
+        if node < 2 * n:
+            h = node - n
+            body = self.tree(h, 2 * n + h, include_start=True)
+            exit_tree = self.tree(h, 3 * n + h, True)
+            return cft.Loop(ids[h], body, self.f.loops[ids[h]].bound,
+                            exit_tree)
         return None
 
-    def tree(self, start: DagNode, end: DagNode,
-             include_start: bool) -> cft.Cft:
+    def tree(self, start: int, end: int, include_start: bool) -> cft.Cft:
         children: list[cft.Cft] = []
         if include_start:
             first = self.emit(start)
@@ -190,7 +190,7 @@ class _Builder:
                 children.append(first)
         prev = start
         for forced in self.passage(start, end):
-            preds = self.preds(forced)
+            preds = self.preds[forced] or []
             if len(preds) >= 2:
                 children.append(cft.alt([
                     self.tree(prev, p, include_start=False) for p in preds
@@ -198,7 +198,9 @@ class _Builder:
             else:
                 # A lone predecessor is the node's immediate dominator,
                 # which the passage has just left.
-                assert preds in ([], [prev]), f"{forced} follows {preds}"
+                assert preds in ([], [prev]), \
+                    (f"{self.name(forced)} follows "
+                     f"{[self.name(p) for p in preds]}")
             emitted = self.emit(forced)
             if emitted is not None:
                 children.append(emitted)
@@ -214,6 +216,6 @@ def build_cft(g: Cfg, f: LoopForest) -> tuple[cft.Cft, dict[str, str]]:
     back to its block, in the order the leaves were created.
     """
     builder = _Builder(g, f)
-    tree = builder.tree(builder.representative(g.entry, None),
-                        DagNode("exit"), include_start=True)
+    tree = builder.tree(builder.representative(g.block_index[g.entry], -1),
+                        4 * len(g.ids), include_start=True)
     return tree, builder.rename

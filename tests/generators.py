@@ -187,7 +187,7 @@ def _body_leaves(t: cft.Cft):
     out: dict[str, tuple[str, ...]] = {}
     for node, _, inside in cft.walk(t):
         if isinstance(node, cft.Leaf):
-            out.setdefault(node.label, inside)
+            out.setdefault(node.label, cft.spell_out(inside))
     return out
 
 

@@ -50,7 +50,7 @@ TPATH_BUDGET = 200_000
 
 def _nesting_depth(forest, header):
     d = 0
-    while header is not None:
+    while header >= 0:
         d += 1
         header = forest.parent[header]
     return d
@@ -61,7 +61,8 @@ def _conforming(a):
     two nested loops (bounds are <= 3 by generator construction)."""
     if len(a.cfg.blocks) > 10:
         return False
-    return all(_nesting_depth(a.forest, h) <= 2 for h in a.forest.loops)
+    return all(_nesting_depth(a.forest, a.cfg.block_index[h]) <= 2
+               for h in a.forest.loops)
 
 
 @pytest.fixture(scope="module")

@@ -13,10 +13,8 @@ import generators as gen
 from symwcet.cfg import (
     BOT,
     TOP,
-    LoopForest,
-    LoopInfo,
     LoopRef,
-    _dom_intervals,
+    _tree_intervals,
     build_loop_forest,
     check_reducible,
     immediate_dominators,
@@ -193,9 +191,15 @@ def test_symbolic_wcet_and_bound_are_identifiers():
 # ---------------------------------------------------------------------------
 
 
+def _name(g, b):
+    """The id of block number b (-1: None)."""
+    return None if b < 0 else g.ids[b]
+
+
 def test_fig2_idoms():
     g = fig2_program().cfg
-    assert build_loop_forest(g).idom == {
+    idom = build_loop_forest(g).idom
+    assert {g.ids[b]: _name(g, d) for b, d in enumerate(idom)} == {
         "b1": None, "b2": "b1", "b3": "b1", "b4": "b2", "b5": "b1", "b6": "b1",
     }
 
@@ -226,14 +230,13 @@ def test_dominates_matches_removal_oracle():
         doc = gen.random_doc(rng, depth=2, noise=2)
         g = parse_program(json.dumps(doc)).cfg
         f = build_loop_forest(g)
-        span = _dom_intervals(f.idom)
+        pre, post = _tree_intervals(f.idom, range(len(g.ids)))
         cuts = {d: _reachable_without(g, d) for d in g.blocks}
         for d in g.blocks:
             for n in g.blocks:
                 expected = n == d or n not in cuts[d]
-                (d_pre, d_post), (n_pre, n_post) = span[d], span[n]
-                assert (d_pre <= n_pre and n_post <= d_post) == expected, \
-                    (doc, d, n)
+                i, j = g.block_index[d], g.block_index[n]
+                assert (pre[i] <= pre[j] < post[i]) == expected, (doc, d, n)
         # Back edges are tested for dominance on the dominator tree's
         # numbering; each loop keeps its own in edge order.
         backs = [(s, t) for s, t in g.edges if s == t or s not in cuts[t]]
@@ -280,15 +283,22 @@ def _small_cfg_doc(rng: random.Random) -> dict:
 def _three_pass_loop_forest(g):
     """The loop forest from three graph passes: the dominator pass, a
     dominance test on every edge for the back edges, then the cycle search
-    on the graph without them."""
-    idom, rpo = immediate_dominators(g.entry, g.succs, g.preds)
-    span = _dom_intervals(idom)
+    on the graph without them.  Loop bodies are spelled out as sets, one
+    backward search per loop.
+
+    Returns the forest as `_forest_view` shows it, and the bodies."""
+    idom, _ = immediate_dominators(g.block_index[g.entry], g.succ_ids,
+                                   g.pred_ids)
+    pre, post = _tree_intervals(idom, range(len(g.ids)))
+    index = g.block_index
     backs = []
     for s, t in g.edges:
-        (s_pre, s_post), (t_pre, t_post) = span[s], span[t]
-        if t_pre <= s_pre and s_post <= t_post:
+        if pre[index[t]] <= pre[index[s]] < post[index[t]]:
             backs.append((s, t))
     check_reducible(g, set(backs))
+    preds = {b: [] for b in g.blocks}
+    for s, t in g.edges:
+        preds[t].append(s)
     by_header = {}
     for s, t in backs:
         by_header.setdefault(t, []).append((s, t))
@@ -301,7 +311,7 @@ def _three_pass_loop_forest(g):
             n = stack.pop()
             if n not in body:
                 body.add(n)
-                stack.extend(g.preds[n])
+                stack.extend(preds[n])
         bodies[h] = body
     parent, inner = {}, {}
     for h in sorted(headers, key=lambda h: -len(bodies[h])):
@@ -317,26 +327,46 @@ def _three_pass_loop_forest(g):
         while level is not None and v not in bodies[level]:
             exits[level].append((u, v))
             level = parent[level]
-    loops = {h: LoopInfo(h, frozenset(bodies[h]), tuple(by_header[h]),
-                         tuple(entries[h]), tuple(exits[h]), f"x_{h}")
-             for h in headers}
+    loops = [(h, tuple(by_header[h]), tuple(entries[h]), tuple(exits[h]),
+              f"x_{h}") for h in headers]
     block_loop = {b: inner[b] for b in g.blocks if b in inner}
-    return LoopForest(loops, {h: parent[h] for h in headers}, block_loop,
-                      idom, rpo)
+    idom = {g.ids[b]: _name(g, d) for b, d in enumerate(idom)}
+    view = (loops, {h: parent[h] for h in headers}, block_loop, idom)
+    return view, bodies
 
 
-def _forest_or_error(build, g):
+def _forest_view(g, f):
+    """The forest on block ids: each loop's header, edges and bound, and
+    the parent, innermost-loop and immediate-dominator maps, each in
+    document order."""
+    loops = [(i.header, i.back_edges, i.entry_edges, i.exit_edges, i.bound)
+             for i in f.loops.values()]
+    parent = {h: _name(g, f.parent[g.block_index[h]]) for h in f.loops}
+    block_loop = {g.ids[b]: g.ids[h] for b, h in enumerate(f.block_loop)
+                  if h >= 0}
+    idom = {g.ids[b]: _name(g, d) for b, d in enumerate(f.idom)}
+    return loops, parent, block_loop, idom
+
+
+def _forest_or_error(g):
+    """The forest's view and the reference's view and bodies, or the
+    IrreducibleLoop texts of both."""
     try:
-        f = build(g)
+        f = build_loop_forest(g)
     except IrreducibleLoop as exc:
-        return "irreducible", str(exc)
-    return "forest", (f.loops, list(f.loops), f.parent, list(f.parent),
-                      f.block_loop, list(f.block_loop), f.idom, list(f.idom))
+        with pytest.raises(IrreducibleLoop) as ref:
+            _three_pass_loop_forest(g)
+        return "irreducible", str(exc), str(ref.value)
+    view, bodies = _three_pass_loop_forest(g)
+    return "forest", (f, _forest_view(g, f)), (view, bodies)
 
 
 def test_forest_matches_three_pass_reference():
     # The forest takes its back edges from the dominator pass's own DFS
     # numbering, and runs the cycle search only on an irreducible graph.
+    # Nesting is read off loop-tree intervals: block b lies in loop h
+    # exactly when the reference's body of h holds b, and an id that is no
+    # block lies in no loop.
     rng = random.Random(2024)
     kinds = {"irreducible": 0, "forest": 0}
     loops = 0
@@ -345,12 +375,57 @@ def test_forest_matches_three_pass_reference():
              gen.loop_nest_doc(4), gen.dowhile_nest_doc(4)]
     for doc in docs:
         g = parse_program(json.dumps(doc)).cfg
-        got = _forest_or_error(build_loop_forest, g)
-        assert got == _forest_or_error(_three_pass_loop_forest, g), doc
-        kinds[got[0]] += 1
-        loops += got[0] == "forest" and len(got[1][0]) > 0
+        kind, got, want = _forest_or_error(g)
+        kinds[kind] += 1
+        if kind == "irreducible":
+            assert got == want, doc
+            continue
+        (f, view), (ref_view, bodies) = got, want
+        assert view == ref_view, doc
+        assert [list(m) for m in view] == [list(m) for m in ref_view], doc
+        for h, body in bodies.items():
+            for b in [*g.blocks, "nowhere"]:
+                assert loop_leq(loop_ref(b), loop_ref(h), f) == (b in body), \
+                    (doc, b, h)
+        loops += len(bodies) > 0
     assert kinds["irreducible"] >= 200 and kinds["forest"] >= 1000, kinds
     assert loops >= 600, loops
+
+
+def _chain_forest(doc, depth):
+    """Depth-many nested loops: every header's parent is the previous
+    header, and block_loop follows the nest."""
+    g = parse_program(json.dumps(doc)).cfg
+    f = build_loop_forest(g)
+    ix = g.block_index
+    assert list(f.loops) == [f"h{i}" for i in range(depth)]
+    assert [f.parent[ix[f"h{i}"]] for i in range(depth)] == (
+        [-1] + [ix[f"h{i}"] for i in range(depth - 1)])
+    assert loop_leq(loop_ref(f"h{depth - 1}"), loop_ref("h0"), f)
+    assert not loop_leq(loop_ref("h0"), loop_ref(f"h{depth - 1}"), f)
+    return g, f
+
+
+def test_forest_of_a_deep_loop_nest():
+    depth = 2000
+    g, f = _chain_forest(gen.loop_nest_doc(depth), depth)
+    ix = g.block_index
+    want = {"s": -1, "x": -1, "b": ix[f"h{depth - 1}"]}
+    for i in range(depth):
+        want[f"h{i}"] = ix[f"h{i}"]
+        if i < depth - 1:
+            want[f"l{i}"] = ix[f"h{i}"]  # the latch lies outside h{i+1}
+    assert f.block_loop == [want[b] for b in g.ids]
+
+
+def test_forest_of_a_deep_dowhile_nest():
+    depth = 2000
+    g, f = _chain_forest(gen.dowhile_nest_doc(depth), depth)
+    ix = g.block_index
+    want = {"s": -1, "x": -1}
+    for i in range(depth):
+        want[f"h{i}"] = want[f"t{i}"] = ix[f"h{i}"]
+    assert f.block_loop == [want[b] for b in g.ids]
 
 
 # ---------------------------------------------------------------------------
@@ -363,16 +438,21 @@ def test_fig2_loop_forest():
     f = build_loop_forest(p.cfg, p.loop_bounds)
     assert set(f.loops) == {"b1", "b2"}
     outer, inner = f.loops["b1"], f.loops["b2"]
-    assert outer.body == frozenset({"b1", "b2", "b3", "b4", "b6"})
-    assert inner.body == frozenset({"b2", "b4"})
+    g, ix = p.cfg, p.cfg.block_index
+
+    def body(h):
+        return {b for b in g.blocks if loop_leq(loop_ref(b), loop_ref(h), f)}
+
+    assert body("b1") == {"b1", "b2", "b3", "b4", "b6"}
+    assert body("b2") == {"b2", "b4"}
     assert outer.bound == 3 and inner.bound == 2
     assert outer.back_edges == (("b3", "b1"),)
     assert inner.entry_edges == (("b1", "b2"),)
     assert outer.exit_edges == (("b1", "b5"),)
-    assert f.parent == {"b1": None, "b2": "b1"}
-    assert f.block_loop.get("b4") == "b2"
-    assert f.block_loop.get("b3") == "b1"
-    assert f.block_loop.get("b5") is None
+    assert f.parent[ix["b1"]] == -1 and f.parent[ix["b2"]] == ix["b1"]
+    assert f.block_loop[ix["b4"]] == ix["b2"]
+    assert f.block_loop[ix["b3"]] == ix["b1"]
+    assert f.block_loop[ix["b5"]] == -1
 
 
 def test_missing_bound_defaults_to_symbolic():
@@ -397,6 +477,11 @@ def test_bound_for_non_header_rejected():
 def fig2_forest():
     p = fig2_program()
     return build_loop_forest(p.cfg, p.loop_bounds)
+
+
+@pytest.fixture(scope="module")
+def fig2_bodies():
+    return _three_pass_loop_forest(fig2_program().cfg)[1]
 
 
 L1 = loop_ref("b1")
@@ -431,34 +516,36 @@ def test_loop_refs_are_tuples_of_their_fields():
     assert repr(L1) == "LoopRef(kind='loop', header='b1')"
 
 
-# The lattice as written before its fast paths, comparing whole references.
+# The lattice as written before its fast paths, comparing whole references
+# and reading nesting off the loop bodies spelled out as sets.
 
 
-def ref_loop_leq(a, b, f):
+def ref_loop_leq(a, b, bodies):
     if a == b or a == BOT or b == TOP:
         return True
     if a == TOP or b == BOT:
         return False
-    info = f.loops.get(b.header)
-    return info is not None and a.header in info.body
+    body = bodies.get(b.header)
+    return body is not None and a.header in body
 
 
-def ref_loop_meet(a, b, f):
-    if ref_loop_leq(a, b, f):
+def ref_loop_meet(a, b, bodies):
+    if ref_loop_leq(a, b, bodies):
         return a
-    if ref_loop_leq(b, a, f):
+    if ref_loop_leq(b, a, bodies):
         return b
     return BOT
 
 
-def test_lattice_matches_reference(fig2_forest):
+def test_lattice_matches_reference(fig2_forest, fig2_bodies):
     f = fig2_forest
     # Equal references that are distinct objects, besides the shared ones.
     copies = [LoopRef("top"), LoopRef("bot"), loop_ref("b1"), loop_ref("zz")]
     for a in ELEMS + copies:
         for b in ELEMS + copies:
-            assert loop_leq(a, b, f) == ref_loop_leq(a, b, f), (a, b)
-            assert loop_meet(a, b, f) == ref_loop_meet(a, b, f), (a, b)
+            assert loop_leq(a, b, f) == ref_loop_leq(a, b, fig2_bodies), (a, b)
+            assert loop_meet(a, b, f) == ref_loop_meet(a, b, fig2_bodies), \
+                (a, b)
 
 
 @settings(max_examples=200, deadline=None)

@@ -22,6 +22,7 @@ from symwcet.cft import (
     child_nodes,
     leaves,
     seq,
+    spell_out,
     split_leaf,
     strip_annotations,
     strip_suffix,
@@ -140,7 +141,8 @@ def test_walk_matches_recursive_preorder_and_path_replay():
         walked = list(walk(t))
         want = list(_recursive_preorder(t))
         assert len(walked) == len(want)
-        for (node, path, loops), ref in zip(walked, want):
+        for (node, path_cell, loops_cell), ref in zip(walked, want):
+            path, loops = spell_out(path_cell), spell_out(loops_cell)
             assert node is ref and node_at(t, path) is node
             assert list(loops) == _enclosing_by_replay(t, path)
             loops_seen += bool(loops)

@@ -80,7 +80,8 @@ for doc in docs:
     costs, counts, _ = symbolic.identifiers(raw, a.forest)
     bindings = {c: abstract(TOP, const_seq(3)) for c in costs}
     bindings.update({c: 2 for c in counts})
-    out.append([list(a.forest.block_loop.items()), list(a.forest.loops),
+    out.append([a.forest.block_loop, list(a.forest.inner_pre.items()),
+                list(a.forest.loops),
                 cft.to_sexpr(a.tree), cft.to_sexpr(a.tree, lambda s: s),
                 list(a.rename_map.items()), list(a.variant_map.items()),
                 symbolic.render(raw), symbolic.render(simplified),

@@ -23,8 +23,7 @@ W1, W2 = symbolic.WcetId("w1"), symbolic.WcetId("w2")
 
 RECORDS = [
     Block("b", 3),
-    LoopInfo("h", frozenset({"h", "t"}), (("t", "h"),), (("e", "h"),),
-             (("h", "x"),), "n"),
+    LoopInfo("h", 0, 1, (("t", "h"),), (("e", "h"),), (("h", "x"),), "n"),
     cft.Annotation(loop_ref("h"), 2),
     cft.Leaf("a", 1, cft.Annotation(TOP, 1)),
     cft.Alt((A, B)),

@@ -4,13 +4,17 @@ from __future__ import annotations
 
 import json
 import random
+from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
 import generators as gen
 from symwcet import cfg, cft, restructure
-from symwcet.cfg import build_loop_forest, parse_program
-from symwcet.restructure import DagNode, _Builder, build_cft
+from symwcet.cfg import Cfg, LoopForest, build_loop_forest, parse_program
+from symwcet.restructure import _Builder, build_cft
+
+SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
 
 def _fig2():
@@ -18,22 +22,34 @@ def _fig2():
     return p.cfg, build_loop_forest(p.cfg, p.loop_bounds)
 
 
+def _sink(b: _Builder, kind: str, level: str | None = None) -> int:
+    """The node of loop `level`'s `next` or `exit` (None: the program's
+    exit)."""
+    if level is None:
+        assert kind == "exit"
+        return 4 * b.n
+    return (2 if kind == "next" else 3) * b.n + b.g.block_index[level]
+
+
 def _region(b: _Builder, level: str | None):
     """The region graph of loop `level` (None: the program) as the builder
-    reads it: its start, its nodes (blocks whose innermost loop is the
-    level, loops whose parent is, and the two sinks), each node's
-    predecessors, and its dominator tree over the nodes reachable from the
-    start."""
-    f = b.f
-    start = (b.block_node[level] if level is not None
-             else b.representative(b.g.entry, None))
-    nodes = [b.block_node[x] for x in b.g.blocks
-             if f.block_loop.get(x) == level]
-    nodes += [b.loop_node[h] for h in f.loops if f.parent[h] == level]
-    nodes += [DagNode("next", level or ""), DagNode("exit", level or "")]
-    preds = {n: b.preds(n) for n in nodes}
-    idom = {n: b.idom(n) for n in nodes
-            if n.kind in ("block", "loop") or preds[n]}
+    holds it: its start, its nodes (blocks whose innermost loop is the
+    level, loops whose parent is, and the level's sinks: `next` and `exit`
+    for a loop, `exit` for the program, which has no back edges), each
+    node's predecessors, and its dominator tree over the nodes reachable
+    from the start."""
+    g, f, n = b.g, b.f, b.n
+    at = -1 if level is None else g.block_index[level]
+    start = (at if level is not None
+             else b.representative(g.block_index[g.entry], -1))
+    nodes = [v for v in range(n) if f.block_loop[v] == at]
+    nodes += [n + g.block_index[h] for h in f.loops
+              if f.parent[g.block_index[h]] == at]
+    nodes += ([_sink(b, "next", level), _sink(b, "exit", level)]
+              if level is not None else [_sink(b, "exit")])
+    preds = {v: b.preds[v] or [] for v in nodes}
+    idom = {v: None if b.idom[v] < 0 else b.idom[v] for v in nodes
+            if v < 2 * n or preds[v]}
     return start, nodes, preds, idom
 
 
@@ -50,14 +66,14 @@ def _succs(nodes, preds):
     return succs
 
 
-def _shape(nodes, preds):
-    names = sorted(str(n) for n in nodes)
-    edges = sorted((str(p), str(n)) for n in nodes for p in preds[n])
+def _shape(b, nodes, preds):
+    names = sorted(b.name(v) for v in nodes)
+    edges = sorted((b.name(p), b.name(v)) for v in nodes for p in preds[v])
     return names, edges
 
 
 def _passage(b, start, end):
-    return [str(n) for n in b.passage(start, end)]
+    return [b.name(v) for v in b.passage(start, end)]
 
 
 # ---------------------------------------------------------------------------
@@ -68,34 +84,34 @@ def _passage(b, start, end):
 def test_outer_loop_dag():
     b, regions = _regions(*_fig2())
     start, nodes, preds, _ = regions["b1"]
-    assert _shape(nodes, preds) == (
+    assert _shape(b, nodes, preds) == (
         ["L_b2", "b1", "b3", "b6", "exit", "next"],
         [("L_b2", "b3"), ("b1", "L_b2"), ("b1", "b6"), ("b1", "exit"),
          ("b3", "next"), ("b6", "b3")])
-    assert str(start) == "b1"
-    assert _passage(b, start, DagNode("next", "b1")) == ["b3", "next"]
-    assert _passage(b, start, DagNode("exit", "b1")) == ["exit"]
+    assert b.name(start) == "b1"
+    assert _passage(b, start, _sink(b, "next", "b1")) == ["b3", "next"]
+    assert _passage(b, start, _sink(b, "exit", "b1")) == ["exit"]
 
 
 def test_inner_loop_dag():
     b, regions = _regions(*_fig2())
     start, nodes, preds, _ = regions["b2"]
-    assert _shape(nodes, preds) == (
+    assert _shape(b, nodes, preds) == (
         ["b2", "b4", "exit", "next"],
         [("b2", "b4"), ("b2", "exit"), ("b4", "next")])
-    assert str(start) == "b2"
-    assert _passage(b, start, DagNode("exit", "b2")) == ["exit"]
-    assert _passage(b, start, DagNode("next", "b2")) == ["b4", "next"]
+    assert b.name(start) == "b2"
+    assert _passage(b, start, _sink(b, "exit", "b2")) == ["exit"]
+    assert _passage(b, start, _sink(b, "next", "b2")) == ["b4", "next"]
 
 
 def test_top_level_dag():
     b, regions = _regions(*_fig2())
     start, nodes, preds, _ = regions[None]
-    assert _shape(nodes, preds) == (
-        ["L_b1", "b5", "exit", "next"],
+    assert _shape(b, nodes, preds) == (
+        ["L_b1", "b5", "exit"],
         [("L_b1", "b5"), ("b5", "exit")])
-    assert str(start) == "L_b1"
-    assert _passage(b, start, DagNode("exit")) == ["b5", "exit"]
+    assert b.name(start) == "L_b1"
+    assert _passage(b, start, _sink(b, "exit")) == ["b5", "exit"]
 
 
 def test_dags_are_acyclic_on_random_docs():
@@ -107,10 +123,10 @@ def test_dags_are_acyclic_on_random_docs():
         b, regions = _regions(p.cfg, f)
         for _, nodes, preds, _ in regions.values():
             # Predecessors are distinct nodes of the same region, never
-            # the node itself, in `node_key` order (the order of an Alt's
-            # children).
+            # the node itself, in node order (blocks before loops, each in
+            # document order: the order of an Alt's children).
             for n in nodes:
-                assert preds[n] == sorted(set(preds[n]), key=b.node_key), doc
+                assert preds[n] == sorted(set(preds[n])), doc
                 assert n not in preds[n] and set(preds[n]) <= set(nodes), doc
             # Kahn: consuming every node proves acyclicity.
             succs = _succs(nodes, preds)
@@ -132,7 +148,7 @@ def test_region_edge_against_reverse_postorder_is_refused():
     # reverse postorder; numbering the blocks backwards makes the first
     # predecessor the builder reads fail the check.
     g, f = _fig2()
-    f.rpo = {b: -i for b, i in f.rpo.items()}
+    f.rpo = [-i for i in f.rpo]
     with pytest.raises(AssertionError, match="has a cycle"):
         build_cft(g, f)
 
@@ -184,17 +200,25 @@ def test_region_idom_matches_dominator_pass():
     for doc in _region_corpus():
         p = parse_program(json.dumps(doc))
         f = build_loop_forest(p.cfg, p.loop_bounds)
-        for level, (start, nodes, preds, idom) in \
-                _regions(p.cfg, f)[1].items():
-            assert idom == cfg.immediate_dominators(
-                start, _succs(nodes, preds), preds)[0], doc
+        b, by_level = _regions(p.cfg, f)
+        for level, (start, nodes, preds, idom) in by_level.items():
+            # The dominator pass runs on the region renumbered 0 .. k-1.
+            at = {v: i for i, v in enumerate(nodes)}
+            succs = _succs(nodes, preds)
+            dom, rpo = cfg.immediate_dominators(
+                at[start], [[at[s] for s in succs[v]] for v in nodes],
+                [[at[q] for q in preds[v]] for v in nodes])
+            assert idom == {v: None if dom[i] < 0 else nodes[dom[i]]
+                            for i, v in enumerate(nodes) if rpo[i] >= 0}, doc
             regions += 1
-            entry_loops += level is None and start.kind == "loop"
+            entry_loops += level is None and b.n <= start < 2 * b.n
     assert regions >= 1000
     assert entry_loops >= 3
 
 
 def test_one_node_object_per_block_and_loop():
+    # Nodes are numbers: each block and each loop has one, wherever a
+    # region mentions it, and a loop's number belongs to a header.
     rng = random.Random(57)
     docs = [gen.loop_nest_doc(50), gen.running_example_doc(),
             gen.scaling_doc(40)]
@@ -206,13 +230,17 @@ def test_one_node_object_per_block_and_loop():
         f = build_loop_forest(p.cfg, p.loop_bounds)
         objects: dict[tuple[str, str], int] = {}
         names = 0
+        b, by_level = _regions(p.cfg, f)
 
         def see(n):
             nonlocal names
             names += 1
-            assert objects.setdefault((n.kind, n.id), id(n)) == id(n), (n, doc)
+            kind = ("block", "loop", "next", "exit", "exit")[n // b.n]
+            key = (kind, p.cfg.ids[n % b.n] if n < 4 * b.n else "")
+            assert kind != "loop" or key[1] in f.loops, (n, doc)
+            assert objects.setdefault(key, n) == n, (n, doc)
 
-        for start, nodes, preds, idom in _regions(p.cfg, f)[1].values():
+        for start, nodes, preds, idom in by_level.values():
             see(start)
             for n in nodes:
                 see(n)
@@ -302,3 +330,215 @@ def test_rename_map_targets_exist():
     raw = cft.to_sexpr(t, display=lambda s: s)
     for fresh in rename:
         assert fresh in raw
+
+
+# ---------------------------------------------------------------------------
+# The builder on named nodes, kept as the reference
+# ---------------------------------------------------------------------------
+
+
+class DagNode(NamedTuple):
+    kind: str  # "block" | "loop" | "next" | "exit"
+    id: str = ""  # block or header; a sink's loop, "" for the program's
+
+    def __str__(self) -> str:
+        if self.kind == "block":
+            return self.id
+        if self.kind == "loop":
+            return f"L_{self.id}"
+        return self.kind
+
+
+_KIND_RANK = {"block": 0, "loop": 1}
+
+
+class ReferenceBuilder:
+    """The tree builder on named region nodes, each node's predecessors
+    and immediate dominator read off the CFG and the loop forest when it
+    is first asked for, and remembered for the rest of the build.  It
+    reads the forest through maps on block ids."""
+
+    def __init__(self, g: Cfg, f: LoopForest):
+        self.g = g
+        self.f = f
+        ids, ix = g.ids, g.block_index
+
+        def name(b):
+            return None if b < 0 else ids[b]
+
+        self.block_loop = {ids[b]: ids[h] for b, h in enumerate(f.block_loop)
+                           if h >= 0}
+        self.parent = {h: name(f.parent[ix[h]]) for h in f.loops}
+        self.cfg_idom = {ids[b]: name(d) for b, d in enumerate(f.idom)}
+        self.rpo = dict(zip(ids, f.rpo))
+        self.preds_of = {b: [ids[u] for u in us]
+                         for b, us in zip(ids, g.pred_ids)}
+        self.block_node = {b: DagNode("block", b) for b in g.blocks}
+        self.loop_node = {h: DagNode("loop", h) for h in f.loops}
+        self._preds: dict[DagNode, list[DagNode]] = {}
+        self._idom: dict[DagNode, DagNode | None] = {}
+        self.seen: dict[str, int] = {}
+        self.rename: dict[str, str] = {}
+
+    def representative(self, block: str, level: str | None) -> DagNode:
+        cur = self.block_loop.get(block)
+        if cur == level:
+            return self.block_node[block]
+        while self.parent[cur] != level:
+            cur = self.parent[cur]
+        return self.loop_node[cur]
+
+    def node_key(self, n: DagNode):
+        return (_KIND_RANK[n.kind], self.g.block_index[n.id])
+
+    def preds(self, n: DagNode) -> list[DagNode]:
+        known = self._preds.get(n)
+        if known is not None:
+            return known
+        f, kind = self.f, n.kind
+        if kind == "block":
+            level = self.block_loop.get(n.id)
+            sources = () if n.id == level else self.preds_of[n.id]
+        elif kind == "loop":
+            level = self.parent[n.id]
+            sources = [u for u, _ in f.loops[n.id].entry_edges]
+        else:
+            level = n.id or None
+            if level is None:
+                sources = (self.g.exit,) if kind == "exit" else ()
+            else:
+                info = f.loops[level]
+                sources = [u for u, _ in (info.back_edges if kind == "next"
+                                          else info.exit_edges)]
+        out: list[DagNode] = []
+        for u in sources:
+            p = self.representative(u, level)
+            if p != n and p not in out:
+                out.append(p)
+        if kind == "block" or kind == "loop":
+            for p in out:
+                assert self.rpo[p.id] < self.rpo[n.id], \
+                    f"region graph for {level} has a cycle through {p} -> {n}"
+        if len(out) >= 2:
+            out.sort(key=self.node_key)
+        self._preds[n] = out
+        return out
+
+    def idom(self, n: DagNode) -> DagNode | None:
+        if n in self._idom:
+            return self._idom[n]
+        if n.kind == "block" or n.kind == "loop":
+            level = (self.block_loop.get(n.id) if n.kind == "block"
+                     else self.parent[n.id])
+            above = self.cfg_idom[n.id]
+            dom = (None if above is None or n.id == level
+                   else self.representative(above, level))
+        else:
+            preds = self.preds(n)
+            dom = preds[0]
+            for p in preds[1:]:
+                chain: set[DagNode] = set()
+                cur: DagNode | None = dom
+                while cur is not None:
+                    chain.add(cur)
+                    cur = self.idom(cur)
+                while p not in chain:
+                    p = self.idom(p)
+                dom = p
+        self._idom[n] = dom
+        return dom
+
+    def passage(self, start: DagNode, end: DagNode) -> list[DagNode]:
+        chain: list[DagNode] = []
+        cur: DagNode | None = end
+        while cur != start:
+            assert cur is not None, f"{start} does not dominate {end}"
+            chain.append(cur)
+            cur = self.idom(cur)
+        chain.reverse()
+        return chain
+
+    def emit(self, n: DagNode) -> cft.Cft | None:
+        if n.kind == "block":
+            label = n.id
+            k = self.seen.get(label, 0)
+            self.seen[label] = k + 1
+            if k:
+                label = f"{label}#{k}"
+                self.rename[label] = n.id
+            return cft.Leaf(label, self.g.blocks[n.id].wcet)
+        if n.kind == "loop":
+            h, start = n.id, self.block_node[n.id]
+            body = self.tree(start, DagNode("next", h), include_start=True)
+            exit_tree = self.tree(start, DagNode("exit", h), True)
+            return cft.Loop(h, body, self.f.loops[h].bound, exit_tree)
+        return None
+
+    def tree(self, start: DagNode, end: DagNode,
+             include_start: bool) -> cft.Cft:
+        children: list[cft.Cft] = []
+        if include_start:
+            first = self.emit(start)
+            if first is not None:
+                children.append(first)
+        prev = start
+        for forced in self.passage(start, end):
+            preds = self.preds(forced)
+            if len(preds) >= 2:
+                children.append(cft.alt([
+                    self.tree(prev, p, include_start=False) for p in preds
+                ]))
+            else:
+                assert preds in ([], [prev]), f"{forced} follows {preds}"
+            emitted = self.emit(forced)
+            if emitted is not None:
+                children.append(emitted)
+            prev = forced
+        return cft.seq(children)
+
+
+def reference_build_cft(g: Cfg, f: LoopForest):
+    builder = ReferenceBuilder(g, f)
+    tree = builder.tree(builder.representative(g.entry, None),
+                        DagNode("exit"), include_start=True)
+    return tree, builder.rename
+
+
+def _reference_corpus():
+    rng = random.Random(71)
+    docs = [gen.random_doc(rng, depth=1 + i % 4, noise=i % 7,
+                           symbolic_bounds=i % 3 == 0) for i in range(400)]
+    docs += [gen.scaling_doc(k) for k in (1, 2, 3, 4, 60, 333)]
+    docs += [gen.loop_nest_doc(d) for d in (1, 2, 3, 8, 150)]
+    docs += [gen.dowhile_nest_doc(d) for d in range(1, 8)]
+    docs += [json.loads(p.read_text()) for p in sorted(SAMPLES.glob("*.json"))]
+    return docs + _region_corpus()
+
+
+def _preorder(t):
+    """Each node of t in preorder, with its fields other than children:
+    the tree spelled out without recursion."""
+    out = []
+    for node in cft.subtrees(t):
+        if isinstance(node, cft.Leaf):
+            out.append(("leaf", node.label, node.wcet))
+        elif isinstance(node, cft.Loop):
+            out.append(("loop", node.header, node.bound))
+        else:
+            out.append((type(node).__name__, len(node.children)))
+    return out
+
+
+def test_build_cft_matches_the_reference_builder():
+    # The same tree (node for node, leaf labels and costs included) and
+    # the same rename map, in the same order.
+    leaves = 0
+    for doc in _reference_corpus():
+        p = parse_program(json.dumps(doc))
+        f = build_loop_forest(p.cfg, p.loop_bounds)
+        tree, rename = build_cft(p.cfg, f)
+        want_tree, want_rename = reference_build_cft(p.cfg, f)
+        assert _preorder(tree) == _preorder(want_tree), doc
+        assert list(rename.items()) == list(want_rename.items()), doc
+        leaves += len(cft.leaves(tree))
+    assert leaves >= 10_000, leaves
