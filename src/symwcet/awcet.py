@@ -27,7 +27,9 @@ than frozen dataclasses: every operator builds, compares and hashes them,
 and a tuple does all three in C.  They compare and hash equal to plain
 tuples of their fields.  A `WcetSeq` is built only by calling the class,
 whose constructor checks the run shape; `_make`, `_replace` and
-`tuple.__new__` would skip that check.
+`tuple.__new__` would skip that check.  An `AbstractWcet` has no shape to
+check, so `abstract` builds it with `tuple.__new__` and skips the
+NamedTuple's Python-level constructor.
 """
 
 from __future__ import annotations
@@ -42,6 +44,8 @@ from .errors import IncomparableLoops, NotMultiple, SymbolicValuePresent
 
 
 Run = tuple[int, int]  # (cost, multiplicity)
+
+_tuple_new = tuple.__new__
 
 
 class _Seq(NamedTuple):
@@ -66,7 +70,7 @@ class WcetSeq(_Seq):
             assert last is None or v < last, "prefix costs must strictly decrease"
             assert k >= 1, f"run of {v} has multiplicity {k}"
             last = v
-        return _Seq.__new__(cls, prefix, tail)
+        return _tuple_new(cls, (prefix, tail))
 
     def __str__(self) -> str:
         return "[%s|%d]" % (",".join(str(v) if k == 1 else f"{v}^{k}"
@@ -260,15 +264,16 @@ class AbstractWcet(NamedTuple):
         return f"(loop={self.loop}, {self.seq})"
 
 
+ZERO = AbstractWcet(TOP, ZERO_SEQ)
+
+
 def abstract(loop: LoopRef, seq: WcetSeq) -> AbstractWcet:
     # A zero ranking carries no loop-relative information; normalizing its
     # loop to TOP makes the zero value unique.
     if not seq.tail and not seq.prefix:
-        return AbstractWcet(TOP, seq)
-    return AbstractWcet(loop, seq)
+        return ZERO
+    return _tuple_new(AbstractWcet, (loop, seq))
 
-
-ZERO = abstract(TOP, ZERO_SEQ)
 
 def plus_abstract(a: AbstractWcet, b: AbstractWcet, f: LoopForest) -> AbstractWcet:
     return abstract(loop_meet(a.loop, b.loop, f), ms_ranksum(a.seq, b.seq))
@@ -355,9 +360,13 @@ def loop_abstract(
     """
     own = body.loop.kind == "loop" and body.loop.header == header
     if not body.seq.prefix and not exit_.seq.prefix:
-        return abstract(exit_.loop if own else
-                        loop_meet(body.loop, exit_.loop, f),
-                        WcetSeq((), count * body.seq.tail + exit_.seq.tail))
+        tail = count * body.seq.tail + exit_.seq.tail
+        if not tail:
+            return ZERO
+        loop = exit_.loop
+        if not own and body.loop != loop:
+            loop = loop_meet(body.loop, loop, f)
+        return _tuple_new(AbstractWcet, (loop, WcetSeq((), tail)))
     if own:
         # Body costs are ranked per iteration of this very loop: one entry
         # takes the `count` greatest, a constant total.

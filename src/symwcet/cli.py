@@ -249,6 +249,22 @@ def cmd_wcet(args) -> int:
     return 0
 
 
+def _residual(w: Formula, base: dict, name: str, f: LoopForest,
+              fuel: int) -> Formula:
+    """w with every binding but `name`'s folded in and simplified again, so
+    that each point of a sweep evaluates only what depends on `name`.
+
+    The sweep's first point has evaluated w with all of `base` bound, so
+    substitution finds no wrong binding.  Where the rewrite budget or the
+    recursion limit cannot build the residual, w itself is returned.
+    """
+    try:
+        return symbolic.simplify(symbolic.substitute(
+            w, {k: v for k, v in base.items() if k != name}), f, fuel=fuel)
+    except (FuelExhausted, RecursionError):
+        return w
+
+
 _SWEEP_RE = re.compile(r"(?P<id>[^=]+)=(?P<lo>\d+)\.\.(?P<hi>\d+)\Z")
 
 
@@ -269,11 +285,17 @@ def cmd_sweep(args) -> int:
                            f"integer-valued identifier")
     base = _typed_bindings(raw, _parse_bindings(args.bind), a.forest)
     rows = []
+    # The first point evaluates the whole formula, so a wrong or missing
+    # binding fails there, with the error a single evaluation gives; the
+    # later points evaluate the residual.
+    formula = simplified
     for v in range(lo, hi + 1):
         point = dict(base)
         point[name] = abstract(TOP, const_seq(v)) if name in wcet_ids else v
-        value = symbolic.evaluate(simplified, point, a.forest)
+        value = symbolic.evaluate(formula, point, a.forest)
         rows.append((v, ms_index(value.seq, 0)))
+        if v == lo and lo < hi:
+            formula = _residual(simplified, base, name, a.forest, fuel)
     lines = [f"{name},wcet"] + [f"{v},{w}" for v, w in rows]
     _emit(args, lines, {"identifier": name,
                         "rows": [[v, w] for v, w in rows]})

@@ -259,15 +259,21 @@ def _rule_max_const(w: Max, f: LoopForest) -> Formula | None:
 
 def _rule_distributivity(w: Max, f: LoopForest) -> Formula | None:
     # (cst1 + r) max (cst2 + r) -> (cst1 max cst2) + r, restricted to
-    # factoring constants over a shared rank-uniform residue.
-    def key(op: Formula) -> tuple | None:
+    # factoring constants over a shared rank-uniform residue.  Operands are
+    # grouped by residue first, and only a residue that two or more share
+    # is walked, once, for rank-uniformity.
+    groups: dict[tuple, list[Plus]] = {}  # residue -> its sums
+    for op in w.operands:
         if not isinstance(op, Plus):
-            return None
-        rest = [x for x in op.operands if not isinstance(x, Const)]
-        if (len(rest) != len(op.operands) - 1 or not rest
-                or not all(_const_valued(x) for x in rest)):
-            return None
-        return tuple(sort_key(x) for x in rest)
+            continue
+        rest = tuple(x for x in op.operands if not isinstance(x, Const))
+        if len(rest) == len(op.operands) - 1 and rest:
+            groups.setdefault(rest, []).append(op)
+    keys = {id(op): i for i, (rest, g) in enumerate(groups.items())
+            if len(g) > 1 and all(_const_valued(x) for x in rest)
+            for op in g}
+    if not keys:
+        return None
 
     def merge(g: list[Plus]) -> Formula:
         consts = [x.value for op in g for x in op.operands
@@ -275,7 +281,7 @@ def _rule_distributivity(w: Max, f: LoopForest) -> Formula | None:
         return plus([Const(fold(consts, max_abstract, f)),
                      *(x for x in g[0].operands if not isinstance(x, Const))])
 
-    return _merge(w.operands, key, merge, max_)
+    return _merge(w.operands, lambda op: keys.get(id(op)), merge, max_)
 
 
 def _weighted(op: Formula) -> tuple[int, Formula]:
@@ -662,13 +668,15 @@ def evaluate(w: Formula, bindings: dict, f: LoopForest) -> AbstractWcet:
     loop, evaluates its operand, then binds its count; a power binds its
     header and count before its body and exit.  A loop position is bound
     when it is TOP, a header of f, or an identifier that `bindings` maps.
+    A `Const` child is read in place, not evaluated by a call: most
+    operands of a simplified formula are constants.
     """
     cls = type(w)
     if cls is Const:
         return w.value
     if cls is Plus:
-        return fold([evaluate(x, bindings, f) for x in w.operands],
-                    plus_abstract, f)
+        return fold([x.value if type(x) is Const else evaluate(x, bindings, f)
+                     for x in w.operands], plus_abstract, f)
     if cls is WcetId:
         if w.name not in bindings:
             raise UnboundIdentifier(f"no binding for WCET identifier {w.name!r}")
@@ -684,12 +692,19 @@ def evaluate(w: Formula, bindings: dict, f: LoopForest) -> AbstractWcet:
             header = _bind_loop(header, bindings, f)
         if not isinstance(header, str):
             raise TypeMismatch(f"loop header {header!r} is not a block id")
-        count = _bind_int(w.count, bindings, require=True)
-        return loop_abstract(header, count, evaluate(w.body, bindings, f),
-                             evaluate(w.exit, bindings, f), f)
+        count = w.count
+        if type(count) is not int:
+            bound = bindings.get(count)
+            count = (bound if type(bound) is int and bound >= 0
+                     else _bind_int(count, bindings, require=True))
+        body, exit_ = w.body, w.exit
+        body = body.value if type(body) is Const else evaluate(body, bindings, f)
+        exit_ = (exit_.value if type(exit_) is Const
+                 else evaluate(exit_, bindings, f))
+        return loop_abstract(header, count, body, exit_, f)
     if cls is Max:
-        return fold([evaluate(x, bindings, f) for x in w.operands],
-                    max_abstract, f)
+        return fold([x.value if type(x) is Const else evaluate(x, bindings, f)
+                     for x in w.operands], max_abstract, f)
     if cls is Scalar:
         k = _bind_int(w.coeff, bindings, require=True)
         return scalar_abstract(k, evaluate(w.operand, bindings, f))

@@ -13,13 +13,16 @@ from symwcet import awcet, cft, symbolic
 from symwcet.awcet import AbstractWcet, WcetSeq, abstract, const_seq, parse_seq
 from symwcet.cfg import (TOP, LoopForest, build_loop_forest, loop_ref,
                          parse_loop_ref, parse_program)
-from symwcet.errors import FuelExhausted
+from symwcet.errors import FuelExhausted, TypeMismatch, UnboundIdentifier
 from symwcet.pipeline import analyze_text
 from symwcet.symbolic import (
     Const,
     Formula,
+    Max,
+    Plus,
     Power,
     Restrict,
+    Scalar,
     WcetId,
     max_,
     plus,
@@ -498,3 +501,48 @@ def random_schedule_simplify(w: Formula, f: LoopForest, rng: random.Random,
         steps += 1
         if steps > fuel:
             raise FuelExhausted(f"no normal form within {fuel} rewrite steps")
+
+
+def reference_evaluate(w: Formula, bindings: dict, f: LoopForest
+                       ) -> AbstractWcet:
+    """Reference for `symbolic.evaluate`: the same folds and the same check
+    order, with every operand evaluated by a call and every count bound
+    through `symbolic._bind_int`."""
+    bind_int, bind_loop = symbolic._bind_int, symbolic._bind_loop
+    cls = type(w)
+    if cls is Const:
+        return w.value
+    if cls is WcetId:
+        if w.name not in bindings:
+            raise UnboundIdentifier(f"no binding for WCET identifier {w.name!r}")
+        val = bindings[w.name]
+        if not isinstance(val, AbstractWcet):
+            raise TypeMismatch(f"WCET identifier {w.name!r} must bind an "
+                               f"abstract WCET, got {val!r}")
+        return val
+    if cls in (Plus, Max):
+        op = awcet.plus_abstract if cls is Plus else awcet.max_abstract
+        return awcet.fold([reference_evaluate(x, bindings, f)
+                           for x in w.operands], op, f)
+    if cls is Power:
+        header = w.header
+        if header in bindings or header not in f.loops:
+            header = bind_loop(header, bindings, f)
+        if not isinstance(header, str):
+            raise TypeMismatch(f"loop header {header!r} is not a block id")
+        count = bind_int(w.count, bindings, require=True)
+        return awcet.loop_abstract(header, count,
+                                   reference_evaluate(w.body, bindings, f),
+                                   reference_evaluate(w.exit, bindings, f), f)
+    if cls is Scalar:
+        k = bind_int(w.coeff, bindings, require=True)
+        return awcet.scalar_abstract(k, reference_evaluate(w.operand,
+                                                           bindings, f))
+    if cls is Restrict:
+        name = w.loop
+        if name in bindings or (name not in f.loops and name != "TOP"):
+            name = bind_loop(name, bindings, f)
+        return awcet.restrict_abstract(
+            reference_evaluate(w.operand, bindings, f), parse_loop_ref(name),
+            bind_int(w.count, bindings, require=True), f)
+    raise TypeError(f"not a formula: {w!r}")

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -12,8 +13,12 @@ from pathlib import Path
 import pytest
 
 import generators as gen
-from symwcet import cli
+from symwcet import cli, symbolic
+from symwcet.awcet import abstract, const_seq, ms_index
+from symwcet.cfg import TOP
+from symwcet.errors import SymwcetError
 from symwcet.oracle import SoundnessReport
+from symwcet.pipeline import analyze_text
 
 ROOT = Path(__file__).resolve().parent.parent
 SAMPLES = ROOT / "samples"
@@ -141,6 +146,135 @@ def test_sweep_text_is_csv(capsys, sym_path):
     assert code == 0
     lines = out.splitlines()
     assert lines[0] == "x_b2,wcet" and lines[1] == "2,60"
+
+
+def _symbolize(rng, doc):
+    """Some block costs and annotation caps of doc become identifiers."""
+    for block in doc["blocks"]:
+        if rng.random() < 0.25:
+            block["wcet"] = rng.choice(("c1", "c2", "c3"))
+    for ann in doc.get("annotations", []):
+        if rng.random() < 0.5:
+            ann["max"] = rng.choice(("m1", "m2"))
+    return doc
+
+
+def _sweep_corpus():
+    """303 documents with symbolic bounds, costs and caps (seed 23)."""
+    rng = random.Random(23)
+    docs = [gen.running_example_doc(inner_bound=None), gen.triangular_doc(),
+            gen.persistence_doc(bound="n")]
+    for i in range(300):
+        doc = gen.random_doc(rng, symbolic_bounds=True)
+        docs.append(_symbolize(rng, gen.annotate_doc(rng, doc)
+                               if i % 2 else doc))
+    return rng, docs
+
+
+def test_sweep_equals_pointwise_evaluation_on_frozen_corpus(
+        capsys, monkeypatch, tmp_path):
+    # Every point after the first evaluates the residual; the rows must be
+    # the whole simplified formula's values, and every output, error and
+    # exit code the same as when every point evaluates the whole formula.
+    residual = cli._residual
+    smaller = fallbacks = 0
+
+    def recorded(w, *args):
+        nonlocal smaller, fallbacks
+        out = residual(w, *args)
+        smaller += symbolic.operand_count(out) < symbolic.operand_count(w)
+        # Substitution rebuilds every compound node, so only the fallback
+        # returns a compound formula itself.
+        fallbacks += out is w and symbolic.operand_count(w) > 1
+        return out
+
+    def both(argv):
+        monkeypatch.setattr(cli, "_residual", recorded)
+        got = _run(capsys, argv)
+        monkeypatch.setattr(cli, "_residual", lambda w, *args: w)
+        assert _run(capsys, argv) == got, argv
+        return got
+
+    rng, docs = _sweep_corpus()
+    codes: dict[int, int] = {}
+    for i, doc in enumerate(docs):
+        path = tmp_path / f"doc{i}.json"
+        path.write_text(json.dumps(doc))
+        a = analyze_text(json.dumps(doc))
+        w = symbolic.simplify(symbolic.gamma_symbolic(a.tree, a.forest),
+                              a.forest)
+        costs, counts, _ = symbolic.identifiers(w, a.forest)
+        names = sorted(costs | counts)
+        values = {n: rng.randint(0, 9 if n in costs else 4) for n in names}
+        name = rng.choice(names) if names else "unused"
+        lo = rng.randint(0, 3)
+        hi = lo + rng.randint(1, 5)
+        binds = [f"--bind={n}={v}" for n, v in values.items() if n != name]
+        if i % 4 == 1:
+            binds.append(f"--bind={name}=7")  # the swept range wins
+        argv = ["sweep", "--input", str(path), "--sweep", f"{name}={lo}..{hi}"]
+        code, out, err = both(argv + binds)
+        assert code == 0 and err == "", (i, err)
+        rows = []
+        for v in range(lo, hi + 1):
+            point = {n: abstract(TOP, const_seq(x)) if n in costs else x
+                     for n, x in {**values, name: v}.items()}
+            value = symbolic.evaluate(w, point, a.forest)
+            rows.append(f"{v},{ms_index(value.seq, 0)}")
+        assert out.splitlines() == [f"{name},wcet"] + rows, i
+        if i % 3:
+            continue
+        # An unbound identifier, a swept loop header, a wrongly typed
+        # binding, and budgets too small for the formula or its residual.
+        cases = [argv + binds[1:],
+                 argv + binds + [f"--bind={(names or ['c1'])[0]}=h1"]]
+        cases += [argv + binds + ["--fuel", str(k)] for k in range(4)]
+        # A loop whose bound is symbolic keeps its header in the formula.
+        headers = sorted(doc["loop_bounds"],
+                         key=lambda h: isinstance(doc["loop_bounds"][h], int))
+        if headers:
+            cases.append(["sweep", "--input", str(path),
+                          "--sweep", f"{headers[0]}={lo}..{hi}"] + binds)
+        for case in cases:
+            code = both(case)[0]
+            codes[code] = codes.get(code, 0) + 1
+    assert smaller >= 150 and fallbacks >= 20, (smaller, fallbacks)
+    assert codes.get(1, 0) >= 150 and codes.get(3, 0) >= 100, codes
+
+
+def test_residual_evaluates_as_the_whole_formula():
+    # With loop identifiers too: substitution resolves them to headers
+    # that simplification can then fold.
+    f = gen.formula_forest()
+    rng = random.Random(31)
+    checked = 0
+    for _ in range(1000):
+        w = gen.random_formula(rng)
+        base = gen.random_bindings(rng)
+        name = rng.choice(("k1", "k2", "w1", "w2", "w3"))
+        try:
+            symbolic.evaluate(w, base, f)
+        except SymwcetError:
+            continue
+        rest = cli._residual(w, base, name, f, symbolic.DEFAULT_FUEL)
+        # Counts from 1, as `random_bindings` draws them: at a count of 0
+        # power-extract can change the loop a value is relative to.
+        for v in range(1, 5):
+            point = dict(base)
+            point[name] = abstract(TOP, const_seq(v)) if name[0] == "w" else v
+            assert symbolic.evaluate(rest, point, f) == \
+                symbolic.evaluate(w, point, f), (symbolic.render(w), name, v)
+        checked += 1
+    assert checked >= 900
+
+
+def test_residual_falls_back_to_the_whole_formula_without_fuel():
+    f = gen.formula_forest()
+    w = symbolic.parse("(+ (* k1 w1) (pow w2 (l=TOP,[|0]) h1 k2))")
+    base = {"k1": 2, "w1": abstract(TOP, const_seq(3)), "k2": 2}
+    assert cli._residual(w, base, "w2", f, 0) is w
+    assert cli._residual(w, base, "w2", f, 10) == \
+        symbolic.parse("(+ (l=TOP,[|6]) (pow w2 (l=TOP,[|0]) h1 2))")
 
 
 def test_oracle_ok(capsys, fig2_path):

@@ -772,6 +772,45 @@ def test_evaluate_refuses_non_formulas(forest):
         evaluate(("w1",), {}, forest)
 
 
+def _outcome(evaluator, w, bindings, f):
+    try:
+        return evaluator(w, bindings, f)
+    except Exception as exc:  # compared by class and message
+        return type(exc), str(exc)
+
+
+_WRONG_VALUES = (5, -1, True, None, "h1", "3", _V5)
+
+
+def test_evaluate_matches_reference_on_random_formulas(forest):
+    # Constants read in place and integer counts read without a call must
+    # give the reference's values, and its errors in the same order, for
+    # complete bindings, bindings with one identifier missing, and
+    # bindings with one or two identifiers bound to a wrong value.
+    rng = random.Random(17)
+    kinds = {"complete": 0, "missing": 0, "wrong": 0}
+    errors = 0
+    for _ in range(5000):
+        w = gen.random_formula(rng)
+        complete = gen.random_bindings(rng)
+        free = sorted(free_identifiers(w, forest))
+        cases = [("complete", complete)]
+        if free:
+            missing = dict(complete)
+            del missing[rng.choice(free)]
+            wrong = dict(complete)
+            for name in rng.sample(free, min(len(free), rng.randint(1, 2))):
+                wrong[name] = rng.choice(_WRONG_VALUES)
+            cases += [("missing", missing), ("wrong", wrong)]
+        for kind, bindings in cases:
+            got = _outcome(evaluate, w, bindings, forest)
+            want = _outcome(gen.reference_evaluate, w, bindings, forest)
+            assert got == want and type(got) is type(want), (render(w), kind)
+            kinds[kind] += 1
+            errors += type(want) is tuple
+    assert kinds["missing"] >= 3000 and errors >= 4000, (kinds, errors)
+
+
 def test_free_identifiers_classification(forest):
     w = parse("(+ w1 (* k1 (ann w2 lp1 k2)) (pow w3 (l=TOP,[|0]) h1 k1))")
     assert identifiers(w, forest) == ({"w1", "w2", "w3"}, {"k1", "k2"},
