@@ -21,6 +21,12 @@ is one integer, and prefixes come only from annotation caps.  `fold` and
 `loop_abstract` give that case a fast path that computes on the tails
 alone (a running sum or maximum, `count * body + exit`) and builds one
 value at the end; values with a prefix take the run-walking operators.
+`loop_tail` states the prefix-free loop rule once, as a (loop, tail)
+pair of plain integers.  Besides `loop_abstract`, `symbolic.evaluate`
+calls it for each operand of a sum or maximum that is a loop over
+prefix-free constant body and exit rankings with a forest header and an
+integer count, and folds those pairs into one running integer and one
+loop meet; every other operand is a value that `fold` combines.
 
 `WcetSeq` and `AbstractWcet`, like `cfg.LoopRef`, are NamedTuples rather
 than frozen dataclasses: every operator builds, compares and hashes them,
@@ -344,6 +350,25 @@ def restrict_abstract(
     return abstract(new_loop, ms_restrict(a.seq, m))
 
 
+def loop_tail(header: str, count: int, body: AbstractWcet,
+              exit_: AbstractWcet, f: LoopForest) -> tuple[LoopRef, int]:
+    """The prefix-free loop rule: (loop, tail) of a loop running `count`
+    iterations whose body and exit rankings have no prefix.
+
+    The tail is `count * body tail + exit tail`.  It is relative to the
+    exit's loop when the body runs zero times or is ranked per iteration
+    of this loop, and to the meet of both loops otherwise.  A zero tail
+    stands for ZERO, whatever the loop: the caller builds the value.
+    """
+    loop = exit_.loop
+    if not count:
+        return loop, exit_.seq.tail
+    inner = body.loop
+    if inner != loop and not (inner.kind == "loop" and inner.header == header):
+        loop = loop_meet(inner, loop, f)
+    return loop, count * body.seq.tail + exit_.seq.tail
+
+
 def loop_abstract(
     header: str,
     count: int,
@@ -353,21 +378,19 @@ def loop_abstract(
 ) -> AbstractWcet:
     """Combine body and exit rankings of a loop running `count` iterations.
 
-    When neither ranking has a prefix, the result is the integer
-    `count * body tail + exit tail`, relative to the exit's loop if the
-    body is ranked per iteration of this loop and to the meet of both
-    loops otherwise: what the general path below computes on such values.
+    A loop that runs zero times is its exit: the body meets no loop into
+    the result.  When neither ranking has a prefix, `loop_tail` gives the
+    integer result; the general path below computes the same on such
+    values.
     """
-    own = body.loop.kind == "loop" and body.loop.header == header
     if not body.seq.prefix and not exit_.seq.prefix:
-        tail = count * body.seq.tail + exit_.seq.tail
+        loop, tail = loop_tail(header, count, body, exit_, f)
         if not tail:
             return ZERO
-        loop = exit_.loop
-        if not own and body.loop != loop:
-            loop = loop_meet(body.loop, loop, f)
         return _tuple_new(AbstractWcet, (loop, WcetSeq((), tail)))
-    if own:
+    if not count:
+        return exit_
+    if body.loop.kind == "loop" and body.loop.header == header:
         # Body costs are ranked per iteration of this very loop: one entry
         # takes the `count` greatest, a constant total.
         total = _top_sum(body.seq, count)

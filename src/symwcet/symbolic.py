@@ -31,6 +31,7 @@ from .awcet import (
     const_seq,
     fold,
     loop_abstract,
+    loop_tail,
     max_abstract,
     node_value,
     parse_seq,
@@ -38,8 +39,8 @@ from .awcet import (
     restrict_abstract,
     scalar_abstract,
 )
-from .cfg import (TOP, LoopForest, LoopRef, is_identifier, loop_ref,
-                  parse_loop_ref)
+from .cfg import (TOP, LoopForest, LoopRef, is_identifier, loop_meet,
+                  loop_ref, parse_loop_ref)
 from .errors import FuelExhausted, TypeMismatch, UnboundIdentifier
 from .records import slot_init
 
@@ -670,13 +671,22 @@ def evaluate(w: Formula, bindings: dict, f: LoopForest) -> AbstractWcet:
     when it is TOP, a header of f, or an identifier that `bindings` maps.
     A `Const` child is read in place, not evaluated by a call: most
     operands of a simplified formula are constants.
+
+    A sum or maximum folds some operands as plain integers: a `Power`
+    whose body and exit are prefix-free `Const`s, whose header is a header
+    of f that no binding renames, and whose count is an `int` or an
+    identifier bound to a non-negative `int`.  Such a loop cannot fail to
+    evaluate, so each gives `awcet.loop_tail`'s (loop, tail) pair to one
+    running sum or maximum and one loop meet, and the node builds one
+    value for all of them at the end.  Every other operand is evaluated
+    in order and folded with that value by `awcet.fold`, so errors keep
+    their order.
     """
     cls = type(w)
     if cls is Const:
         return w.value
-    if cls is Plus:
-        return fold([x.value if type(x) is Const else evaluate(x, bindings, f)
-                     for x in w.operands], plus_abstract, f)
+    if cls is Plus or cls is Max:
+        return _sum_or_max(w, bindings, f)
     if cls is WcetId:
         if w.name not in bindings:
             raise UnboundIdentifier(f"no binding for WCET identifier {w.name!r}")
@@ -702,9 +712,6 @@ def evaluate(w: Formula, bindings: dict, f: LoopForest) -> AbstractWcet:
         exit_ = (exit_.value if type(exit_) is Const
                  else evaluate(exit_, bindings, f))
         return loop_abstract(header, count, body, exit_, f)
-    if cls is Max:
-        return fold([x.value if type(x) is Const else evaluate(x, bindings, f)
-                     for x in w.operands], max_abstract, f)
     if cls is Scalar:
         k = _bind_int(w.coeff, bindings, require=True)
         return scalar_abstract(k, evaluate(w.operand, bindings, f))
@@ -716,6 +723,40 @@ def evaluate(w: Formula, bindings: dict, f: LoopForest) -> AbstractWcet:
         return restrict_abstract(evaluate(w.operand, bindings, f), ref,
                                  _bind_int(w.count, bindings, require=True), f)
     raise TypeError(f"not a formula: {w!r}")
+
+
+def _sum_or_max(w: Plus | Max, bindings: dict, f: LoopForest
+                ) -> AbstractWcet:
+    """The value of a sum or maximum, for `evaluate`."""
+    summing = type(w) is Plus
+    values: list[AbstractWcet] = []
+    loop, tail = TOP, 0  # the operands folded as integers
+    for x in w.operands:
+        cls = type(x)
+        if cls is Const:
+            values.append(x.value)
+            continue
+        if cls is Power and type(x.body) is Const and type(x.exit) is Const:
+            header, count = x.header, x.count
+            if type(count) is not int:
+                count = bindings.get(count)
+            body, exit_ = x.body.value, x.exit.value
+            if (type(count) is int and count >= 0 and header in f.loops
+                    and header not in bindings
+                    and not body.seq.prefix and not exit_.seq.prefix):
+                at, t = loop_tail(header, count, body, exit_, f)
+                if t:
+                    if summing:
+                        tail += t
+                    elif t > tail:
+                        tail = t
+                    if at != loop:
+                        loop = loop_meet(loop, at, f)
+                continue
+        values.append(evaluate(x, bindings, f))
+    if tail:
+        values.append(abstract(loop, const_seq(tail)))
+    return fold(values, plus_abstract if summing else max_abstract, f)
 
 
 def identifiers(w: Formula, f: LoopForest

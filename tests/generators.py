@@ -431,6 +431,63 @@ def random_formula(rng: random.Random, depth: int = 3) -> Formula:
     return Restrict(random_formula(rng, depth - 1), loop, count)
 
 
+def _chain_const(rng: random.Random, loop, prefixes: bool) -> Const:
+    tail = rng.choice((0, rng.randint(1, 9)))
+    prefix = ([tail + rng.randint(1, 6) for _ in range(rng.randint(1, 2))]
+              if prefixes and rng.random() < 0.2 else [])
+    return Const(abstract(loop, make_seq(prefix, tail)))
+
+
+def random_chain_formula(rng: random.Random, clean: bool = False
+                         ) -> tuple[Formula, dict]:
+    """A chain-shaped formula and bindings for it: a sum or maximum of
+    loops over constant body and exit rankings, with a few constant
+    operands, as a simplified chain document's formula is.
+
+    Headers are forest headers, some renamed by a binding, and loop
+    identifiers.  A body is ranked per iteration of its own loop, of
+    another loop or of TOP.  Constants mix zero tails and prefixes.
+    Counts are 0, integers, bound identifiers, a missing identifier and
+    identifiers bound to a bool, a negative integer or a string, and a
+    cost identifier, bound or missing, stands among the operands.  With
+    `clean`, every constant is prefix-free and every loop is one that
+    `symbolic.evaluate` folds as integers: its header is a forest header
+    that no binding renames and its count an integer or bound to one.
+    """
+    bindings: dict = {"k1": rng.randint(0, 3), "k2": rng.choice((0, 2, 10**6)),
+                      "w1": abstract(TOP, const_seq(rng.randint(0, 9)))}
+    counts: tuple = (0, 1, 2, 3, 10**9, "k1", "k2")
+    headers: tuple = _HEADERS
+    if not clean:
+        bindings.update(kb=rng.choice((True, False)), kn=-1,
+                        ks=rng.choice(("x", "h1", "3")),
+                        lp1=rng.choice(_HEADERS))
+        if rng.random() < 0.2:
+            bindings[rng.choice(_HEADERS)] = rng.choice(_HEADERS)
+        counts += ("kx", "kb", "kn", "ks")
+        headers += ("lp1", "lp2")
+    operands: list[Formula] = []
+    for _ in range(rng.randint(2, 8)):
+        r = rng.random()
+        if r < 0.1:
+            loop = rng.choice((TOP, TOP, loop_ref(rng.choice(_HEADERS))))
+            operands.append(_chain_const(rng, loop, not clean))
+            continue
+        if r < 0.15 and not clean:
+            operands.append(WcetId(rng.choice(("w1", "w2"))))
+            continue
+        header = rng.choice(headers if rng.random() < 0.2 else _HEADERS)
+        own = bindings.get(header, header)
+        body_loop = rng.choice((TOP, loop_ref(rng.choice(_HEADERS)),
+                                loop_ref(own) if own in _HEADERS else TOP))
+        exit_loop = rng.choice((TOP, TOP, loop_ref(rng.choice(_HEADERS))))
+        count = rng.choice(counts if rng.random() < 0.3 else counts[:7])
+        operands.append(Power(_chain_const(rng, body_loop, not clean),
+                              _chain_const(rng, exit_loop, not clean),
+                              header, count))
+    return rng.choice((Plus, Max))(tuple(operands)), bindings
+
+
 def random_bindings(rng: random.Random) -> dict:
     out: dict = {}
     for w in _WCET_IDS:

@@ -498,9 +498,12 @@ def _ref_fold(values, op, f):
 
 
 def _ref_loop_abstract(header, count, body, exit_, f):
-    """loop_abstract's general path, kept for comparison."""
+    """loop_abstract's general path, kept for comparison.  A loop that
+    runs zero times is its exit."""
+    if not count:
+        return exit_
     if body.loop.kind == "loop" and body.loop.header == header:
-        total = eval_seq(body.seq, 1, count) if count else 0
+        total = eval_seq(body.seq, 1, count)
         return abstract(exit_.loop, ms_ranksum(const_seq(total), exit_.seq))
     return abstract(loop_meet(body.loop, exit_.loop, f),
                     ms_ranksum(ms_group(body.seq, count), exit_.seq))

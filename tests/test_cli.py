@@ -121,6 +121,39 @@ def test_wcet_self_check_passes(capsys, sym_path):
     assert code == 0 and out.strip().isdigit()
 
 
+# A random document (loop n4 with bound it0 inside loop n0, a cap m1 per
+# entry of n4, a split on n5) on which a loop run zero times used to
+# evaluate relative to its body's loop in the direct formula but not in
+# the simplified one, so the self-check failed with exit 4.
+COUNT_ZERO_DOC = {
+    "name": "random-839578",
+    "blocks": [{"id": "n0", "wcet": 5}, {"id": "n1", "wcet": 8},
+               {"id": "n2", "wcet": 4}, {"id": "n3", "wcet": "c1"},
+               {"id": "n4", "wcet": 1}, {"id": "n5", "wcet": 9},
+               {"id": "n6", "wcet": 8}],
+    "edges": [["n1", "n3"], ["n3", "n2"], ["n4", "n5"], ["n5", "n4"],
+              ["n1", "n4"], ["n4", "n2"], ["n0", "n1"], ["n2", "n0"],
+              ["n2", "n6"]],
+    "entry": "n0", "exit": "n6",
+    "loop_bounds": {"n4": "it0", "n0": "it1"},
+    "annotations": [{"target": "n5#1", "loop": "n4", "max": "m1"},
+                    {"target": "n0", "loop": "TOP", "max": 1}],
+    "splits": [{"block": "n5", "variants": [
+        {"id": "n5_first", "wcet": 12, "annotation": {"loop": "n0", "max": 1}},
+        {"id": "n5_rest", "wcet": 9, "annotation": None}]}],
+}
+
+
+def test_self_check_passes_on_a_loop_run_zero_times(capsys, tmp_path):
+    path = tmp_path / "count0.json"
+    path.write_text(json.dumps(COUNT_ZERO_DOC))
+    code, out, err = _run(capsys, ["wcet", "--self-check", "--input",
+                                   str(path), "--bind", "c1=1", "--bind",
+                                   "it0=0", "--bind", "it1=1", "--bind",
+                                   "m1=0"])
+    assert (code, out, err) == (0, "44\n", "")
+
+
 def test_wcet_ignores_unused_binding(capsys, fig2_path):
     code, out, _ = _run(capsys, ["wcet", "--input", fig2_path,
                                  "--bind", "nothing=5"])

@@ -811,6 +811,57 @@ def test_evaluate_matches_reference_on_random_formulas(forest):
     assert kinds["missing"] >= 3000 and errors >= 4000, (kinds, errors)
 
 
+def test_evaluate_matches_reference_on_chain_formulas(forest, monkeypatch):
+    # Loops over constant rankings folded as integers must give the
+    # reference's values, and its errors in the same order, whichever
+    # operands fall back to the general path.
+    loop_tail = symbolic.loop_tail
+    folded = 0
+
+    def counted(*args):
+        nonlocal folded
+        folded += 1
+        return loop_tail(*args)
+
+    monkeypatch.setattr(symbolic, "loop_tail", counted)
+    rng = random.Random(29)
+    taken = errors = 0
+    for _ in range(5000):
+        w, bindings = gen.random_chain_formula(rng)
+        before = folded
+        got = _outcome(evaluate, w, bindings, forest)
+        want = _outcome(gen.reference_evaluate, w, bindings, forest)
+        assert got == want and type(got) is type(want), (render(w), bindings)
+        taken += folded > before
+        errors += type(want) is tuple
+    assert taken >= 3000 and errors >= 1000, (taken, errors)
+
+
+def test_evaluate_folds_clean_chain_formulas_without_a_loop_call(
+        forest, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("loop_abstract called")
+
+    rng = random.Random(31)
+    cases = [gen.random_chain_formula(rng, clean=True) for _ in range(500)]
+    want = [gen.reference_evaluate(w, b, forest) for w, b in cases]
+    monkeypatch.setattr(symbolic, "loop_abstract", refuse)
+    assert [evaluate(w, b, forest) for w, b in cases] == want
+
+
+def test_loop_run_zero_times_evaluates_as_its_normal_form(forest):
+    # A loop run zero times is its exit, as power-extract's normal form
+    # `(w1,0,b)^0 + w2` has it: the body's loop is not met into the value.
+    for text in ("(pow (l=h2,[|2]) (l=TOP,[|3]) h1 k1)",
+                 "(pow (l=h2,[4|2]) (l=TOP,[|3]) h1 k1)",
+                 "(+ (l=TOP,[|1]) (pow (l=h2,[|2]) (l=TOP,[|3]) h1 k1))"):
+        w = parse(text)
+        for k in (0, 1, 2):
+            assert evaluate(w, {"k1": k}, forest) == evaluate(
+                simplify(w, forest), {"k1": k}, forest), (text, k)
+        assert evaluate(w, {"k1": 0}, forest).loop == TOP
+
+
 def test_free_identifiers_classification(forest):
     w = parse("(+ w1 (* k1 (ann w2 lp1 k2)) (pow w3 (l=TOP,[|0]) h1 k1))")
     assert identifiers(w, forest) == ({"w1", "w2", "w3"}, {"k1", "k2"},
