@@ -331,23 +331,10 @@ def scalar_abstract(k: int, a: AbstractWcet) -> AbstractWcet:
     return abstract(a.loop, ms_scalar(k, a.seq))
 
 
-def restrict_abstract(
-    a: AbstractWcet,
-    loop: LoopRef,
-    m: int,
-    f: LoopForest,
-    strict: bool = False,
-) -> AbstractWcet:
-    """Annotation application: meet the loops, keep the m greatest costs.
-
-    strict mode rejects a finite cap whose loop is unrelated to the value's
-    loop: the cap would then count executions of something else entirely.
-    """
-    new_loop = loop_meet(a.loop, loop, f)
-    if strict and new_loop == BOT:
-        raise IncomparableLoops(
-            f"cannot cap {a.loop}-relative costs per entry of {loop}")
-    return abstract(new_loop, ms_restrict(a.seq, m))
+def restrict_abstract(a: AbstractWcet, loop: LoopRef, m: int,
+                      f: LoopForest) -> AbstractWcet:
+    """Annotation application: meet the loops, keep the m greatest costs."""
+    return abstract(loop_meet(a.loop, loop, f), ms_restrict(a.seq, m))
 
 
 def loop_tail(header: str, count: int, body: AbstractWcet,
@@ -434,5 +421,11 @@ def gamma(t: cft.Cft, f: LoopForest) -> AbstractWcet:
     val = node_value(t, [gamma(c, f) for c in cft.child_nodes(t)], f)
     if t.annotation is not None:
         m = _concrete(t.annotation.max, "annotation max")
-        val = restrict_abstract(val, t.annotation.loop, m, f, strict=True)
+        loop = t.annotation.loop
+        # A cap whose loop is unrelated to the value's counts executions of
+        # something else entirely.
+        if loop_meet(val.loop, loop, f) == BOT:
+            raise IncomparableLoops(
+                f"cannot cap {val.loop}-relative costs per entry of {loop}")
+        val = restrict_abstract(val, loop, m, f)
     return val

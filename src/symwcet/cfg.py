@@ -5,9 +5,11 @@ irreducible control flow, builds the natural-loop forest, and provides the
 loop lattice (loops ordered by nesting, completed with TOP and BOT) that the
 rest of the analysis is parameterized over.
 
-Parsing numbers the blocks once, in document order.  Dominators and the
-loop forest are lists indexed by those numbers; block ids come back only
-where a result is named (loop headers, edges, error texts).
+Parsing numbers the blocks once, in document order, and the graph holds
+nothing but those numbers: edges, successors, predecessors, entry and
+exit.  Dominators and the loop forest are lists indexed by them.  Block
+ids come back only where a result is named: loop headers, error texts,
+and the paths and counts the commands print.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DocumentError, IrreducibleLoop
@@ -23,7 +24,7 @@ from .records import slot_init
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
-Edge = tuple[str, str]
+Edge = tuple[int, int]  # (source, target) block numbers
 
 
 def is_identifier(s: object) -> bool:
@@ -76,35 +77,20 @@ def parse_loop_ref(text: str) -> LoopRef:
 # ---------------------------------------------------------------------------
 
 
-@slot_init
-@dataclass(frozen=True, slots=True)
-class Block:
-    id: str
-    wcet: int | str  # concrete cost or symbolic identifier
-
-
 @dataclass
 class Cfg:
     """A program graph.  Blocks are numbered once, in document order; the
     analysis runs on those numbers, and names appear only at its ends."""
 
     name: str
-    blocks: dict[str, Block]  # insertion-ordered
-    edges: tuple[Edge, ...]  # document order
-    entry: str
-    exit: str
-    ids: list[str]  # block number -> block id
+    blocks: list[str]  # block number -> block id
+    costs: list[int | str]  # block number -> concrete cost or identifier
     block_index: dict[str, int]  # block id -> block number
-    edge_ids: list[tuple[int, int]]  # the edges on block numbers, in order
-    succ_ids: list[list[int]]  # block number -> successors, in edge order
-    pred_ids: list[list[int]]  # block number -> predecessors, in edge order
-
-    @cached_property
-    def succs(self) -> dict[str, tuple[str, ...]]:
-        """Block id -> successor ids, in edge order."""
-        ids = self.ids
-        return {b: tuple(ids[t] for t in out)
-                for b, out in zip(ids, self.succ_ids)}
+    edges: list[Edge]  # document order
+    succs: list[list[int]]  # block number -> successors, in edge order
+    preds: list[list[int]]  # block number -> predecessors, in edge order
+    entry: int
+    exit: int
 
 
 @dataclass(frozen=True)
@@ -186,7 +172,9 @@ def parse_program(text: str) -> Program:
     raw_blocks = obj["blocks"]
     if not isinstance(raw_blocks, list) or not raw_blocks:
         raise DocumentError("blocks must be a non-empty list")
-    blocks: dict[str, Block] = {}
+    blocks: list[str] = []
+    costs: list[int | str] = []
+    index: dict[str, int] = {}
     for item in raw_blocks:
         # The usual shape, exactly the keys id and wcet, needs no key check.
         if not (isinstance(item, dict) and len(item) == 2
@@ -200,24 +188,22 @@ def parse_program(text: str) -> Program:
         if bid == "TOP" or bid == "BOT":
             raise DocumentError(f"block id {bid!r} is reserved for an end of "
                                 "the loop lattice")
-        if bid in blocks:
+        if bid in index:
             raise DocumentError(f"duplicate block id {bid!r}")
         wcet = item["wcet"]
         if type(wcet) is not int or wcet < 0:
             wcet = _check_value(wcet, f"block {bid} wcet")
-        blocks[bid] = Block(bid, wcet)
-
-    ids = list(blocks)
-    index = dict(zip(ids, range(len(ids))))
+        index[bid] = len(blocks)
+        blocks.append(bid)
+        costs.append(wcet)
 
     raw_edges = obj["edges"]
     if not isinstance(raw_edges, list):
         raise DocumentError("edges must be a list")
     edges: list[Edge] = []
-    edge_ids: list[tuple[int, int]] = []
-    succ_ids: list[list[int]] = [[] for _ in ids]
-    pred_ids: list[list[int]] = [[] for _ in ids]
-    seen_edges: set[tuple[int, int]] = set()
+    succs: list[list[int]] = [[] for _ in blocks]
+    preds: list[list[int]] = [[] for _ in blocks]
+    seen_edges: set[Edge] = set()
     for item in raw_edges:
         if (not isinstance(item, list) or len(item) != 2
                 or not isinstance(item[0], str) or not isinstance(item[1], str)):
@@ -230,21 +216,20 @@ def parse_program(text: str) -> Program:
         if e in seen_edges:
             raise DocumentError(f"duplicate edge {item!r}")
         seen_edges.add(e)
-        edges.append((item[0], item[1]))
-        edge_ids.append(e)
-        succ_ids[s].append(t)
-        pred_ids[t].append(s)
+        edges.append(e)
+        succs[s].append(t)
+        preds[t].append(s)
 
     entry = obj["entry"]
     exit_ = obj["exit"]
     for role, bid in (("entry", entry), ("exit", exit_)):
-        if not isinstance(bid, str) or bid not in blocks:
+        if not isinstance(bid, str) or bid not in index:
             raise DocumentError(f"{role} block {bid!r} does not exist")
-    if succ_ids[index[exit_]]:
+    if succs[index[exit_]]:
         raise DocumentError(f"exit block {exit_!r} must not have outgoing edges")
 
-    g = Cfg(name, blocks, tuple(edges), entry, exit_, ids, index, edge_ids,
-            succ_ids, pred_ids)
+    g = Cfg(name, blocks, costs, index, edges, succs, preds, index[entry],
+            index[exit_])
     _check_connectivity(g)
 
     loop_bounds: dict[str, int | str] = {}
@@ -252,7 +237,7 @@ def parse_program(text: str) -> Program:
     if not isinstance(raw_bounds, dict):
         raise DocumentError("loop_bounds must be an object")
     for header, bound in raw_bounds.items():
-        if header not in blocks:
+        if header not in index:
             raise DocumentError(f"loop bound for unknown block {header!r}")
         loop_bounds[header] = _check_value(bound, f"loop bound for {header}", minimum=1)
 
@@ -269,7 +254,7 @@ def parse_program(text: str) -> Program:
         if not isinstance(target, str):
             raise DocumentError(f"annotation target must be a string, got {target!r}")
         loop = item["loop"]
-        if not isinstance(loop, str) or (loop != "TOP" and loop not in blocks):
+        if not isinstance(loop, str) or (loop != "TOP" and loop not in index):
             raise DocumentError(f"annotation loop {loop!r} is neither TOP nor a block")
         mx = _check_value(item["max"], f"annotation max for {target}")
         annotations.append(AnnotationSpec(target, loop, mx))
@@ -283,7 +268,7 @@ def parse_program(text: str) -> Program:
             raise DocumentError(f"split must be an object, got {item!r}")
         _require_keys(item, {"block", "variants"}, {"block", "variants"}, "split")
         sblock = item["block"]
-        if not isinstance(sblock, str) or sblock not in blocks:
+        if not isinstance(sblock, str) or sblock not in index:
             raise DocumentError(f"split references unknown block {sblock!r}")
         raw_vars = item["variants"]
         if not isinstance(raw_vars, list) or not raw_vars:
@@ -306,7 +291,7 @@ def parse_program(text: str) -> Program:
                               f"variant {vid} annotation")
                 vloop = raw_va["loop"]
                 if not isinstance(vloop, str) or (vloop != "TOP"
-                                                  and vloop not in blocks):
+                                                  and vloop not in index):
                     raise DocumentError(
                         f"variant {vid}: loop {vloop!r} is neither TOP nor a block")
                 vmax = _check_value(raw_va["max"], f"variant {vid} annotation max")
@@ -318,13 +303,13 @@ def parse_program(text: str) -> Program:
 
 
 def _check_connectivity(g: Cfg) -> None:
-    ids = g.ids
-    for start, step, fault in ((g.entry, g.succ_ids, "unreachable from entry"),
-                               (g.exit, g.pred_ids, "that cannot reach exit")):
+    ids = g.blocks
+    for start, step, fault in ((g.entry, g.succs, "unreachable from entry"),
+                               (g.exit, g.preds, "that cannot reach exit")):
         # Every block must be reachable from the entry, and reach the exit.
         seen = bytearray(len(ids))
-        stack = [g.block_index[start]]
-        seen[stack[0]] = 1
+        stack = [start]
+        seen[start] = 1
         while stack:
             for t in step[stack.pop()]:
                 if not seen[t]:
@@ -433,37 +418,32 @@ def _tree_intervals(parent: Sequence[int], nodes: Iterable[int]
 
 def check_reducible(g: Cfg, backs: set[Edge]) -> None:
     """Raise IrreducibleLoop when the graph minus back-edges has a cycle."""
-    succs: dict[str, list[str]] = {b: [] for b in g.blocks}
-    for e in g.edges:
-        if e not in backs:
-            succs[e[0]].append(e[1])
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {b: WHITE for b in g.blocks}
-    parent: dict[str, str] = {}
-    for root in g.blocks:
-        if color[root] != WHITE:
+    succs = [[t for t in out if (s, t) not in backs]
+             for s, out in enumerate(g.succs)]
+    color = bytearray(len(succs))  # 0: unseen, 1: on the stack, 2: done
+    parent = [-1] * len(succs)
+    for root in range(len(succs)):
+        if color[root]:
             continue
-        stack: list[tuple[str, int]] = [(root, 0)]
-        color[root] = GRAY
+        stack = [(root, 0)]
+        color[root] = 1
         while stack:
             node, i = stack.pop()
             if i < len(succs[node]):
                 stack.append((node, i + 1))
                 t = succs[node][i]
-                if color[t] == WHITE:
-                    color[t] = GRAY
+                if not color[t]:
+                    color[t] = 1
                     parent[t] = node
                     stack.append((t, 0))
-                elif color[t] == GRAY:
+                elif color[t] == 1:
                     cycle = [node]
-                    cur = node
-                    while cur != t:
-                        cur = parent[cur]
-                        cycle.append(cur)
-                    cycle.reverse()
-                    raise IrreducibleLoop(cycle)
+                    while node != t:
+                        node = parent[node]
+                        cycle.append(node)
+                    raise IrreducibleLoop(g.blocks[b] for b in reversed(cycle))
             else:
-                color[node] = BLACK
+                color[node] = 2
 
 
 @slot_init
@@ -513,9 +493,9 @@ def build_loop_forest(g: Cfg, bounds: dict[str, int | str] | None = None) -> Loo
     flow graph reducibility", 1974; Havlak, "Nesting of reducible and
     irreducible loops", 1997).  Every block is searched once.
     """
-    ids, pred = g.ids, g.pred_ids
+    ids, pred = g.blocks, g.preds
     n = len(ids)
-    idom, rpo = immediate_dominators(g.block_index[g.entry], g.succ_ids, pred)
+    idom, rpo = immediate_dominators(g.entry, g.succs, pred)
     # Back edges are the edges whose target dominates their source.  Such
     # a target is a DFS ancestor of the source, so only the retreating
     # edges of the dominator pass's own search (self-loops included) need
@@ -526,14 +506,14 @@ def build_loop_forest(g: Cfg, bounds: dict[str, int | str] | None = None) -> Loo
     dom_pre, dom_post = _tree_intervals(idom, range(n))
     back_from: dict[int, list[int]] = {}  # header -> back-edge sources
     reducible = True
-    for s, t in g.edge_ids:
+    for s, t in g.edges:
         if rpo[t] <= rpo[s]:
             if dom_pre[t] <= dom_pre[s] < dom_post[t]:
                 back_from.setdefault(t, []).append(s)
             else:
                 reducible = False
     if not reducible:
-        check_reducible(g, {(ids[s], ids[t]) for t, srcs in back_from.items()
+        check_reducible(g, {(s, t) for t, srcs in back_from.items()
                             for s in srcs})
         raise AssertionError("a retreating edge that is not a back edge, "
                              "but no cycle without back edges")
@@ -578,7 +558,8 @@ def build_loop_forest(g: Cfg, bounds: dict[str, int | str] | None = None) -> Loo
     # the body, and exits every loop around its source that lacks its target.
     entries: dict[int, list[Edge]] = {h: [] for h in headers}
     exits: dict[int, list[Edge]] = {h: [] for h in headers}
-    for (u, v), e in zip(g.edge_ids, g.edges):
+    for e in g.edges:
+        u, v = e
         if block_loop[v] == v and not loop_pre[v] <= inner[u] < loop_post[v]:
             entries[v].append(e)
         level, at = block_loop[u], inner[v]
@@ -587,7 +568,7 @@ def build_loop_forest(g: Cfg, bounds: dict[str, int | str] | None = None) -> Loo
             level = parent[level]
 
     loops = {ids[h]: LoopInfo(ids[h], loop_pre[h], loop_post[h],
-                              tuple((ids[s], ids[h]) for s in back_from[h]),
+                              tuple((s, h) for s in back_from[h]),
                               tuple(entries[h]), tuple(exits[h]),
                               bounds.get(ids[h], f"x_{ids[h]}"))
              for h in headers}

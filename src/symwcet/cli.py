@@ -184,20 +184,22 @@ def _annotation_rows(t: cft.Cft) -> list[dict]:
 
 def cmd_check(args) -> int:
     a = _load(args)
+    g = a.cfg
+    entry, exit_ = g.blocks[g.entry], g.blocks[g.exit]
     loops = {h: info.bound for h, info in sorted(a.forest.loops.items())}
     lines = [
-        f"name: {a.cfg.name}",
-        f"blocks: {len(a.cfg.blocks)}",
-        f"edges: {len(a.cfg.edges)}",
-        f"entry: {a.cfg.entry}",
-        f"exit: {a.cfg.exit}",
+        f"name: {g.name}",
+        f"blocks: {len(g.blocks)}",
+        f"edges: {len(g.edges)}",
+        f"entry: {entry}",
+        f"exit: {exit_}",
         "loops: " + (" ".join(f"{h}(bound={b})" for h, b in loops.items())
                      or "none"),
         "ok",
     ]
-    _emit(args, lines, {"name": a.cfg.name, "blocks": len(a.cfg.blocks),
-                        "edges": len(a.cfg.edges), "entry": a.cfg.entry,
-                        "exit": a.cfg.exit, "loops": loops, "ok": True})
+    _emit(args, lines, {"name": g.name, "blocks": len(g.blocks),
+                        "edges": len(g.edges), "entry": entry,
+                        "exit": exit_, "loops": loops, "ok": True})
     return 0
 
 

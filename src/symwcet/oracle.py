@@ -41,23 +41,24 @@ def gpaths_bounded(g: Cfg, f: LoopForest, end: str | None = None,
                    max_nodes: int = MAX_NODES) -> list[tuple[str, ...]]:
     """All entry-to-end paths taking each loop's back edges at most `bound`
     times per entry of the loop."""
-    end = g.exit if end is None else end
-    back_of: dict[tuple[str, str], str] = {}
-    entry_of: dict[tuple[str, str], str] = {}
-    bounds: dict[str, int] = {}
+    end_at = g.exit if end is None else g.block_index[end]
+    # Back and entry edges lead to their loop's header, so the edge's
+    # target keys its loop's counter.
+    backs: set[tuple[int, int]] = set()
+    entries: set[tuple[int, int]] = set()
+    bounds: dict[int, int] = {}
     for info in f.loops.values():
-        bounds[info.header] = _require_int(info.bound,
-                                           f"bound of loop {info.header!r}")
-        for e in info.back_edges:
-            back_of[e] = info.header
-        for e in info.entry_edges:
-            entry_of[e] = info.header
+        bounds[g.block_index[info.header]] = _require_int(
+            info.bound, f"bound of loop {info.header!r}")
+        backs.update(info.back_edges)
+        entries.update(info.entry_edges)
 
     # A partial path is a linked cell (block, previous cell), so a step
     # costs the same at any depth; a path is spelled out when it reaches end.
+    ids, succs = g.blocks, g.succs
     paths: list[tuple[str, ...]] = []
     visited = 0
-    stack: list[tuple[str, tuple, dict[str, int]]] = [
+    stack: list[tuple[int, tuple, dict[int, int]]] = [
         (g.entry, (g.entry, None), {})
     ]
     while stack:
@@ -65,28 +66,25 @@ def gpaths_bounded(g: Cfg, f: LoopForest, end: str | None = None,
         visited += 1
         if visited > max_nodes:
             raise PathBudgetExceeded(f"more than {max_nodes} path nodes")
-        if block == end:
+        if block == end_at:
             path: list[str] = []
             link = cell
             while link is not None:
-                path.append(link[0])
+                path.append(ids[link[0]])
                 link = link[1]
             paths.append(tuple(reversed(path)))
             if len(paths) > max_paths:
                 raise PathBudgetExceeded(f"more than {max_paths} program paths")
-        for succ in g.succs[block]:
-            edge = (block, succ)
+        for succ in succs[block]:
             c = counters
-            if edge in back_of:
-                h = back_of[edge]
-                taken = c.get(h, 0) + 1
-                if taken > bounds[h]:
+            if (block, succ) in backs:
+                taken = c.get(succ, 0) + 1
+                if taken > bounds[succ]:
                     continue
-                c = {**c, h: taken}
-            elif edge in entry_of:
-                h = entry_of[edge]
-                if c.get(h, 0):
-                    c = {**c, h: 0}
+                c = {**c, succ: taken}
+            elif (block, succ) in entries:
+                if c.get(succ, 0):
+                    c = {**c, succ: 0}
             stack.append((succ, (succ, cell), c))
     return paths
 

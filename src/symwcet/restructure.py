@@ -47,8 +47,8 @@ class _Builder:
     def __init__(self, g: Cfg, f: LoopForest):
         self.g = g
         self.f = f
-        n = self.n = len(g.ids)
-        block_loop, rpo, index = f.block_loop, f.rpo, g.block_index
+        n = self.n = len(g.blocks)
+        block_loop, rpo = f.block_loop, f.rpo
         preds: list[list[int] | None] = [None] * (4 * n + 1)
         idom = [-1] * (4 * n + 1)
         shared: list[int] = []  # nodes with two or more predecessor entries
@@ -72,27 +72,27 @@ class _Builder:
         for v, level in enumerate(block_loop):
             if v == level:
                 continue
-            for u in g.pred_ids[v]:
+            for u in g.preds[v]:
                 p = u if block_loop[u] == level else rep(u, level)
                 assert rpo[p % n] < rpo[v], self._cycle(p, v)
                 add(v, p)
             if f.idom[v] >= 0:
                 idom[v] = rep(f.idom[v], level)
         for info in f.loops.values():
-            h = index[info.header]
+            h = g.block_index[info.header]
             level = f.parent[h]
             for u, _ in info.entry_edges:
-                p = rep(index[u], level)
+                p = rep(u, level)
                 assert rpo[p % n] < rpo[h], self._cycle(p, n + h)
                 add(n + h, p)
             if f.idom[h] >= 0:
                 idom[n + h] = rep(f.idom[h], level)
             for u, _ in info.back_edges:
-                add(2 * n + h, rep(index[u], h))
+                add(2 * n + h, rep(u, h))
             for u, _ in info.exit_edges:
-                add(3 * n + h, rep(index[u], h))
+                add(3 * n + h, rep(u, h))
         # Program termination is the pseudo-loop's departure edge.
-        add(4 * n, rep(index[g.exit], -1))
+        add(4 * n, rep(g.exit, -1))
         for node in shared:
             preds[node] = sorted(set(preds[node]))  # type: ignore[arg-type]
 
@@ -129,7 +129,7 @@ class _Builder:
 
     def name(self, node: int) -> str:
         """How messages name a node: a block's id, L_<header>, next, exit."""
-        n, ids = self.n, self.g.ids
+        n, ids = self.n, self.g.blocks
         if node < n:
             return ids[node]
         if node < 2 * n:
@@ -141,7 +141,7 @@ class _Builder:
         postorder, naming the region by its loop's header."""
         n, f = self.n, self.f
         level = f.block_loop[node] if node < n else f.parent[node - n]
-        region = None if level < 0 else self.g.ids[level]
+        region = None if level < 0 else self.g.blocks[level]
         return (f"region graph for {region} has a cycle through "
                 f"{self.name(p)} -> {self.name(node)}")
 
@@ -165,7 +165,7 @@ class _Builder:
         return chain
 
     def emit(self, node: int) -> cft.Cft | None:
-        n, ids = self.n, self.g.ids
+        n, ids = self.n, self.g.blocks
         if node < n:
             label = ids[node]
             k = self.seen[node]
@@ -173,7 +173,7 @@ class _Builder:
             if k:
                 label = f"{label}#{k}"
                 self.rename[label] = ids[node]
-            return cft.Leaf(label, self.g.blocks[ids[node]].wcet)
+            return cft.Leaf(label, self.g.costs[node])
         if node < 2 * n:
             h = node - n
             body = self.tree(h, 2 * n + h, include_start=True)
@@ -216,6 +216,6 @@ def build_cft(g: Cfg, f: LoopForest) -> tuple[cft.Cft, dict[str, str]]:
     back to its block, in the order the leaves were created.
     """
     builder = _Builder(g, f)
-    tree = builder.tree(builder.representative(g.block_index[g.entry], -1),
-                        4 * len(g.ids), include_start=True)
+    tree = builder.tree(builder.representative(g.entry, -1),
+                        4 * len(g.blocks), include_start=True)
     return tree, builder.rename

@@ -35,7 +35,7 @@ from symwcet.awcet import (
     restrict_abstract,
     scalar_abstract,
 )
-from symwcet import symbolic
+from symwcet import cft, symbolic
 from symwcet.cfg import (BOT, TOP, build_loop_forest, loop_meet, loop_ref,
                          parse_program)
 from symwcet.errors import IncomparableLoops, NotMultiple, SymbolicValuePresent
@@ -401,8 +401,14 @@ def test_restrict_abstract_strictness(fig2):
     a = abstract(loop_ref("b2"), parse_seq("[9,8|5]"))
     out = restrict_abstract(a, loop_ref("b1"), 3, f)
     assert out == abstract(loop_ref("b2"), parse_seq("[9,8,5|0]"))
-    with pytest.raises(IncomparableLoops):
-        restrict_abstract(a, loop_ref("zz"), 3, f, strict=True)
+    assert restrict_abstract(a, loop_ref("zz"), 3, f).loop == BOT
+    # gamma refuses the same cap: b2-relative costs capped per entry of a
+    # loop unrelated to b2.
+    per_b2 = cft.Leaf("b4", 9, cft.Annotation(loop_ref("b2"), 2))
+    t = cft.Seq((per_b2, cft.Leaf("b5", 1)), cft.Annotation(loop_ref("zz"), 3))
+    with pytest.raises(IncomparableLoops) as err:
+        gamma(t, f)
+    assert str(err.value) == "cannot cap b2-relative costs per entry of zz"
 
 
 def test_loop_abstract_self_relative(fig2):

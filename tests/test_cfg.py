@@ -16,7 +16,6 @@ from symwcet.cfg import (
     LoopRef,
     _tree_intervals,
     build_loop_forest,
-    check_reducible,
     immediate_dominators,
     loop_leq,
     loop_meet,
@@ -49,8 +48,9 @@ def _doc(**overrides):
 
 def test_parse_minimal_document():
     p = parse_program(_doc())
-    assert p.cfg.entry == "a" and p.cfg.exit == "b"
-    assert p.cfg.blocks["b"].wcet == 2
+    g = p.cfg
+    assert g.blocks[g.entry] == "a" and g.blocks[g.exit] == "b"
+    assert g.costs[g.block_index["b"]] == 2
     assert p.loop_bounds == {} and p.annotations == () and p.splits == ()
 
 
@@ -182,7 +182,7 @@ def test_symbolic_wcet_and_bound_are_identifiers():
         edges=[["a", "a"], ["a", "b"]],
         loop_bounds={"a": "n"},
     ))
-    assert p.cfg.blocks["a"].wcet == "w_a"
+    assert p.cfg.costs[p.cfg.block_index["a"]] == "w_a"
     assert p.loop_bounds["a"] == "n"
 
 
@@ -193,24 +193,32 @@ def test_symbolic_wcet_and_bound_are_identifiers():
 
 def _name(g, b):
     """The id of block number b (-1: None)."""
-    return None if b < 0 else g.ids[b]
+    return None if b < 0 else g.blocks[b]
 
 
 def test_fig2_idoms():
     g = fig2_program().cfg
     idom = build_loop_forest(g).idom
-    assert {g.ids[b]: _name(g, d) for b, d in enumerate(idom)} == {
+    assert {g.blocks[b]: _name(g, d) for b, d in enumerate(idom)} == {
         "b1": None, "b2": "b1", "b3": "b1", "b4": "b2", "b5": "b1", "b6": "b1",
     }
 
 
+def _id_edges(g, edges):
+    """Edges on block numbers, spelled as pairs of block ids."""
+    return tuple((g.blocks[s], g.blocks[t]) for s, t in edges)
+
+
 def test_fig2_back_edges():
-    f = build_loop_forest(fig2_program().cfg)
-    assert {e for info in f.loops.values() for e in info.back_edges} == {
+    g = fig2_program().cfg
+    f = build_loop_forest(g)
+    assert {e for info in f.loops.values()
+            for e in _id_edges(g, info.back_edges)} == {
         ("b3", "b1"), ("b4", "b2")}
 
 
 def _reachable_without(g, banned):
+    """Block numbers reachable from the entry without passing `banned`."""
     seen = set()
     stack = [] if g.entry == banned else [g.entry]
     while stack:
@@ -230,19 +238,20 @@ def test_dominates_matches_removal_oracle():
         doc = gen.random_doc(rng, depth=2, noise=2)
         g = parse_program(json.dumps(doc)).cfg
         f = build_loop_forest(g)
-        pre, post = _tree_intervals(f.idom, range(len(g.ids)))
-        cuts = {d: _reachable_without(g, d) for d in g.blocks}
-        for d in g.blocks:
-            for n in g.blocks:
-                expected = n == d or n not in cuts[d]
-                i, j = g.block_index[d], g.block_index[n]
-                assert (pre[i] <= pre[j] < post[i]) == expected, (doc, d, n)
+        nodes = range(len(g.blocks))
+        pre, post = _tree_intervals(f.idom, nodes)
+        cuts = {d: _reachable_without(g, d) for d in nodes}
+        for i in nodes:
+            for j in nodes:
+                expected = j == i or j not in cuts[i]
+                assert (pre[i] <= pre[j] < post[i]) == expected, (doc, i, j)
         # Back edges are tested for dominance on the dominator tree's
         # numbering; each loop keeps its own in edge order.
         backs = [(s, t) for s, t in g.edges if s == t or s not in cuts[t]]
-        assert set(f.loops) == {t for _, t in backs}, doc
+        assert set(f.loops) == {g.blocks[t] for _, t in backs}, doc
         for h, info in f.loops.items():
-            assert list(info.back_edges) == [e for e in backs if e[1] == h]
+            assert list(info.back_edges) == [
+                e for e in backs if e[1] == g.block_index[h]]
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +263,8 @@ def test_irreducible_triangle_rejected():
     p = parse_program(json.dumps(gen.irreducible_doc()))
     with pytest.raises(IrreducibleLoop) as err:
         build_loop_forest(p.cfg, p.loop_bounds)
-    assert "b" in str(err.value) and "c" in str(err.value)
+    assert str(err.value) == ("irreducible control flow: cycle b -> c has "
+                              "no dominating header")
 
 
 def test_random_structured_graphs_are_reducible():
@@ -280,24 +290,61 @@ def _small_cfg_doc(rng: random.Random) -> dict:
             "edges": edges, "entry": names[0], "exit": names[-1]}
 
 
+def _reference_check_reducible(blocks, edges, backs):
+    """Raise IrreducibleLoop when the graph minus back-edges has a cycle:
+    the depth-first colouring on block ids, roots in document order."""
+    succs: dict[str, list[str]] = {b: [] for b in blocks}
+    for e in edges:
+        if e not in backs:
+            succs[e[0]].append(e[1])
+    WHITE, GRAY, BLACK = 0, 1, 2
+    color = {b: WHITE for b in blocks}
+    parent: dict[str, str] = {}
+    for root in blocks:
+        if color[root] != WHITE:
+            continue
+        stack: list[tuple[str, int]] = [(root, 0)]
+        color[root] = GRAY
+        while stack:
+            node, i = stack.pop()
+            if i < len(succs[node]):
+                stack.append((node, i + 1))
+                t = succs[node][i]
+                if color[t] == WHITE:
+                    color[t] = GRAY
+                    parent[t] = node
+                    stack.append((t, 0))
+                elif color[t] == GRAY:
+                    cycle = [node]
+                    cur = node
+                    while cur != t:
+                        cur = parent[cur]
+                        cycle.append(cur)
+                    cycle.reverse()
+                    raise IrreducibleLoop(cycle)
+            else:
+                color[node] = BLACK
+
+
 def _three_pass_loop_forest(g):
     """The loop forest from three graph passes: the dominator pass, a
     dominance test on every edge for the back edges, then the cycle search
     on the graph without them.  Loop bodies are spelled out as sets, one
-    backward search per loop.
+    backward search per loop.  Everything after the dominator pass runs
+    on block ids.
 
     Returns the forest as `_forest_view` shows it, and the bodies."""
-    idom, _ = immediate_dominators(g.block_index[g.entry], g.succ_ids,
-                                   g.pred_ids)
-    pre, post = _tree_intervals(idom, range(len(g.ids)))
+    idom, _ = immediate_dominators(g.entry, g.succs, g.preds)
+    pre, post = _tree_intervals(idom, range(len(g.blocks)))
     index = g.block_index
+    edges = _id_edges(g, g.edges)
     backs = []
-    for s, t in g.edges:
+    for s, t in edges:
         if pre[index[t]] <= pre[index[s]] < post[index[t]]:
             backs.append((s, t))
-    check_reducible(g, set(backs))
+    _reference_check_reducible(g.blocks, edges, set(backs))
     preds = {b: [] for b in g.blocks}
-    for s, t in g.edges:
+    for s, t in edges:
         preds[t].append(s)
     by_header = {}
     for s, t in backs:
@@ -320,7 +367,7 @@ def _three_pass_loop_forest(g):
             inner[b] = h
     entries = {h: [] for h in headers}
     exits = {h: [] for h in headers}
-    for u, v in g.edges:
+    for u, v in edges:
         if v in bodies and u not in bodies[v]:
             entries[v].append((u, v))
         level = inner.get(u)
@@ -330,7 +377,7 @@ def _three_pass_loop_forest(g):
     loops = [(h, tuple(by_header[h]), tuple(entries[h]), tuple(exits[h]),
               f"x_{h}") for h in headers]
     block_loop = {b: inner[b] for b in g.blocks if b in inner}
-    idom = {g.ids[b]: _name(g, d) for b, d in enumerate(idom)}
+    idom = {g.blocks[b]: _name(g, d) for b, d in enumerate(idom)}
     view = (loops, {h: parent[h] for h in headers}, block_loop, idom)
     return view, bodies
 
@@ -339,12 +386,13 @@ def _forest_view(g, f):
     """The forest on block ids: each loop's header, edges and bound, and
     the parent, innermost-loop and immediate-dominator maps, each in
     document order."""
-    loops = [(i.header, i.back_edges, i.entry_edges, i.exit_edges, i.bound)
+    loops = [(i.header, _id_edges(g, i.back_edges),
+              _id_edges(g, i.entry_edges), _id_edges(g, i.exit_edges), i.bound)
              for i in f.loops.values()]
     parent = {h: _name(g, f.parent[g.block_index[h]]) for h in f.loops}
-    block_loop = {g.ids[b]: g.ids[h] for b, h in enumerate(f.block_loop)
+    block_loop = {g.blocks[b]: g.blocks[h] for b, h in enumerate(f.block_loop)
                   if h >= 0}
-    idom = {g.ids[b]: _name(g, d) for b, d in enumerate(f.idom)}
+    idom = {g.blocks[b]: _name(g, d) for b, d in enumerate(f.idom)}
     return loops, parent, block_loop, idom
 
 
@@ -415,7 +463,7 @@ def test_forest_of_a_deep_loop_nest():
         want[f"h{i}"] = ix[f"h{i}"]
         if i < depth - 1:
             want[f"l{i}"] = ix[f"h{i}"]  # the latch lies outside h{i+1}
-    assert f.block_loop == [want[b] for b in g.ids]
+    assert f.block_loop == [want[b] for b in g.blocks]
 
 
 def test_forest_of_a_deep_dowhile_nest():
@@ -425,7 +473,7 @@ def test_forest_of_a_deep_dowhile_nest():
     want = {"s": -1, "x": -1}
     for i in range(depth):
         want[f"h{i}"] = want[f"t{i}"] = ix[f"h{i}"]
-    assert f.block_loop == [want[b] for b in g.ids]
+    assert f.block_loop == [want[b] for b in g.blocks]
 
 
 # ---------------------------------------------------------------------------
@@ -446,9 +494,9 @@ def test_fig2_loop_forest():
     assert body("b1") == {"b1", "b2", "b3", "b4", "b6"}
     assert body("b2") == {"b2", "b4"}
     assert outer.bound == 3 and inner.bound == 2
-    assert outer.back_edges == (("b3", "b1"),)
-    assert inner.entry_edges == (("b1", "b2"),)
-    assert outer.exit_edges == (("b1", "b5"),)
+    assert _id_edges(g, outer.back_edges) == (("b3", "b1"),)
+    assert _id_edges(g, inner.entry_edges) == (("b1", "b2"),)
+    assert _id_edges(g, outer.exit_edges) == (("b1", "b5"),)
     assert f.parent[ix["b1"]] == -1 and f.parent[ix["b2"]] == ix["b1"]
     assert f.block_loop[ix["b4"]] == ix["b2"]
     assert f.block_loop[ix["b3"]] == ix["b1"]

@@ -33,8 +33,8 @@ SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
 def path_wcet(g, path: tuple[str, ...]) -> int:
     """Cost of a program path; a symbolic block cost is refused."""
-    return sum(_require_int(g.blocks[b].wcet, f"cost of block {b!r}")
-               for b in path)
+    cost = dict(zip(g.blocks, g.costs))
+    return sum(_require_int(cost[b], f"cost of block {b!r}") for b in path)
 
 
 def _max_word_wcet(t: cft.Cft, entries: int, n: int,
@@ -112,18 +112,25 @@ def test_gpaths_reject_symbolic_bound():
 
 def _reference_gpaths_bounded(g, f, end=None, max_paths=oracle.MAX_PATHS,
                               max_nodes=oracle.MAX_NODES):
-    """The walk that carries each partial path as a whole tuple."""
-    end = g.exit if end is None else end
+    """The walk on block ids that carries each partial path as a whole
+    tuple, over successor and loop-edge maps built here from the graph's
+    and the forest's numbered edges."""
+    ids = g.blocks
+    succs = {b: [] for b in ids}
+    for s, t in g.edges:
+        succs[ids[s]].append(ids[t])
+    entry = ids[g.entry]
+    end = ids[g.exit] if end is None else end
     back_of, entry_of, bounds = {}, {}, {}
     for info in f.loops.values():
         bounds[info.header] = info.bound
-        for e in info.back_edges:
-            back_of[e] = info.header
-        for e in info.entry_edges:
-            entry_of[e] = info.header
+        for s, t in info.back_edges:
+            back_of[ids[s], ids[t]] = info.header
+        for s, t in info.entry_edges:
+            entry_of[ids[s], ids[t]] = info.header
     paths = []
     visited = 0
-    stack = [(g.entry, (g.entry,), {})]
+    stack = [(entry, (entry,), {})]
     while stack:
         block, path, counters = stack.pop()
         visited += 1
@@ -133,7 +140,7 @@ def _reference_gpaths_bounded(g, f, end=None, max_paths=oracle.MAX_PATHS,
             paths.append(path)
             if len(paths) > max_paths:
                 raise PathBudgetExceeded(f"more than {max_paths} program paths")
-        for succ in g.succs[block]:
+        for succ in succs[block]:
             edge = (block, succ)
             c = counters
             if edge in back_of:

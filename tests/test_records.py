@@ -1,4 +1,4 @@
-"""The frozen records: blocks, loops, tree nodes and formula nodes.
+"""The frozen records: loops, tree nodes and formula nodes.
 
 Each is a slotted frozen dataclass whose `__init__` comes from
 `records.slot_init`; everything but the constructor's speed is the
@@ -15,15 +15,14 @@ import pytest
 
 from symwcet import cft, symbolic
 from symwcet.awcet import ZERO
-from symwcet.cfg import TOP, Block, LoopInfo, loop_ref
+from symwcet.cfg import TOP, LoopInfo, loop_ref
 from symwcet.records import slot_init
 
 A, B = cft.Leaf("a", 1), cft.Leaf("b", "w")
 W1, W2 = symbolic.WcetId("w1"), symbolic.WcetId("w2")
 
 RECORDS = [
-    Block("b", 3),
-    LoopInfo("h", 0, 1, (("t", "h"),), (("e", "h"),), (("h", "x"),), "n"),
+    LoopInfo("h", 0, 1, ((2, 1),), ((0, 1),), ((1, 3),), "n"),
     cft.Annotation(loop_ref("h"), 2),
     cft.Leaf("a", 1, cft.Annotation(TOP, 1)),
     cft.Alt((A, B)),

@@ -40,8 +40,7 @@ def _region(b: _Builder, level: str | None):
     from the start."""
     g, f, n = b.g, b.f, b.n
     at = -1 if level is None else g.block_index[level]
-    start = (at if level is not None
-             else b.representative(g.block_index[g.entry], -1))
+    start = at if level is not None else b.representative(g.entry, -1)
     nodes = [v for v in range(n) if f.block_loop[v] == at]
     nodes += [n + g.block_index[h] for h in f.loops
               if f.parent[g.block_index[h]] == at]
@@ -236,7 +235,7 @@ def test_one_node_object_per_block_and_loop():
             nonlocal names
             names += 1
             kind = ("block", "loop", "next", "exit", "exit")[n // b.n]
-            key = (kind, p.cfg.ids[n % b.n] if n < 4 * b.n else "")
+            key = (kind, p.cfg.blocks[n % b.n] if n < 4 * b.n else "")
             assert kind != "loop" or key[1] in f.loops, (n, doc)
             assert objects.setdefault(key, n) == n, (n, doc)
 
@@ -361,7 +360,7 @@ class ReferenceBuilder:
     def __init__(self, g: Cfg, f: LoopForest):
         self.g = g
         self.f = f
-        ids, ix = g.ids, g.block_index
+        ids, ix = g.blocks, g.block_index
 
         def name(b):
             return None if b < 0 else ids[b]
@@ -372,7 +371,7 @@ class ReferenceBuilder:
         self.cfg_idom = {ids[b]: name(d) for b, d in enumerate(f.idom)}
         self.rpo = dict(zip(ids, f.rpo))
         self.preds_of = {b: [ids[u] for u in us]
-                         for b, us in zip(ids, g.pred_ids)}
+                         for b, us in zip(ids, g.preds)}
         self.block_node = {b: DagNode("block", b) for b in g.blocks}
         self.loop_node = {h: DagNode("loop", h) for h in f.loops}
         self._preds: dict[DagNode, list[DagNode]] = {}
@@ -401,15 +400,17 @@ class ReferenceBuilder:
             sources = () if n.id == level else self.preds_of[n.id]
         elif kind == "loop":
             level = self.parent[n.id]
-            sources = [u for u, _ in f.loops[n.id].entry_edges]
+            sources = [self.g.blocks[u]
+                       for u, _ in f.loops[n.id].entry_edges]
         else:
             level = n.id or None
             if level is None:
-                sources = (self.g.exit,) if kind == "exit" else ()
+                sources = ((self.g.blocks[self.g.exit],) if kind == "exit"
+                           else ())
             else:
                 info = f.loops[level]
-                sources = [u for u, _ in (info.back_edges if kind == "next"
-                                          else info.exit_edges)]
+                sources = [self.g.blocks[u] for u, _ in (
+                    info.back_edges if kind == "next" else info.exit_edges)]
         out: list[DagNode] = []
         for u in sources:
             p = self.representative(u, level)
@@ -466,7 +467,7 @@ class ReferenceBuilder:
             if k:
                 label = f"{label}#{k}"
                 self.rename[label] = n.id
-            return cft.Leaf(label, self.g.blocks[n.id].wcet)
+            return cft.Leaf(label, self.g.costs[self.g.block_index[n.id]])
         if n.kind == "loop":
             h, start = n.id, self.block_node[n.id]
             body = self.tree(start, DagNode("next", h), include_start=True)
@@ -499,7 +500,7 @@ class ReferenceBuilder:
 
 def reference_build_cft(g: Cfg, f: LoopForest):
     builder = ReferenceBuilder(g, f)
-    tree = builder.tree(builder.representative(g.entry, None),
+    tree = builder.tree(builder.representative(g.blocks[g.entry], None),
                         DagNode("exit"), include_start=True)
     return tree, builder.rename
 
