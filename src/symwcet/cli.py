@@ -133,19 +133,18 @@ def _parse_bindings(pairs: list[str]) -> dict[str, int | str]:
     return out
 
 
-def _classify_identifiers(w: Formula, f: LoopForest):
+def _classify_identifiers(w: Formula):
     """Identifier names by position; a name in two positions is an error."""
-    wcet_ids, int_ids, loop_ids = symbolic.identifiers(w, f)
-    clash = (wcet_ids & int_ids) | (wcet_ids & loop_ids) | (int_ids & loop_ids)
+    wcet_ids, int_ids = symbolic.identifiers(w)
+    clash = wcet_ids & int_ids
     if clash:
         raise SymwcetError(f"identifiers used in conflicting positions: "
                            f"{sorted(clash)}")
-    return wcet_ids, int_ids, loop_ids
+    return wcet_ids, int_ids
 
 
-def _typed_bindings(w: Formula, raw: dict[str, int | str],
-                    f: LoopForest) -> dict:
-    wcet_ids, int_ids, loop_ids = _classify_identifiers(w, f)
+def _typed_bindings(w: Formula, raw: dict[str, int | str]) -> dict:
+    wcet_ids, int_ids = _classify_identifiers(w)
     typed: dict[str, object] = {}
     for name, value in raw.items():
         if name in wcet_ids:
@@ -157,11 +156,6 @@ def _typed_bindings(w: Formula, raw: dict[str, int | str],
             if not isinstance(value, int):
                 raise SymwcetError(f"{name!r} is a count identifier and needs "
                                    f"an integer value, got {value!r}")
-            typed[name] = value
-        elif name in loop_ids:
-            if not isinstance(value, str):
-                raise SymwcetError(f"{name!r} names a loop and needs a block "
-                                   f"id, got {value!r}")
             typed[name] = value
         # Bindings for identifiers the formula does not use are ignored.
     return typed
@@ -238,7 +232,7 @@ def cmd_wcet(args) -> int:
     fuel = _fuel(args)
     a = _load(args)
     raw, simplified = _formula_of(a, fuel)
-    bindings = _typed_bindings(raw, _parse_bindings(args.bind), a.forest)
+    bindings = _typed_bindings(raw, _parse_bindings(args.bind))
     value = symbolic.evaluate(simplified, bindings, a.forest)
     result = ms_index(value.seq, 0)
     if args.self_check:
@@ -281,11 +275,8 @@ def cmd_sweep(args) -> int:
     if hi < lo:
         raise SymwcetError(f"empty sweep range {lo}..{hi}")
     raw, simplified = _formula_of(a, fuel)
-    wcet_ids, int_ids, loop_ids = _classify_identifiers(raw, a.forest)
-    if name in loop_ids:
-        raise SymwcetError(f"{name!r} names a loop; sweeping needs an "
-                           f"integer-valued identifier")
-    base = _typed_bindings(raw, _parse_bindings(args.bind), a.forest)
+    wcet_ids, _ = _classify_identifiers(raw)
+    base = _typed_bindings(raw, _parse_bindings(args.bind))
     rows = []
     # The first point evaluates the whole formula, so a wrong or missing
     # binding fails there, with the error a single evaluation gives; the

@@ -8,11 +8,16 @@ normal form is schedule-independent.  Substitution and full evaluation fold
 through the same operators the concrete tree evaluation uses, so a complete
 instantiation of the formula equals evaluating the instantiated tree.
 
+Identifiers stand for costs and counts only.  A loop position (a `pow`
+header, an `ann` loop) names a loop, TOP or a header of the forest, and a
+scalar's coefficient is an integer; no binding changes either.
+
 Identifier values are per-execution constants: an unknown cost stands for
 "this always takes k cycles", i.e. a rank-uniform ranking (l, [|k]).
 Rankings with finite prefixes arise only from annotation caps, which the
 formula layer tracks explicitly through `ann` nodes.  The constant-factoring
-rule on maxima relies on this.
+rule on maxima relies on this, so `substitute` and `evaluate` refuse a cost
+bound to a ranking with a prefix.
 """
 
 from __future__ import annotations
@@ -41,7 +46,8 @@ from .awcet import (
 )
 from .cfg import (TOP, LoopForest, LoopRef, is_identifier, loop_meet,
                   loop_ref, parse_loop_ref)
-from .errors import FuelExhausted, TypeMismatch, UnboundIdentifier
+from .errors import (FuelExhausted, TypeMismatch, UnboundIdentifier,
+                     UnknownBlock)
 from .records import slot_init
 
 Value = int | str  # concrete integer or identifier
@@ -74,7 +80,7 @@ class Max:
 @slot_init
 @dataclass(frozen=True, slots=True)
 class Scalar:
-    coeff: Value
+    coeff: int
     operand: "Formula"
 
 
@@ -86,7 +92,7 @@ class Power:
 
     body: "Formula"
     exit: "Formula"
-    header: Value  # block id, or identifier bound to one
+    header: str  # a loop header, or "TOP"
     count: Value
 
 
@@ -97,7 +103,7 @@ class Restrict:
     `loop` ("TOP" = per run)."""
 
     operand: "Formula"
-    loop: str  # block id, "TOP", or identifier
+    loop: str  # a loop header, or "TOP"
     count: Value
 
 
@@ -118,15 +124,14 @@ def sort_key(w: Formula) -> tuple:
     if isinstance(w, WcetId):
         return (1, w.name)
     if isinstance(w, Restrict):
-        return (2, sort_key(w.operand), _vkey(w.loop), _vkey(w.count))
+        return (2, sort_key(w.operand), w.loop, _vkey(w.count))
     if isinstance(w, Scalar):
-        return (3, sort_key(w.operand), _vkey(w.coeff))
+        return (3, sort_key(w.operand), w.coeff)
     if isinstance(w, Plus):
         return (4, tuple(sort_key(op) for op in w.operands))
     if isinstance(w, Max):
         return (5, tuple(sort_key(op) for op in w.operands))
-    return (6, sort_key(w.body), sort_key(w.exit), _vkey(w.header),
-            _vkey(w.count))
+    return (6, sort_key(w.body), sort_key(w.exit), w.header, _vkey(w.count))
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +164,7 @@ def max_(operands: Iterable[Formula]) -> Formula:
     return _nary(Max, operands)
 
 
-def scalar(coeff: Value, operand: Formula) -> Formula:
+def scalar(coeff: int, operand: Formula) -> Formula:
     if coeff == 0:
         return CONST_ZERO
     if coeff == 1:
@@ -286,14 +291,14 @@ def _rule_distributivity(w: Max, f: LoopForest) -> Formula | None:
 
 
 def _weighted(op: Formula) -> tuple[int, Formula]:
-    # (k, x) for k*x with an integer k, else (1, op).
-    if isinstance(op, Scalar) and isinstance(op.coeff, int):
+    # (k, x) for k*x, else (1, op).
+    if isinstance(op, Scalar):
         return op.coeff, op.operand
     return 1, op
 
 
 def _rule_mult_merge(w: Plus, f: LoopForest) -> Formula | None:
-    # x + 2*x + y -> 3*x + y for integer coefficients.
+    # x + 2*x + y -> 3*x + y.
     def key(op: Formula) -> tuple | None:
         return None if isinstance(op, Const) else sort_key(_weighted(op)[1])
 
@@ -313,7 +318,7 @@ def _rule_restrict_merge(w: Plus, f: LoopForest) -> Formula | None:
         if (isinstance(op, Restrict)
                 and not (isinstance(op.count, int)
                          and _loop_of(op.loop, f) is not None)):
-            return _vkey(op.loop), _vkey(op.count)
+            return op.loop, _vkey(op.count)
         return None
 
     def merge(g: list[Restrict]) -> Formula:
@@ -349,7 +354,7 @@ def _loop_of(name: str, f: LoopForest) -> LoopRef | None:
         return TOP
     if name in f.loops:
         return loop_ref(name)
-    return None  # presumably an identifier; cannot fold
+    return None  # parsed text naming no loop of f; cannot fold
 
 
 def _rule_restrict_fold(w: Restrict, f: LoopForest) -> Formula | None:
@@ -365,22 +370,19 @@ def _rule_scalar_fold(w: Scalar, f: LoopForest) -> Formula | None:
     if isinstance(w.operand, Const):
         if w.operand.value.seq == ZERO_SEQ:
             return CONST_ZERO
-        if isinstance(w.coeff, int):
-            return Const(scalar_abstract(w.coeff, w.operand.value))
-        return None
-    # Scaling commutes with restriction, so an integer coefficient also
-    # folds straight through a chain of restricts onto a constant.
-    if isinstance(w.coeff, int):
-        chain: list[Restrict] = []
-        node = w.operand
-        while isinstance(node, Restrict):
-            chain.append(node)
-            node = node.operand
-        if chain and isinstance(node, Const):
-            out: Formula = Const(scalar_abstract(w.coeff, node.value))
-            for r in reversed(chain):
-                out = Restrict(out, r.loop, r.count)
-            return out
+        return Const(scalar_abstract(w.coeff, w.operand.value))
+    # Scaling commutes with restriction, so the coefficient also folds
+    # straight through a chain of restricts onto a constant.
+    chain: list[Restrict] = []
+    node = w.operand
+    while isinstance(node, Restrict):
+        chain.append(node)
+        node = node.operand
+    if chain and isinstance(node, Const):
+        out: Formula = Const(scalar_abstract(w.coeff, node.value))
+        for r in reversed(chain):
+            out = Restrict(out, r.loop, r.count)
+        return out
     return None
 
 
@@ -409,8 +411,7 @@ def _rule_power_extract(w: Power, f: LoopForest) -> Formula | None:
 
 def _rule_power_fold(w: Power, f: LoopForest) -> Formula | None:
     if not (isinstance(w.body, Const) and isinstance(w.exit, Const)
-            and isinstance(w.count, int) and isinstance(w.header, str)
-            and w.header in f.loops):
+            and isinstance(w.count, int) and w.header in f.loops):
         return None
     return Const(loop_abstract(w.header, w.count, w.body.value,
                                w.exit.value, f))
@@ -612,52 +613,45 @@ def _bind_int(v: Value, bindings: dict, *, require: bool) -> Value:
     return v
 
 
-def _bind_loop(v: Value, bindings: dict, f: LoopForest | None) -> Value:
-    """The block id a loop position names.
+def _cost(name: str, val: object) -> AbstractWcet:
+    """The value a cost identifier binds: a rank-uniform abstract WCET, as
+    the rewrite rules assume (see the module docstring)."""
+    if not isinstance(val, AbstractWcet):
+        raise TypeMismatch(f"WCET identifier {name!r} must bind an "
+                           f"abstract WCET, got {val!r}")
+    if val.seq.prefix:
+        raise TypeMismatch(f"WCET identifier {name!r} must bind a "
+                           f"rank-uniform abstract WCET, got {val}")
+    return val
 
-    With a forest (evaluation), a name that is neither bound, a header of
-    the forest nor TOP is an unbound loop identifier, as `identifiers`
-    classifies it; without one (substitution) it stays.
-    """
-    if isinstance(v, str):
-        if v in bindings:
-            val = bindings[v]
-            if not is_identifier(val):
-                raise TypeMismatch(f"loop identifier {v!r} must bind a "
-                                   f"block id, got {val!r}")
-            return val
-        if f is not None and v not in f.loops and v != "TOP":
-            raise UnboundIdentifier(f"no binding for loop identifier {v!r}")
-    return v
+
+def _loop_position(name: str, f: LoopForest) -> str:
+    """A loop position's name, which must be TOP or a header of f."""
+    if name != "TOP" and name not in f.loops:
+        raise UnknownBlock(f"loop {name!r} is neither TOP nor a loop header")
+    return name
 
 
 def substitute(w: Formula, bindings: dict) -> Formula:
-    """Replace bound identifiers by their values; unbound ones remain."""
+    """Replace bound identifiers by their values; unbound ones remain, and
+    so do loop positions and coefficients."""
     if isinstance(w, Const):
         return w
     if isinstance(w, WcetId):
         if w.name in bindings:
-            val = bindings[w.name]
-            if isinstance(val, AbstractWcet):
-                return Const(val)
-            raise TypeMismatch(f"WCET identifier {w.name!r} must bind an "
-                               f"abstract WCET, got {val!r}")
+            return Const(_cost(w.name, bindings[w.name]))
         return w
     if isinstance(w, Plus):
         return plus([substitute(op, bindings) for op in w.operands])
     if isinstance(w, Max):
         return max_([substitute(op, bindings) for op in w.operands])
     if isinstance(w, Scalar):
-        return scalar(_bind_int(w.coeff, bindings, require=False),
-                      substitute(w.operand, bindings))
+        return scalar(w.coeff, substitute(w.operand, bindings))
     if isinstance(w, Restrict):
-        loop = (w.loop if w.loop == "TOP"
-                else _bind_loop(w.loop, bindings, None))
-        return Restrict(substitute(w.operand, bindings), loop,
+        return Restrict(substitute(w.operand, bindings), w.loop,
                         _bind_int(w.count, bindings, require=False))
     return Power(substitute(w.body, bindings), substitute(w.exit, bindings),
-                 _bind_loop(w.header, bindings, None),
-                 _bind_int(w.count, bindings, require=False))
+                 w.header, _bind_int(w.count, bindings, require=False))
 
 
 def evaluate(w: Formula, bindings: dict, f: LoopForest) -> AbstractWcet:
@@ -665,22 +659,22 @@ def evaluate(w: Formula, bindings: dict, f: LoopForest) -> AbstractWcet:
 
     Dispatches on the exact node class.  A node checks its own positions
     in a fixed order, so the first wrong binding is the one reported: a
-    scalar binds its coefficient before its operand; a restrict binds its
-    loop, evaluates its operand, then binds its count; a power binds its
-    header and count before its body and exit.  A loop position is bound
-    when it is TOP, a header of f, or an identifier that `bindings` maps.
-    A `Const` child is read in place, not evaluated by a call: most
-    operands of a simplified formula are constants.
+    restrict checks its loop, evaluates its operand, then binds its count;
+    a power checks its header and binds its count before its body and
+    exit.  A loop position must be TOP or a header of f, else `UnknownBlock`
+    is raised; no binding is read for it.  A cost identifier must bind a
+    rank-uniform abstract WCET.  A `Const` child is read in place, not
+    evaluated by a call: most operands of a simplified formula are
+    constants.
 
     A sum or maximum folds some operands as plain integers: a `Power`
     whose body and exit are prefix-free `Const`s, whose header is a header
-    of f that no binding renames, and whose count is an `int` or an
-    identifier bound to a non-negative `int`.  Such a loop cannot fail to
-    evaluate, so each gives `awcet.loop_tail`'s (loop, tail) pair to one
-    running sum or maximum and one loop meet, and the node builds one
-    value for all of them at the end.  Every other operand is evaluated
-    in order and folded with that value by `awcet.fold`, so errors keep
-    their order.
+    of f, and whose count is an `int` or an identifier bound to a
+    non-negative `int`.  Such a loop cannot fail to evaluate, so each
+    gives `awcet.loop_tail`'s (loop, tail) pair to one running sum or
+    maximum and one loop meet, and the node builds one value for all of
+    them at the end.  Every other operand is evaluated in order and folded
+    with that value by `awcet.fold`, so errors keep their order.
     """
     cls = type(w)
     if cls is Const:
@@ -690,18 +684,9 @@ def evaluate(w: Formula, bindings: dict, f: LoopForest) -> AbstractWcet:
     if cls is WcetId:
         if w.name not in bindings:
             raise UnboundIdentifier(f"no binding for WCET identifier {w.name!r}")
-        val = bindings[w.name]
-        if not isinstance(val, AbstractWcet):
-            raise TypeMismatch(f"WCET identifier {w.name!r} must bind an "
-                               f"abstract WCET, got {val!r}")
-        return val
+        return _cost(w.name, bindings[w.name])
     if cls is Power:
-        header = w.header
-        # A header of f that no binding renames is already a block id.
-        if header in bindings or header not in f.loops:
-            header = _bind_loop(header, bindings, f)
-        if not isinstance(header, str):
-            raise TypeMismatch(f"loop header {header!r} is not a block id")
+        header = _loop_position(w.header, f)
         count = w.count
         if type(count) is not int:
             bound = bindings.get(count)
@@ -713,13 +698,9 @@ def evaluate(w: Formula, bindings: dict, f: LoopForest) -> AbstractWcet:
                  else evaluate(exit_, bindings, f))
         return loop_abstract(header, count, body, exit_, f)
     if cls is Scalar:
-        k = _bind_int(w.coeff, bindings, require=True)
-        return scalar_abstract(k, evaluate(w.operand, bindings, f))
+        return scalar_abstract(w.coeff, evaluate(w.operand, bindings, f))
     if cls is Restrict:
-        name = w.loop
-        if name in bindings or (name not in f.loops and name != "TOP"):
-            name = _bind_loop(name, bindings, f)
-        ref = parse_loop_ref(name)
+        ref = parse_loop_ref(_loop_position(w.loop, f))
         return restrict_abstract(evaluate(w.operand, bindings, f), ref,
                                  _bind_int(w.count, bindings, require=True), f)
     raise TypeError(f"not a formula: {w!r}")
@@ -742,7 +723,6 @@ def _sum_or_max(w: Plus | Max, bindings: dict, f: LoopForest
                 count = bindings.get(count)
             body, exit_ = x.body.value, x.exit.value
             if (type(count) is int and count >= 0 and header in f.loops
-                    and header not in bindings
                     and not body.seq.prefix and not exit_.seq.prefix):
                 at, t = loop_tail(header, count, body, exit_, f)
                 if t:
@@ -759,38 +739,23 @@ def _sum_or_max(w: Plus | Max, bindings: dict, f: LoopForest
     return fold(values, plus_abstract if summing else max_abstract, f)
 
 
-def identifiers(w: Formula, f: LoopForest
-                ) -> tuple[set[str], set[str], set[str]]:
-    """Identifiers of w by position: (costs, counts, loops)."""
+def identifiers(w: Formula) -> tuple[set[str], set[str]]:
+    """Identifiers of w by position: (costs, counts)."""
     costs: set[str] = set()
     counts: set[str] = set()
-    loops: set[str] = set()
-
-    def loop_id(name: Value) -> None:
-        if isinstance(name, str) and name != "TOP" and name not in f.loops:
-            loops.add(name)
-
-    def count_id(v: Value) -> None:
-        if isinstance(v, str):
-            counts.add(v)
-
     for node in walk(w):
         if isinstance(node, WcetId):
             costs.add(node.name)
-        elif isinstance(node, Scalar):
-            count_id(node.coeff)
-        elif isinstance(node, Restrict):
-            loop_id(node.loop)
-            count_id(node.count)
-        elif isinstance(node, Power):
-            loop_id(node.header)
-            count_id(node.count)
-    return costs, counts, loops
+        elif isinstance(node, (Restrict, Power)):
+            if isinstance(node.count, str):
+                counts.add(node.count)
+    return costs, counts
 
 
 def free_identifiers(w: Formula, f: LoopForest) -> set[str]:
-    """Identifiers a complete instantiation must bind."""
-    return set().union(*identifiers(w, f))
+    """Identifiers a complete instantiation must bind (`f` is unused)."""
+    costs, counts = identifiers(w)
+    return costs | counts
 
 
 # ---------------------------------------------------------------------------
@@ -824,8 +789,9 @@ def parse(text: str) -> Formula:
 
     Constants may spell their rankings with runs (`[105^5|70]`) or
     expanded (`[105,105,105,105,105|70]`); see `awcet.parse_seq`.  Every
-    other atom is an integer or an identifier (`cfg.is_identifier`), as
-    `render` prints them; anything else raises ValueError.
+    other atom is as `render` prints it: a coefficient is an integer, a
+    cost, loop or header an identifier (`cfg.is_identifier`), and a count
+    either; anything else raises ValueError.
     """
     tokens = _TOKEN_RE.findall(text)
     tokens.reverse()  # the next token is the last
@@ -850,6 +816,12 @@ def _name(tok: str) -> str:
     if not is_identifier(tok):
         raise ValueError(f"{tok!r} is not an identifier")
     return tok
+
+
+def _int(tok: str) -> int:
+    if not _INT_RE.match(tok):
+        raise ValueError(f"{tok!r} is not an integer")
+    return int(tok)
 
 
 def _value(tok: str) -> Value:
@@ -887,14 +859,14 @@ def _parse_expr(tokens: list[str]) -> Formula:
     if head == "max":
         return max_(_operands(tokens))
     if head == "*":
-        k = _value(_take(tokens))
+        k = _int(_take(tokens))
         op = _parse_expr(tokens)
         _close(tokens, "scalar")
         return scalar(k, op)
     if head == "pow":
         body = _parse_expr(tokens)
         exit_ = _parse_expr(tokens)
-        header = _value(_take(tokens))
+        header = _name(_take(tokens))
         count = _value(_take(tokens))
         _close(tokens, "pow")
         return Power(body, exit_, header, count)

@@ -13,7 +13,8 @@ from symwcet import awcet, cft, symbolic
 from symwcet.awcet import AbstractWcet, WcetSeq, abstract, const_seq, parse_seq
 from symwcet.cfg import (TOP, LoopForest, build_loop_forest, loop_ref,
                          parse_loop_ref, parse_program)
-from symwcet.errors import FuelExhausted, TypeMismatch, UnboundIdentifier
+from symwcet.errors import (FuelExhausted, TypeMismatch, UnboundIdentifier,
+                            UnknownBlock)
 from symwcet.pipeline import analyze_text
 from symwcet.symbolic import (
     Const,
@@ -388,9 +389,11 @@ FORMULA_FOREST_DOC = {
 }
 
 _HEADERS = ("h1", "h2", "h3")
+# A loop position is drawn from four names, h1 twice: the frozen-seed
+# corpora depend on how many values each draw takes.
+_LOOPS = _HEADERS + ("h1",)
 _WCET_IDS = ("w1", "w2", "w3")
 _COUNT_IDS = ("k1", "k2")
-_LOOP_IDS = ("lp1",)
 
 
 def formula_forest():
@@ -419,14 +422,14 @@ def random_formula(rng: random.Random, depth: int = 3) -> Formula:
         return max_([random_formula(rng, depth - 1)
                      for _ in range(rng.randint(2, 3))])
     if kind == "scalar":
-        coeff = rng.choice([2, 3, rng.choice(_COUNT_IDS)])
+        coeff = rng.choice([2, 3, rng.choice((2, 3))])
         return scalar(coeff, random_formula(rng, depth - 1))
     if kind == "power":
-        header = rng.choice(_HEADERS + _LOOP_IDS)
+        header = rng.choice(_LOOPS)
         count = rng.choice([1, 2, 3, rng.choice(_COUNT_IDS)])
         return Power(random_formula(rng, depth - 1),
                      random_formula(rng, depth - 1), header, count)
-    loop = rng.choice(_HEADERS + _LOOP_IDS + ("TOP",))
+    loop = rng.choice(_LOOPS + ("TOP",))
     count = rng.choice([1, 2, 3, rng.choice(_COUNT_IDS)])
     return Restrict(random_formula(rng, depth - 1), loop, count)
 
@@ -444,15 +447,16 @@ def random_chain_formula(rng: random.Random, clean: bool = False
     loops over constant body and exit rankings, with a few constant
     operands, as a simplified chain document's formula is.
 
-    Headers are forest headers, some renamed by a binding, and loop
-    identifiers.  A body is ranked per iteration of its own loop, of
-    another loop or of TOP.  Constants mix zero tails and prefixes.
-    Counts are 0, integers, bound identifiers, a missing identifier and
-    identifiers bound to a bool, a negative integer or a string, and a
-    cost identifier, bound or missing, stands among the operands.  With
-    `clean`, every constant is prefix-free and every loop is one that
-    `symbolic.evaluate` folds as integers: its header is a forest header
-    that no binding renames and its count an integer or bound to one.
+    Headers are forest headers and names of no loop (lp1, lp2); a
+    binding may carry the name of either, and no loop position reads it.
+    A body is ranked per iteration of its own loop, of another loop or of
+    TOP.  Constants mix zero tails and prefixes.  Counts are 0, integers,
+    bound identifiers, a missing identifier and identifiers bound to a
+    bool, a negative integer or a string, and a cost identifier, bound or
+    missing, stands among the operands.  With `clean`, every constant is
+    prefix-free and every loop is one that `symbolic.evaluate` folds as
+    integers: its header is a forest header and its count an integer or
+    bound to one.
     """
     bindings: dict = {"k1": rng.randint(0, 3), "k2": rng.choice((0, 2, 10**6)),
                       "w1": abstract(TOP, const_seq(rng.randint(0, 9)))}
@@ -477,9 +481,9 @@ def random_chain_formula(rng: random.Random, clean: bool = False
             operands.append(WcetId(rng.choice(("w1", "w2"))))
             continue
         header = rng.choice(headers if rng.random() < 0.2 else _HEADERS)
-        own = bindings.get(header, header)
         body_loop = rng.choice((TOP, loop_ref(rng.choice(_HEADERS)),
-                                loop_ref(own) if own in _HEADERS else TOP))
+                                loop_ref(header) if header in _HEADERS
+                                else TOP))
         exit_loop = rng.choice((TOP, TOP, loop_ref(rng.choice(_HEADERS))))
         count = rng.choice(counts if rng.random() < 0.3 else counts[:7])
         operands.append(Power(_chain_const(rng, body_loop, not clean),
@@ -494,8 +498,7 @@ def random_bindings(rng: random.Random) -> dict:
         out[w] = abstract(TOP, const_seq(rng.randint(0, 9)))
     for k in _COUNT_IDS:
         out[k] = rng.randint(1, 3)
-    for lp in _LOOP_IDS:
-        out[lp] = rng.choice(_HEADERS)
+    rng.randrange(3)  # a spare draw, which the frozen-seed corpora rest on
     return out
 
 
@@ -560,12 +563,18 @@ def random_schedule_simplify(w: Formula, f: LoopForest, rng: random.Random,
             raise FuelExhausted(f"no normal form within {fuel} rewrite steps")
 
 
+def _known_loop(name: str, f: LoopForest) -> str:
+    if name != "TOP" and name not in f.loops:
+        raise UnknownBlock(f"loop {name!r} is neither TOP nor a loop header")
+    return name
+
+
 def reference_evaluate(w: Formula, bindings: dict, f: LoopForest
                        ) -> AbstractWcet:
     """Reference for `symbolic.evaluate`: the same folds and the same check
     order, with every operand evaluated by a call and every count bound
     through `symbolic._bind_int`."""
-    bind_int, bind_loop = symbolic._bind_int, symbolic._bind_loop
+    bind_int = symbolic._bind_int
     cls = type(w)
     if cls is Const:
         return w.value
@@ -576,30 +585,26 @@ def reference_evaluate(w: Formula, bindings: dict, f: LoopForest
         if not isinstance(val, AbstractWcet):
             raise TypeMismatch(f"WCET identifier {w.name!r} must bind an "
                                f"abstract WCET, got {val!r}")
+        if val.seq.prefix:
+            raise TypeMismatch(f"WCET identifier {w.name!r} must bind a "
+                               f"rank-uniform abstract WCET, got {val}")
         return val
     if cls in (Plus, Max):
         op = awcet.plus_abstract if cls is Plus else awcet.max_abstract
         return awcet.fold([reference_evaluate(x, bindings, f)
                            for x in w.operands], op, f)
     if cls is Power:
-        header = w.header
-        if header in bindings or header not in f.loops:
-            header = bind_loop(header, bindings, f)
-        if not isinstance(header, str):
-            raise TypeMismatch(f"loop header {header!r} is not a block id")
+        header = _known_loop(w.header, f)
         count = bind_int(w.count, bindings, require=True)
         return awcet.loop_abstract(header, count,
                                    reference_evaluate(w.body, bindings, f),
                                    reference_evaluate(w.exit, bindings, f), f)
     if cls is Scalar:
-        k = bind_int(w.coeff, bindings, require=True)
-        return awcet.scalar_abstract(k, reference_evaluate(w.operand,
-                                                           bindings, f))
+        return awcet.scalar_abstract(w.coeff, reference_evaluate(w.operand,
+                                                                 bindings, f))
     if cls is Restrict:
-        name = w.loop
-        if name in bindings or (name not in f.loops and name != "TOP"):
-            name = bind_loop(name, bindings, f)
+        ref = parse_loop_ref(_known_loop(w.loop, f))
         return awcet.restrict_abstract(
-            reference_evaluate(w.operand, bindings, f), parse_loop_ref(name),
+            reference_evaluate(w.operand, bindings, f), ref,
             bind_int(w.count, bindings, require=True), f)
     raise TypeError(f"not a formula: {w!r}")

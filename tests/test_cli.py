@@ -181,6 +181,50 @@ def test_sweep_text_is_csv(capsys, sym_path):
     assert lines[0] == "x_b2,wcet" and lines[1] == "2,60"
 
 
+def _sample_with(tmp_path, name, edit):
+    """samples/<name> after edit(doc), written to tmp_path."""
+    doc = json.loads((SAMPLES / name).read_text())
+    edit(doc)
+    p = tmp_path / name
+    p.write_text(json.dumps(doc))
+    return str(p)
+
+
+def test_cost_named_like_a_loop_header_leaves_the_header_alone(capsys,
+                                                               tmp_path):
+    # Block b2's cost is the identifier b2, and b2 heads a loop.
+    def edit(doc):
+        doc["blocks"][1]["wcet"] = "b2"
+
+    path = _sample_with(tmp_path, "fig2.json", edit)
+    assert _run(capsys, ["wcet", "--input", path, "--bind", "b2=2"]) == (
+        0, "60\n", "")
+
+
+def test_count_named_like_a_loop_header_leaves_the_header_alone(capsys,
+                                                                tmp_path):
+    # b1 runs b2 times, and the loop headed by b2 runs n times.
+    def edit(doc):
+        doc["loop_bounds"] = {"b1": "b2", "b2": "n"}
+
+    path = _sample_with(tmp_path, "fig2_symbolic.json", edit)
+    assert _run(capsys, ["wcet", "--input", path, "--bind", "b2=3",
+                         "--bind", "n=2"]) == (0, "60\n", "")
+
+
+def test_sweeping_a_loop_header_sweeps_an_unused_name(capsys):
+    # No loop position reads a binding, so a header is a name the formula
+    # does not use: its sweep prints what a sweep of any such name does.
+    path = str(SAMPLES / "fig2_symbolic.json")
+    rows = {}
+    for name in ("b1", "zz"):
+        code, out, err = _run(capsys, ["sweep", "--input", path, "--sweep",
+                                       f"{name}=1..2", "--bind", "x_b2=1"])
+        assert (code, err) == (0, ""), name
+        rows[name] = out.replace(name, "ID", 1)
+    assert rows["b1"] == rows["zz"] == "ID,wcet\n1,42\n2,42\n"
+
+
 def _symbolize(rng, doc):
     """Some block costs and annotation caps of doc become identifiers."""
     for block in doc["blocks"]:
@@ -236,7 +280,7 @@ def test_sweep_equals_pointwise_evaluation_on_frozen_corpus(
         a = analyze_text(json.dumps(doc))
         w = symbolic.simplify(symbolic.gamma_symbolic(a.tree, a.forest),
                               a.forest)
-        costs, counts, _ = symbolic.identifiers(w, a.forest)
+        costs, counts = symbolic.identifiers(w)
         names = sorted(costs | counts)
         values = {n: rng.randint(0, 9 if n in costs else 4) for n in names}
         name = rng.choice(names) if names else "unused"
@@ -257,8 +301,10 @@ def test_sweep_equals_pointwise_evaluation_on_frozen_corpus(
         assert out.splitlines() == [f"{name},wcet"] + rows, i
         if i % 3:
             continue
-        # An unbound identifier, a swept loop header, a wrongly typed
-        # binding, and budgets too small for the formula or its residual.
+        # An unbound identifier, a wrongly typed binding, budgets too small
+        # for the formula or its residual, and a swept loop header, which
+        # no loop position reads: it answers as a name the formula does
+        # not use.
         cases = [argv + binds[1:],
                  argv + binds + [f"--bind={(names or ['c1'])[0]}=h1"]]
         cases += [argv + binds + ["--fuel", str(k)] for k in range(4)]
@@ -276,8 +322,6 @@ def test_sweep_equals_pointwise_evaluation_on_frozen_corpus(
 
 
 def test_residual_evaluates_as_the_whole_formula():
-    # With loop identifiers too: substitution resolves them to headers
-    # that simplification can then fold.
     f = gen.formula_forest()
     rng = random.Random(31)
     checked = 0
@@ -303,7 +347,8 @@ def test_residual_evaluates_as_the_whole_formula():
 
 def test_residual_falls_back_to_the_whole_formula_without_fuel():
     f = gen.formula_forest()
-    w = symbolic.parse("(+ (* k1 w1) (pow w2 (l=TOP,[|0]) h1 k2))")
+    w = symbolic.parse("(+ (pow w1 (l=TOP,[|0]) h1 k1) "
+                       "(pow w2 (l=TOP,[|0]) h1 k2))")
     base = {"k1": 2, "w1": abstract(TOP, const_seq(3)), "k2": 2}
     assert cli._residual(w, base, "w2", f, 0) is w
     assert cli._residual(w, base, "w2", f, 10) == \

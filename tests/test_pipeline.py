@@ -24,8 +24,7 @@ def _run_pipeline(text: str):
     a = analyze_text(text)
     raw = symbolic.gamma_symbolic(a.tree, a.forest)
     simplified = symbolic.simplify(raw, a.forest)
-    costs, counts, loops = symbolic.identifiers(raw, a.forest)
-    assert not loops
+    costs, counts = symbolic.identifiers(raw)
     bindings = {c: abstract(TOP, const_seq(3)) for c in costs}
     bindings.update({c: 2 for c in counts})
     symbolic.evaluate(simplified, bindings, a.forest)
@@ -77,7 +76,7 @@ for doc in docs:
         continue
     raw = symbolic.gamma_symbolic(a.tree, a.forest)
     simplified = symbolic.simplify(raw, a.forest)
-    costs, counts, _ = symbolic.identifiers(raw, a.forest)
+    costs, counts = symbolic.identifiers(raw)
     bindings = {c: abstract(TOP, const_seq(3)) for c in costs}
     bindings.update({c: 2 for c in counts})
     out.append([a.forest.block_loop, list(a.forest.inner_pre.items()),

@@ -29,6 +29,7 @@ from symwcet.errors import (
     FuelExhausted,
     TypeMismatch,
     UnboundIdentifier,
+    UnknownBlock,
 )
 from symwcet.pipeline import analyze_text
 from symwcet.symbolic import (
@@ -182,14 +183,14 @@ def test_restrict_zero_rule(forest):
 def test_restrict_fold_rule(forest):
     got = _nf("(ann (l=TOP,[9,8|5]) h2 3)", forest)
     assert got == Const(parse_abstract("(loop=h2, [9,8,5|0])"))
-    # Symbolic loop name: nothing to fold against.
+    # A loop name not in the forest: nothing to fold against.
     stuck = _nf("(ann (l=TOP,[9,8|5]) lp1 3)", forest)
     assert isinstance(stuck, Restrict)
 
 
 def test_scalar_fold_rule(forest):
     assert _nf("(* 2 (l=TOP,[5|1]))", forest) == Const(parse_abstract("(loop=TOP, [10|2])"))
-    assert _nf("(* k1 (l=TOP,[|0]))", forest) == CONST_ZERO
+    assert _nf("(* 2 (l=TOP,[|0]))", forest) == CONST_ZERO
 
 
 def test_scalar_folds_through_restrict_chain(forest):
@@ -201,8 +202,8 @@ def test_scalar_folds_through_restrict_chain(forest):
 
 
 def test_scalar_pulled_out_of_restrict(forest):
-    got = _nf("(ann (* k1 w1) h1 2)", forest)
-    assert got == Scalar("k1", Restrict(W1, "h1", 2))
+    got = _nf("(ann (* 3 w1) h1 2)", forest)
+    assert got == Scalar(3, Restrict(W1, "h1", 2))
 
 
 def test_distributivity_rule(forest):
@@ -297,6 +298,57 @@ def test_innermost_matches_random_schedules_on_documents():
             assert gen.random_schedule_simplify(
                 raw, a.forest, random.Random(i)) == nf, doc
             assert simplify(nf, a.forest) is nf
+
+
+def _header_named_identifiers(rng, doc):
+    """Some costs and symbolic bounds of doc renamed after its loop
+    headers (or other blocks), the rest left as they are."""
+    ids = sorted(doc["loop_bounds"]) or [b["id"] for b in doc["blocks"]]
+    for block in doc["blocks"]:
+        if rng.random() < 0.2:
+            block["wcet"] = rng.choice(ids)
+    for h, bound in doc["loop_bounds"].items():
+        if isinstance(bound, str) and rng.random() < 0.5:
+            doc["loop_bounds"][h] = rng.choice(ids)
+    return doc
+
+
+def test_documents_build_only_named_loops_and_integer_coefficients():
+    # The formula language as documents produce it: folded, unfolded and
+    # simplified, every loop position is TOP or a header of the forest and
+    # every coefficient an integer, also where costs and counts are named
+    # like the headers.
+    rng = random.Random(73)
+    docs = [_symbolic_scaling_doc(20), gen.triangular_doc(),
+            gen.persistence_doc(bound="n"), gen.dowhile_nest_doc(3, "n")]
+    for i in range(400):
+        doc = gen.random_doc(rng, symbolic_bounds=True)
+        doc = gen.annotate_doc(rng, doc) if i % 2 else doc
+        doc = (_header_named_identifiers(rng, doc) if i % 3
+               else _symbolic_costs(doc, rng))
+        docs.append(doc)
+    seen = {"TOP": 0, "header": 0, "scalar": 0, "named": 0}
+    for doc in docs:
+        a = analyze_text(json.dumps(doc))
+        raw = gamma_symbolic(a.tree, a.forest)
+        unfolded = gamma_symbolic(a.tree, a.forest, fold_concrete=False)
+        costs, counts = identifiers(unfolded)
+        seen["named"] += bool((costs | counts) & set(a.forest.loops))
+        for w in (raw, unfolded, simplify(raw, a.forest),
+                  simplify(unfolded, a.forest)):
+            for node in symbolic.walk(w):
+                if isinstance(node, (Power, Restrict)):
+                    name = node.header if isinstance(node, Power) else node.loop
+                    assert type(name) is str, render(w)
+                    if name == "TOP":
+                        seen["TOP"] += 1
+                    else:
+                        assert name in a.forest.loops, render(w)
+                        seen["header"] += 1
+                elif isinstance(node, Scalar):
+                    assert type(node.coeff) is int and node.coeff >= 2
+                    seen["scalar"] += 1
+    assert min(seen.values()) >= 100, seen
 
 
 def _pairwise_scan(values, f, op):
@@ -594,8 +646,7 @@ def _symbolic_costs(doc, rng):
 
 
 def _bindings(w, f, k):
-    costs, counts, loops = identifiers(w, f)
-    assert not loops
+    costs, counts = identifiers(w)
     out = {c: abstract(TOP, const_seq(k + i % 4))
            for i, c in enumerate(sorted(costs))}
     out.update({c: k + i % 3 for i, c in enumerate(sorted(counts))})
@@ -649,7 +700,7 @@ def test_build_fold_matches_reference_on_frozen_corpus(monkeypatch):
 
 
 def test_substitute_partial(forest):
-    w = parse("(+ w1 (* k1 w2))")
+    w = parse("(+ w1 (pow w2 (l=TOP,[|0]) h1 k1))")
     out = substitute(w, {"w1": abstract(TOP, parse_seq("[|4]")), "k1": 2})
     assert free_identifiers(out, forest) == {"w2"}
     done = substitute(out, {"w2": abstract(TOP, parse_seq("[|1]"))})
@@ -660,16 +711,14 @@ def test_substitute_type_errors():
     with pytest.raises(TypeMismatch):
         substitute(W1, {"w1": 5})
     with pytest.raises(TypeMismatch):
-        substitute(scalar("k1", W1), {"k1": -2})
-    with pytest.raises(TypeMismatch):
-        substitute(Restrict(W1, "lp1", 1), {"lp1": 9})
+        substitute(Restrict(W1, "h1", "k1"), {"k1": -2})
 
 
 def test_evaluate_requires_bindings(forest):
     with pytest.raises(UnboundIdentifier):
         evaluate(W1, {}, forest)
     with pytest.raises(UnboundIdentifier):
-        evaluate(scalar("k1", CONST_ZERO), {}, forest)
+        evaluate(Restrict(CONST_ZERO, "h1", "k1"), {}, forest)
     with pytest.raises(UnboundIdentifier):
         evaluate(Power(CONST_ZERO, CONST_ZERO, "h1", "k1"), {}, forest)
 
@@ -684,28 +733,29 @@ EVALUATE_ERRORS = [
      UnboundIdentifier, "no binding for WCET identifier 'w1'"),
     ("cost bound to an integer", "w1", {"w1": 5},
      TypeMismatch, "WCET identifier 'w1' must bind an abstract WCET, got 5"),
-    ("unbound count", "(* k1 w1)", {"w1": _V5},
+    ("unbound count", "(ann w1 h1 k1)", {"w1": _V5},
      UnboundIdentifier, "no binding for integer identifier 'k1'"),
-    ("count bound to a string", "(* k1 w1)", {"k1": "h1", "w1": _V5},
+    ("count bound to a string", "(pow w1 (l=TOP,[|0]) h1 k1)",
+     {"k1": "h1", "w1": _V5},
      TypeMismatch, "'k1' must bind a non-negative integer, got 'h1'"),
-    ("count bound to True", "(* k1 w1)", {"k1": True, "w1": _V5},
+    ("count bound to True", "(ann w1 TOP k1)", {"k1": True, "w1": _V5},
      TypeMismatch, "'k1' must bind a non-negative integer, got True"),
-    ("count bound to -1", "(* k1 w1)", {"k1": -1, "w1": _V5},
+    ("count bound to -1", "(pow w1 (l=TOP,[|0]) h1 k1)",
+     {"k1": -1, "w1": _V5},
      TypeMismatch, "'k1' must bind a non-negative integer, got -1"),
-    ("scalar: coefficient before operand", "(* k1 w1)", {"k1": -1},
-     TypeMismatch, "'k1' must bind a non-negative integer, got -1"),
+    # A binding named like a loop position is not read for it.
     ("pow header bound to an integer", "(pow w1 (l=TOP,[|0]) lp1 2)",
      {"lp1": 3, "w1": _V5},
-     TypeMismatch, "loop identifier 'lp1' must bind a block id, got 3"),
+     UnknownBlock, "loop 'lp1' is neither TOP nor a loop header"),
     ("pow: header before count", "(pow w1 (l=TOP,[|0]) lp1 k1)",
-     {"lp1": 3, "k1": -1},
-     TypeMismatch, "loop identifier 'lp1' must bind a block id, got 3"),
+     {"lp1": "h1", "k1": -1},
+     UnknownBlock, "loop 'lp1' is neither TOP nor a loop header"),
     ("pow: count before body", "(pow w1 (l=TOP,[|0]) h1 k1)", {"k1": True},
      TypeMismatch, "'k1' must bind a non-negative integer, got True"),
     ("pow: body before exit", "(pow w1 w2 h1 2)", {},
      UnboundIdentifier, "no binding for WCET identifier 'w1'"),
-    ("ann: loop before count", "(ann w1 lp1 k1)", {"lp1": 4, "k1": -1},
-     TypeMismatch, "loop identifier 'lp1' must bind a block id, got 4"),
+    ("ann: loop before count", "(ann w1 lp1 k1)", {"lp1": "h1", "k1": -1},
+     UnknownBlock, "loop 'lp1' is neither TOP nor a loop header"),
     ("ann: operand before count", "(ann w1 h1 k1)", {"k1": "x"},
      UnboundIdentifier, "no binding for WCET identifier 'w1'"),
     ("ann count bound to a string", "(ann w1 h1 k1)", {"k1": "x", "w1": _V5},
@@ -726,45 +776,61 @@ def test_evaluate_error_order_pinned(forest, case, text, bindings, exc,
     assert type(info.value) is exc and str(info.value) == message
 
 
-def test_evaluate_unbound_loop_identifier_is_refused(forest):
-    # A loop position that is neither TOP, a forest header nor bound is an
-    # unbound identifier, as `identifiers` classifies it; the loop is
-    # checked before the count and the operands.
+def test_evaluate_refuses_a_loop_not_in_the_forest(forest):
+    # A loop position names a loop: TOP or a header of the forest.  Any
+    # other name is refused before the count and the operands, whatever the
+    # bindings hold, and substitution leaves it as it is.
     full = {"w1": _V5, "k1": 2}
-    for text in ("(ann w1 lp1 k1)", "(pow w1 (l=TOP,[|0]) lp1 k1)"):
+    for text in ("(ann w1 lp1 k1)", "(pow w1 (l=TOP,[|0]) lp1 k1)",
+                 "(ann w1 BOT k1)"):
         w = parse(text)
-        assert identifiers(w, forest)[2] == {"lp1"}
-        with pytest.raises(UnboundIdentifier) as info:
-            evaluate(w, {}, forest)
-        assert str(info.value) == "no binding for loop identifier 'lp1'"
-        # Bound, or a header in its place, it evaluates.
-        assert evaluate(w, {**full, "lp1": "h1"}, forest) == \
-            evaluate(parse(text.replace("lp1", "h1")), full, forest)
-        # Substitution still leaves it unbound.
-        assert substitute(w, full) == parse(
+        assert identifiers(w) == ({"w1"}, {"k1"})
+        for bindings in ({}, {**full, "lp1": "h1", "BOT": "h1"}):
+            with pytest.raises(UnknownBlock) as info:
+                evaluate(w, bindings, forest)
+            name = "BOT" if "BOT" in text else "lp1"
+            assert str(info.value) == \
+                f"loop {name!r} is neither TOP nor a loop header"
+        assert substitute(w, {**full, "lp1": "h1"}) == parse(
             text.replace("w1", render(Const(_V5))).replace("k1", "2"))
-    # TOP is no identifier in either position.
+    # TOP is a loop position in either node.
     assert evaluate(parse("(ann w1 TOP k1)"), full, forest) == \
         parse_abstract("(loop=TOP, [5,5|0])")
     assert evaluate(parse("(pow w1 (l=TOP,[|0]) TOP k1)"), full, forest) == \
         parse_abstract("(loop=TOP, [|10])")
 
 
-def test_loop_identifier_binds_only_identifier_shaped_block_ids(forest):
-    # Every block id is an identifier, so a loop position bound to any
-    # other string is refused: substituted, it would render as text that
-    # `parse` refuses, and evaluated, it would name no possible loop.
-    for text in ("(ann w1 lp1 2)", "(pow w1 (l=TOP,[|0]) lp1 2)"):
-        w = parse(text)
-        for val in ("3", "-x y", ""):
-            message = ("loop identifier 'lp1' must bind a block id, "
-                       f"got {val!r}")
+def test_binding_named_like_a_header_renames_nothing(forest):
+    # A cost or count named like a loop header leaves the header alone.
+    w = parse("(+ h1 (pow (l=h1,[|2]) (l=TOP,[|0]) h1 h2) (ann h1 h1 1))")
+    assert identifiers(w) == ({"h1"}, {"h2"})
+    bindings = {"h1": abstract(TOP, const_seq(3)), "h2": 4}
+    want = parse("(+ (l=TOP,[|3]) (pow (l=h1,[|2]) (l=TOP,[|0]) h1 4) "
+                 "(ann (l=TOP,[|3]) h1 1))")
+    assert substitute(w, bindings) == want
+    assert evaluate(w, bindings, forest) == evaluate(want, {}, forest) == \
+        parse_abstract("(loop=h1, [14|11])")
+
+
+def test_cost_bound_to_a_ranking_with_a_prefix_is_refused(forest):
+    # Distributivity factors maxima over a residue it takes for
+    # rank-uniform; a cost bound to [9|1] would break that.  Raw, this
+    # formula evaluates to [26|12], and its normal form to [|20].
+    w = parse("(pow (max (+ (l=TOP,[|5]) w) (+ (l=TOP,[|3]) w)) "
+              "(l=TOP,[|0]) h1 2)")
+    nf = simplify(w, forest)
+    assert nf == parse("(pow (+ (l=TOP,[|5]) w) (l=TOP,[|0]) h1 2)")
+    bad = abstract(TOP, parse_seq("[9|1]"))
+    message = ("WCET identifier 'w' must bind a rank-uniform abstract WCET, "
+               "got (loop=TOP, [9|1])")
+    for call in (lambda x: evaluate(x, {"w": bad}, forest),
+                 lambda x: substitute(x, {"w": bad})):
+        for formula in (w, nf):
             with pytest.raises(TypeMismatch) as info:
-                substitute(w, {"lp1": val})
+                call(formula)
             assert str(info.value) == message
-            with pytest.raises(TypeMismatch) as info:
-                evaluate(w, {"w1": _V5, "lp1": val}, forest)
-            assert str(info.value) == message
+    good = {"w": abstract(TOP, const_seq(9))}
+    assert evaluate(w, good, forest) == evaluate(nf, good, forest)
 
 
 def test_evaluate_refuses_non_formulas(forest):
@@ -863,16 +929,9 @@ def test_loop_run_zero_times_evaluates_as_its_normal_form(forest):
 
 
 def test_free_identifiers_classification(forest):
-    w = parse("(+ w1 (* k1 (ann w2 lp1 k2)) (pow w3 (l=TOP,[|0]) h1 k1))")
-    assert identifiers(w, forest) == ({"w1", "w2", "w3"}, {"k1", "k2"},
-                                      {"lp1"})
-    assert free_identifiers(w, forest) == {"w1", "w2", "w3", "k1", "k2", "lp1"}
-
-
-def test_loop_binding_resolves_restrict(forest):
-    w = Restrict(Const(abstract(TOP, parse_seq("[|5]"))), "lp1", 2)
-    got = evaluate(w, {"lp1": "h1"}, forest)
-    assert got == parse_abstract("(loop=h1, [5,5|0])")
+    w = parse("(+ w1 (* 2 (ann w2 lp1 k2)) (pow w3 (l=TOP,[|0]) h1 k1))")
+    assert identifiers(w) == ({"w1", "w2", "w3"}, {"k1", "k2"})
+    assert free_identifiers(w, forest) == {"w1", "w2", "w3", "k1", "k2"}
 
 
 # ---------------------------------------------------------------------------
@@ -892,3 +951,16 @@ def test_parse_errors():
                 ")", "(ann a ) 3)", "(* -1 x)"]:
         with pytest.raises(ValueError):
             parse(bad)
+
+
+def test_parse_refuses_symbolic_coefficients_and_integer_headers():
+    # A coefficient is an integer and a loop header a name.
+    for bad, message in [
+            ("(* k1 w1)", "'k1' is not an integer"),
+            ("(* h1 (l=TOP,[|1]))", "'h1' is not an integer"),
+            ("(pow w1 (l=TOP,[|0]) 3 k1)", "'3' is not an identifier"),
+            ("(pow w1 (l=TOP,[|0]) 0 2)", "'0' is not an identifier"),
+            ("(ann w1 3 2)", "'3' is not an identifier")]:
+        with pytest.raises(ValueError) as info:
+            parse(bad)
+        assert str(info.value) == message, bad
