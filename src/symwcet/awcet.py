@@ -21,12 +21,13 @@ is one integer, and prefixes come only from annotation caps.  `fold` and
 `loop_abstract` give that case a fast path that computes on the tails
 alone (a running sum or maximum, `count * body + exit`) and builds one
 value at the end; values with a prefix take the run-walking operators.
-`loop_tail` states the prefix-free loop rule once, as a (loop, tail)
-pair of plain integers.  Besides `loop_abstract`, `symbolic.evaluate`
-calls it for each operand of a sum or maximum that is a loop over
-prefix-free constant body and exit rankings with a forest header and an
-integer count, and folds those pairs into one running integer and one
-loop meet; every other operand is a value that `fold` combines.
+`loop_term` states the forest-free part of the prefix-free loop rule
+once: the two tails, the exit's loop and the body loop the result meets
+in; `loop_tail` adds the `count * body + exit` step and the meet, and
+`loop_abstract`'s fast path calls it.  The formula layer calls
+`loop_term` when it builds a sum or maximum, once for each operand that
+is a loop over prefix-free constant body and exit rankings, and takes
+only the step and the meet inline at each instantiation.
 
 `WcetSeq` and `AbstractWcet`, like `cfg.LoopRef`, are NamedTuples rather
 than frozen dataclasses: every operator builds, compares and hashes them,
@@ -337,23 +338,37 @@ def restrict_abstract(a: AbstractWcet, loop: LoopRef, m: int,
     return abstract(loop_meet(a.loop, loop, f), ms_restrict(a.seq, m))
 
 
+def loop_term(header: str, body: AbstractWcet, exit_: AbstractWcet
+              ) -> tuple[int, int, LoopRef, LoopRef | None]:
+    """The forest-free part of the prefix-free loop rule, for loop `header`
+    over body and exit rankings without a prefix: (body tail, exit tail,
+    exit loop, the body loop to meet in or None).
+
+    Run `count` times, the loop has the tail `count * body tail + exit
+    tail`.  The tail is relative to the exit's loop when the loop runs
+    zero times or when there is no body loop to meet in (the body is
+    ranked per iteration of this loop, or per the exit's loop), and to
+    the meet of that body loop and the exit's loop otherwise.  A zero
+    tail stands for ZERO, whatever the loop.
+    """
+    inner = body.loop
+    if inner == exit_.loop or (inner.kind == "loop"
+                               and inner.header == header):
+        inner = None
+    return body.seq.tail, exit_.seq.tail, exit_.loop, inner
+
+
 def loop_tail(header: str, count: int, body: AbstractWcet,
               exit_: AbstractWcet, f: LoopForest) -> tuple[LoopRef, int]:
     """The prefix-free loop rule: (loop, tail) of a loop running `count`
-    iterations whose body and exit rankings have no prefix.
-
-    The tail is `count * body tail + exit tail`.  It is relative to the
-    exit's loop when the body runs zero times or is ranked per iteration
-    of this loop, and to the meet of both loops otherwise.  A zero tail
-    stands for ZERO, whatever the loop: the caller builds the value.
-    """
-    loop = exit_.loop
-    if not count:
-        return loop, exit_.seq.tail
-    inner = body.loop
-    if inner != loop and not (inner.kind == "loop" and inner.header == header):
-        loop = loop_meet(inner, loop, f)
-    return loop, count * body.seq.tail + exit_.seq.tail
+    iterations whose body and exit rankings have no prefix, from
+    `loop_term` and the integer step."""
+    body_tail, tail, loop, inner = loop_term(header, body, exit_)
+    if count:
+        tail += count * body_tail
+        if inner is not None:
+            loop = loop_meet(inner, loop, f)
+    return loop, tail
 
 
 def loop_abstract(

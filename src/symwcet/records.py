@@ -5,6 +5,8 @@ by the thousand per document.  A frozen dataclass's generated `__init__`
 stores each field with `object.__setattr__`, which finds the field's slot
 by name on every call; `slot_init` replaces it with one that calls each
 slot descriptor's `__set__`, looked up once when the class is defined.
+A field the constructor does not take (`init=False`) is stored by the
+class's `__post_init__`, as formula sums and maxima store their terms.
 """
 
 from __future__ import annotations
@@ -19,8 +21,9 @@ def slot_init(cls: type) -> type:
     The signature (field order, keyword arguments, plain defaults) and the
     call to `__post_init__` are those of the generated `__init__`; equality,
     hashing, `repr`, `dataclasses.replace` and the refusal to assign a field
-    are the dataclass's own.  Fields with a default factory or `init=False`
-    are refused.
+    are the dataclass's own.  An `init=False` field is left, as the
+    generated `__init__` leaves it, for `__post_init__` to store; such a
+    field may not have a default, and no field a default factory.
     """
     if "__slots__" not in vars(cls):
         raise TypeError(f"{cls.__name__}: slot_init needs a slotted dataclass")
@@ -28,9 +31,12 @@ def slot_init(cls: type) -> type:
     body: list[str] = []
     env: dict[str, object] = {}
     for f in fields(cls):
-        if not f.init or f.default_factory is not MISSING:
+        if (f.default_factory is not MISSING
+                or not f.init and f.default is not MISSING):
             raise TypeError(f"{cls.__name__}.{f.name}: slot_init supports "
-                            f"only init fields with plain defaults")
+                            f"only plain defaults, on init fields")
+        if not f.init:
+            continue
         env[f"_set_{f.name}"] = vars(cls)[f.name].__set__
         if f.default is MISSING:
             params.append(f.name)

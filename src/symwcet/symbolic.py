@@ -23,7 +23,7 @@ bound to a ranking with a prefix.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Iterable
 
@@ -36,7 +36,7 @@ from .awcet import (
     const_seq,
     fold,
     loop_abstract,
-    loop_tail,
+    loop_term,
     max_abstract,
     node_value,
     parse_seq,
@@ -65,16 +65,67 @@ class WcetId:
     name: str
 
 
+def _carries_terms(cls: type) -> type:
+    """Give a sum or maximum class the `__post_init__` that stores what
+    its instantiations read, through slot descriptors looked up here.
+
+    `terms` holds one integer term per operand `pow` whose body and exit
+    are prefix-free `Const`s and whose count is an identifier or a
+    non-negative integer: `(header, count, *awcet.loop_term(...))`, the
+    part of the loop rule that no binding or forest changes.  `others`
+    holds every other operand, in order.  Both are derived from the
+    operands whichever way the node is built, and take no part in its
+    equality, hash, repr, text or sort key.
+    """
+    set_terms, set_others = cls.terms.__set__, cls.others.__set__
+
+    def __post_init__(self) -> None:
+        operands = self.operands
+        terms = []
+        others = None  # listed once the first term is found
+        for i, op in enumerate(operands):
+            if type(op) is Power:
+                body, exit_, count = op.body, op.exit, op.count
+                if (type(body) is Const and type(exit_) is Const
+                        and (type(count) is not int or count >= 0)):
+                    body, exit_ = body.value, exit_.value
+                    if not body.seq.prefix and not exit_.seq.prefix:
+                        if others is None:
+                            others = list(operands[:i])
+                        terms.append((op.header, count,
+                                      *loop_term(op.header, body, exit_)))
+                        continue
+            if others is not None:
+                others.append(op)
+        if others is None:
+            set_terms(self, ())
+            set_others(self, operands)
+        else:
+            set_terms(self, tuple(terms))
+            set_others(self, tuple(others))
+
+    cls.__post_init__ = __post_init__
+    return cls
+
+
 @slot_init
+@_carries_terms
 @dataclass(frozen=True, slots=True)
 class Plus:
     operands: tuple["Formula", ...]
+    terms: tuple = field(init=False, repr=False, compare=False)
+    others: tuple["Formula", ...] = field(init=False, repr=False,
+                                          compare=False)
 
 
 @slot_init
+@_carries_terms
 @dataclass(frozen=True, slots=True)
 class Max:
     operands: tuple["Formula", ...]
+    terms: tuple = field(init=False, repr=False, compare=False)
+    others: tuple["Formula", ...] = field(init=False, repr=False,
+                                          compare=False)
 
 
 @slot_init
@@ -667,14 +718,9 @@ def evaluate(w: Formula, bindings: dict, f: LoopForest) -> AbstractWcet:
     evaluated by a call: most operands of a simplified formula are
     constants.
 
-    A sum or maximum folds some operands as plain integers: a `Power`
-    whose body and exit are prefix-free `Const`s, whose header is a header
-    of f, and whose count is an `int` or an identifier bound to a
-    non-negative `int`.  Such a loop cannot fail to evaluate, so each
-    gives `awcet.loop_tail`'s (loop, tail) pair to one running sum or
-    maximum and one loop meet, and the node builds one value for all of
-    them at the end.  Every other operand is evaluated in order and folded
-    with that value by `awcet.fold`, so errors keep their order.
+    A sum or maximum reads its loops over prefix-free constants from the
+    integer terms it carries (see `_sum_or_max`), without a call per
+    loop; every other operand is evaluated in order.
     """
     cls = type(w)
     if cls is Const:
@@ -708,35 +754,56 @@ def evaluate(w: Formula, bindings: dict, f: LoopForest) -> AbstractWcet:
 
 def _sum_or_max(w: Plus | Max, bindings: dict, f: LoopForest
                 ) -> AbstractWcet:
-    """The value of a sum or maximum, for `evaluate`."""
+    """The value of a sum or maximum, for `evaluate`.
+
+    One loop over the node's terms binds each count (an `int`, or an
+    identifier bound to a non-negative `int`), checks that the header is
+    one of f, and adds `count * body + exit` (the exit alone at count 0)
+    to one running sum or maximum; loops are met only where a term has a
+    body loop to meet in.  Such a term cannot fail, so the other operands
+    are then evaluated in order and folded with the running value.  When
+    a term fails its check, every operand is evaluated in order instead,
+    which raises the first failing operand's error.
+    """
     summing = type(w) is Plus
-    values: list[AbstractWcet] = []
-    loop, tail = TOP, 0  # the operands folded as integers
-    for x in w.operands:
-        cls = type(x)
-        if cls is Const:
-            values.append(x.value)
-            continue
-        if cls is Power and type(x.body) is Const and type(x.exit) is Const:
-            header, count = x.header, x.count
-            if type(count) is not int:
-                count = bindings.get(count)
-            body, exit_ = x.body.value, x.exit.value
-            if (type(count) is int and count >= 0 and header in f.loops
-                    and not body.seq.prefix and not exit_.seq.prefix):
-                at, t = loop_tail(header, count, body, exit_, f)
-                if t:
-                    if summing:
-                        tail += t
-                    elif t > tail:
-                        tail = t
-                    if at != loop:
-                        loop = loop_meet(loop, at, f)
-                continue
-        values.append(evaluate(x, bindings, f))
+    loops = f.loops
+    loop, tail = TOP, 0  # the terms folded so far
+    for header, count, body, exit_, at, inner in w.terms:
+        if type(count) is not int:
+            try:
+                count = bindings[count]
+            except KeyError:
+                return _in_order(w, bindings, f)
+            if type(count) is not int or count < 0:
+                return _in_order(w, bindings, f)
+        if header not in loops:
+            return _in_order(w, bindings, f)
+        if count:
+            t = count * body + exit_
+            if inner is not None:
+                at = loop_meet(inner, at, f)
+        else:
+            t = exit_
+        if t:
+            if summing:
+                tail += t
+            elif t > tail:
+                tail = t
+            if at != loop:
+                loop = loop_meet(loop, at, f)
+    values = []
+    for x in w.others:
+        values.append(x.value if type(x) is Const
+                      else evaluate(x, bindings, f))
     if tail:
         values.append(abstract(loop, const_seq(tail)))
     return fold(values, plus_abstract if summing else max_abstract, f)
+
+
+def _in_order(w: Plus | Max, bindings: dict, f: LoopForest) -> AbstractWcet:
+    """The value of a sum or maximum with every operand evaluated in order."""
+    return fold([evaluate(x, bindings, f) for x in w.operands],
+                plus_abstract if type(w) is Plus else max_abstract, f)
 
 
 def identifiers(w: Formula) -> tuple[set[str], set[str]]:

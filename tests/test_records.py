@@ -40,7 +40,10 @@ IDS = [type(r).__name__ for r in RECORDS]
 
 
 def _values(r) -> dict:
-    return {f.name: getattr(r, f.name) for f in dataclasses.fields(r)}
+    # The fields a constructor takes; a sum's or maximum's terms are
+    # derived from its operands.
+    return {f.name: getattr(r, f.name) for f in dataclasses.fields(r)
+            if f.init}
 
 
 @pytest.mark.parametrize("r", RECORDS, ids=IDS)
@@ -109,3 +112,31 @@ def test_slot_init_refuses_what_it_cannot_store():
         @dataclasses.dataclass(frozen=True, slots=True)
         class Factory:
             x: list = dataclasses.field(default_factory=list)
+
+    with pytest.raises(TypeError, match="plain defaults, on init fields"):
+        @slot_init
+        @dataclasses.dataclass(frozen=True, slots=True)
+        class DerivedDefault:
+            x: int
+            y: int = dataclasses.field(init=False, default=0)
+
+
+def test_slot_init_leaves_derived_fields_to_post_init():
+    @slot_init
+    @dataclasses.dataclass(frozen=True, slots=True)
+    class Doubled:
+        x: int
+        twice: int = dataclasses.field(init=False, repr=False, compare=False)
+
+        def __post_init__(self):
+            object.__setattr__(self, "twice", 2 * self.x)
+
+    d = Doubled(3)
+    assert d.twice == 6 and repr(d).endswith(".Doubled(x=3)")
+    assert dataclasses.replace(d, x=4).twice == 8
+    with pytest.raises(TypeError):
+        Doubled(3, 6)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        d.twice = 7
+    twin = copy.deepcopy(d)
+    assert twin == d and twin.twice == 6

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import random
+import sys
 
 import pytest
 
@@ -16,6 +18,7 @@ from symwcet.awcet import (
     const_seq,
     fold,
     gamma,
+    loop_abstract,
     max_abstract,
     ms_merge,
     ms_ranksum,
@@ -877,25 +880,37 @@ def test_evaluate_matches_reference_on_random_formulas(forest):
     assert kinds["missing"] >= 3000 and errors >= 4000, (kinds, errors)
 
 
-def test_evaluate_matches_reference_on_chain_formulas(forest, monkeypatch):
+def test_evaluate_matches_reference_on_chain_formulas(forest):
     # Loops over constant rankings folded as integers must give the
     # reference's values, and its errors in the same order, whichever
-    # operands fall back to the general path.
-    loop_tail = symbolic.loop_tail
+    # operands fall back to the general path.  `symbolic._sum_or_max`
+    # binds `t` for each loop it folds as an integer term, also before a
+    # later term fails and the node falls back; the loop makes no call to
+    # count, so its frames are traced.
+    code = symbolic._sum_or_max.__code__
     folded = 0
 
-    def counted(*args):
+    def on_return(frame, event, arg):
         nonlocal folded
-        folded += 1
-        return loop_tail(*args)
+        if event == "return":
+            folded += "t" in frame.f_locals
+        return on_return
 
-    monkeypatch.setattr(symbolic, "loop_tail", counted)
+    def trace(frame, event, arg):
+        if frame.f_code is not code:
+            return None
+        frame.f_trace_lines = False
+        return on_return
+
     rng = random.Random(29)
     taken = errors = 0
+    previous = sys.gettrace()
     for _ in range(5000):
         w, bindings = gen.random_chain_formula(rng)
         before = folded
-        got = _outcome(evaluate, w, bindings, forest)
+        sys.settrace(trace)
+        got = _outcome(evaluate, w, bindings, forest)  # raises nothing
+        sys.settrace(previous)
         want = _outcome(gen.reference_evaluate, w, bindings, forest)
         assert got == want and type(got) is type(want), (render(w), bindings)
         taken += folded > before
@@ -913,6 +928,153 @@ def test_evaluate_folds_clean_chain_formulas_without_a_loop_call(
     want = [gen.reference_evaluate(w, b, forest) for w, b in cases]
     monkeypatch.setattr(symbolic, "loop_abstract", refuse)
     assert [evaluate(w, b, forest) for w, b in cases] == want
+
+
+def _is_term(op) -> bool:
+    # An operand that a sum or maximum carries as an integer term: a loop
+    # over prefix-free constants with an identifier or a non-negative count.
+    return (type(op) is Power and type(op.body) is Const
+            and type(op.exit) is Const
+            and op.body.value.seq.prefix == () == op.exit.value.seq.prefix
+            and (isinstance(op.count, str) or op.count >= 0))
+
+
+def _reference_terms(w: Plus | Max) -> tuple[tuple, tuple]:
+    # (terms, others) of a sum or maximum, derived from its operands.
+    terms, others = [], []
+    for op in w.operands:
+        if not _is_term(op):
+            others.append(op)
+            continue
+        body, exit_ = op.body.value, op.exit.value
+        inner = (None if body.loop in (exit_.loop, loop_ref(op.header))
+                 else body.loop)
+        terms.append((op.header, op.count, body.seq.tail, exit_.seq.tail,
+                      exit_.loop, inner))
+    return tuple(terms), tuple(others)
+
+
+def _check_terms(w) -> int:
+    nodes = [n for n in symbolic.walk(w) if type(n) in (Plus, Max)]
+    for n in nodes:
+        assert (n.terms, n.others) == _reference_terms(n), render(n)
+    return sum(len(n.terms) for n in nodes)
+
+
+def _alike(a, b) -> None:
+    assert a == b and hash(a) == hash(b), (render(a), render(b))
+    assert render(a) == render(b) and sort_key(a) == sort_key(b)
+    assert repr(a) == repr(b)
+
+
+def test_terms_match_their_operands_on_every_route(forest):
+    # Whichever way a sum or maximum is built, its terms are those of its
+    # operands, and they take no part in equality, hash, text or order.
+    rng = random.Random(41)
+    partial = {"k1": 2, "w1": abstract(TOP, const_seq(4))}
+    terms = 0
+    for i in range(1000):
+        if i % 2:
+            w = gen.random_formula(rng)  # built by plus, max_, scalar
+        else:
+            w = gen.random_chain_formula(rng)[0]  # a direct Plus or Max
+        canonical = substitute(w, {})
+        built = [w, canonical, substitute(w, partial), parse(render(w)),
+                 dataclasses.replace(w)]
+        if type(w) in (Plus, Max):
+            make = plus if type(w) is Plus else max_
+            built += [type(w)(w.operands), make(w.operands),
+                      dataclasses.replace(w, operands=w.operands[::-1])]
+            _alike(type(w)(w.operands), w)
+            _alike(make(w.operands), canonical)
+        for x in built:
+            terms += _check_terms(x)
+        _alike(dataclasses.replace(w), w)
+        _alike(parse(render(w)), canonical)
+        _alike(parse(render(canonical)), canonical)
+    assert terms >= 2000, terms
+
+
+def test_term_step_is_the_loop_rule_of_loop_abstract(forest):
+    # A sum or maximum of one loop over prefix-free constants takes its
+    # value from the term's inline `count * body + exit` step, which must
+    # equal `awcet.loop_abstract`'s and the rule as stated: per the exit's
+    # loop when run zero times or when the body is ranked per this loop
+    # or per the exit's loop, else per the meet of the two.
+    rng = random.Random(43)
+    loops = (TOP, loop_ref("h1"), loop_ref("h2"), loop_ref("h3"))
+    seen = {"zero count": 0, "per this loop": 0, "per TOP": 0, "met": 0,
+            "met to BOT": 0, "zero tail": 0}
+    for _ in range(3000):
+        header = rng.choice(("h1", "h2", "h3"))
+        body = abstract(rng.choice(loops + (loop_ref(header),)),
+                        const_seq(rng.choice((0, rng.randint(1, 9)))))
+        exit_ = abstract(rng.choice(loops),
+                         const_seq(rng.choice((0, rng.randint(1, 9)))))
+        count = rng.choice((0, 1, 2, 3, 10**9))
+        tail = count * body.seq.tail + exit_.seq.tail
+        at = exit_.loop
+        if count and body.loop not in (exit_.loop, loop_ref(header)):
+            at = loop_meet(body.loop, at, forest)
+            seen["met"] += 1
+            seen["met to BOT"] += at == BOT
+        rule = abstract(at, const_seq(tail))
+        assert loop_abstract(header, count, body, exit_, forest) == rule
+        seen["zero count"] += not count
+        seen["per this loop"] += body.loop == loop_ref(header)
+        seen["per TOP"] += body.loop == TOP
+        seen["zero tail"] += not tail
+        loop = Power(Const(body), Const(exit_), header,
+                     rng.choice((count, "k")))
+        for cls in (Plus, Max):
+            node = cls((loop,))
+            assert len(node.terms) == 1 and node.others == ()
+            assert evaluate(node, {"k": count}, forest) == rule
+    assert min(seen.values()) >= 50, seen
+
+
+def _profiled_calls(fn) -> int:
+    # Python and C function calls made while fn runs.
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        calls += event in ("call", "c_call")
+
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def test_sum_of_passing_terms_makes_no_call_per_term(forest):
+    # Loops over constants whose counts bind and whose headers are loops
+    # of the forest cost no call each: evaluating 3 or 60 of them in one
+    # sum or maximum makes as many calls.
+    def chain(cls, n):
+        ops, bindings = [Const(abstract(TOP, const_seq(7)))], {}
+        for i in range(n):
+            header = ("h1", "h2", "h3")[i % 3]
+            body = abstract((TOP, loop_ref(header))[i % 2],
+                            const_seq(i % 5 + 1))
+            count = i % 4 if i % 3 else f"k{i}"
+            bindings[f"k{i}"] = i % 5
+            ops.append(Power(Const(body), Const(abstract(TOP, const_seq(
+                i % 3))), header, count))
+        return cls(tuple(ops)), bindings
+
+    for cls in (Plus, Max):
+        counts = []
+        for n in (3, 60):
+            w, bindings = chain(cls, n)
+            assert len(w.terms) == n
+            assert evaluate(w, bindings, forest) == gen.reference_evaluate(
+                w, bindings, forest)
+            counts.append(_profiled_calls(
+                lambda: evaluate(w, bindings, forest)))
+        assert counts[0] == counts[1], (cls.__name__, counts)
 
 
 def test_loop_run_zero_times_evaluates_as_its_normal_form(forest):
