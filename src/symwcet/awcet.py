@@ -23,11 +23,11 @@ alone (a running sum or maximum, `count * body + exit`) and builds one
 value at the end; values with a prefix take the run-walking operators.
 `loop_term` states the forest-free part of the prefix-free loop rule
 once: the two tails, the exit's loop and the body loop the result meets
-in; `loop_tail` adds the `count * body + exit` step and the meet, and
-`loop_abstract`'s fast path calls it.  The formula layer calls
-`loop_term` when it builds a sum or maximum, once for each operand that
-is a loop over prefix-free constant body and exit rankings, and takes
-only the step and the meet inline at each instantiation.
+in.  `loop_abstract`'s fast path takes it and adds the `count * body +
+exit` step and the meet.  The formula layer calls `loop_term` when it
+builds a sum or maximum, once for each operand that is a loop over
+prefix-free constant body and exit rankings, and takes only the step and
+the meet inline at each instantiation.
 
 `WcetSeq` and `AbstractWcet`, like `cfg.LoopRef`, are NamedTuples rather
 than frozen dataclasses: every operator builds, compares and hashes them,
@@ -358,19 +358,6 @@ def loop_term(header: str, body: AbstractWcet, exit_: AbstractWcet
     return body.seq.tail, exit_.seq.tail, exit_.loop, inner
 
 
-def loop_tail(header: str, count: int, body: AbstractWcet,
-              exit_: AbstractWcet, f: LoopForest) -> tuple[LoopRef, int]:
-    """The prefix-free loop rule: (loop, tail) of a loop running `count`
-    iterations whose body and exit rankings have no prefix, from
-    `loop_term` and the integer step."""
-    body_tail, tail, loop, inner = loop_term(header, body, exit_)
-    if count:
-        tail += count * body_tail
-        if inner is not None:
-            loop = loop_meet(inner, loop, f)
-    return loop, tail
-
-
 def loop_abstract(
     header: str,
     count: int,
@@ -381,12 +368,16 @@ def loop_abstract(
     """Combine body and exit rankings of a loop running `count` iterations.
 
     A loop that runs zero times is its exit: the body meets no loop into
-    the result.  When neither ranking has a prefix, `loop_tail` gives the
-    integer result; the general path below computes the same on such
-    values.
+    the result.  When neither ranking has a prefix, the result is computed
+    on the tails from `loop_term`; the general path below computes the same
+    on such values.
     """
     if not body.seq.prefix and not exit_.seq.prefix:
-        loop, tail = loop_tail(header, count, body, exit_, f)
+        body_tail, tail, loop, inner = loop_term(header, body, exit_)
+        if count:
+            tail += count * body_tail
+            if inner is not None:
+                loop = loop_meet(inner, loop, f)
         if not tail:
             return ZERO
         return _tuple_new(AbstractWcet, (loop, WcetSeq((), tail)))
@@ -413,27 +404,18 @@ def _concrete(value: int | str, what: str) -> int:
     return value
 
 
-def node_value(t: cft.Cft, kids: list[AbstractWcet],
-               f: LoopForest) -> AbstractWcet:
-    """Value of one tree node, its annotation aside, from the values of its
-    children (body, then exit, for a Loop).  The node's own leaf cost or
-    loop bound must be an integer."""
-    if isinstance(t, cft.Leaf):
-        return abstract(TOP, const_seq(t.wcet))
-    if isinstance(t, cft.Alt):
-        return fold(kids, max_abstract, f)
-    if isinstance(t, cft.Seq):
-        return fold(kids, plus_abstract, f)
-    return loop_abstract(t.header, t.bound, kids[0], kids[1], f)
-
-
 def gamma(t: cft.Cft, f: LoopForest) -> AbstractWcet:
     """Abstract WCET of a fully concrete tree."""
     if isinstance(t, cft.Leaf):
-        _concrete(t.wcet, f"wcet of leaf {t.label}")
+        wcet = _concrete(t.wcet, f"wcet of leaf {t.label}")
+        val = abstract(TOP, const_seq(wcet))
     elif isinstance(t, cft.Loop):
-        _concrete(t.bound, f"bound of loop {t.header}")
-    val = node_value(t, [gamma(c, f) for c in cft.child_nodes(t)], f)
+        bound = _concrete(t.bound, f"bound of loop {t.header}")
+        val = loop_abstract(t.header, bound, gamma(t.body, f),
+                            gamma(t.exit, f), f)
+    else:
+        op = max_abstract if isinstance(t, cft.Alt) else plus_abstract
+        val = fold([gamma(c, f) for c in t.children], op, f)
     if t.annotation is not None:
         m = _concrete(t.annotation.max, "annotation max")
         loop = t.annotation.loop

@@ -143,8 +143,10 @@ def _classify_identifiers(w: Formula):
     return wcet_ids, int_ids
 
 
-def _typed_bindings(w: Formula, raw: dict[str, int | str]) -> dict:
-    wcet_ids, int_ids = _classify_identifiers(w)
+def _typed_bindings(raw: dict[str, int | str], wcet_ids: set[str],
+                    int_ids: set[str]) -> dict:
+    """The bindings as `evaluate` takes them, given the formula's
+    identifiers by position."""
     typed: dict[str, object] = {}
     for name, value in raw.items():
         if name in wcet_ids:
@@ -232,7 +234,8 @@ def cmd_wcet(args) -> int:
     fuel = _fuel(args)
     a = _load(args)
     raw, simplified = _formula_of(a, fuel)
-    bindings = _typed_bindings(raw, _parse_bindings(args.bind))
+    bindings = _typed_bindings(_parse_bindings(args.bind),
+                               *_classify_identifiers(raw))
     value = symbolic.evaluate(simplified, bindings, a.forest)
     result = ms_index(value.seq, 0)
     if args.self_check:
@@ -275,8 +278,8 @@ def cmd_sweep(args) -> int:
     if hi < lo:
         raise SymwcetError(f"empty sweep range {lo}..{hi}")
     raw, simplified = _formula_of(a, fuel)
-    wcet_ids, _ = _classify_identifiers(raw)
-    base = _typed_bindings(raw, _parse_bindings(args.bind))
+    wcet_ids, int_ids = _classify_identifiers(raw)
+    base = _typed_bindings(_parse_bindings(args.bind), wcet_ids, int_ids)
     rows = []
     # The first point evaluates the whole formula, so a wrong or missing
     # binding fails there, with the error a single evaluation gives; the

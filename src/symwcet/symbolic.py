@@ -30,7 +30,6 @@ from typing import Callable, Iterable
 from . import cft
 from .awcet import (
     ZERO,
-    ZERO_SEQ,
     AbstractWcet,
     abstract,
     const_seq,
@@ -38,7 +37,6 @@ from .awcet import (
     loop_abstract,
     loop_term,
     max_abstract,
-    node_value,
     parse_seq,
     plus_abstract,
     restrict_abstract,
@@ -419,8 +417,6 @@ def _rule_restrict_fold(w: Restrict, f: LoopForest) -> Formula | None:
 
 def _rule_scalar_fold(w: Scalar, f: LoopForest) -> Formula | None:
     if isinstance(w.operand, Const):
-        if w.operand.value.seq == ZERO_SEQ:
-            return CONST_ZERO
         return Const(scalar_abstract(w.coeff, w.operand.value))
     # Scaling commutes with restriction, so the coefficient also folds
     # straight through a chain of restricts onto a constant.
@@ -596,7 +592,8 @@ def gamma_symbolic(t: cft.Cft, f: LoopForest,
             body, exit_ = build(node.body), build(node.exit)
             if (fold_concrete and type(body) is Const
                     and type(exit_) is Const and isinstance(node.bound, int)):
-                base = Const(node_value(node, [body.value, exit_.value], f))
+                base = Const(loop_abstract(node.header, node.bound,
+                                           body.value, exit_.value, f))
             else:
                 base = Power(body, exit_, node.header, node.bound)
         ann = node.annotation

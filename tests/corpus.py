@@ -1,15 +1,16 @@
 """The committed output corpus: documents, the commands run on each, and
 their outputs.
 
-`golden/corpus.json` holds about a thousand documents: the five samples,
-the irreducible triangle, schema mutants, documents whose sums carry two
+`golden/corpus.json` holds 1,000 documents: the five samples, the
+irreducible triangle, schema mutants, documents whose sums carry two
 restricts on one symbolic cap, loop nests (one too deep for the recursion
 limit, so every command exits 3), and random documents with symbolic
-bounds, costs and caps, half of them annotated.  Each entry has an `id`, a
-`doc` (or, for text that is not JSON, a `text`), its `bind` list and any
-`extra` commands.  `golden/corpus_digests.json` holds, per document and
-command, the first 16 hex digits of the SHA-256 of (exit code, stdout,
-stderr); `tests/test_corpus.py` checks them.
+bounds, costs and caps, half of them drawn with annotations and splits.
+Each entry has an `id`, a `doc` (or, for text that is not JSON, a
+`text`), its `bind` list and any `extra` commands.
+`golden/corpus_digests.json` holds, per document and command, the first
+16 hex digits of the SHA-256 of (exit code, stdout, stderr);
+`tests/test_corpus.py` checks them.
 
     python tests/corpus.py outputs DIR   # every full output, one file per document
     python tests/corpus.py digests       # rewrite golden/corpus_digests.json
@@ -58,7 +59,7 @@ def commands(entry: dict) -> list[list[str]]:
 
 def run(argv: list[str]) -> tuple[int, str, str]:
     """(exit code, stdout, stderr) of one in-process CLI call on INPUT."""
-    from symwcet import cli
+    from symwcet import cli  # here, so that `_main` can put src/ on the path
 
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
@@ -81,13 +82,15 @@ def outputs() -> Iterator[tuple[str, str, tuple[int, str, str]]]:
 
 
 def _main(argv: list[str]) -> int:
-    if argv[:1] not in (["outputs"], ["digests"]) or len(argv) != (
-            2 if argv[0] == "outputs" else 1):
+    if argv == ["digests"]:
+        out_dir = None
+    elif len(argv) == 2 and argv[0] == "outputs":
+        out_dir = Path(argv[1]).resolve()
+    else:
         print(__doc__, file=sys.stderr)
         return 1
     sys.path.insert(0, str(GOLDEN.parent.parent / "src"))
     os.environ.pop("SYMWCET_FUEL", None)
-    out_dir = Path(argv[1]).resolve() if argv[0] == "outputs" else None
     digests: dict[str, dict[str, str]] = {}
     files: dict[str, list[str]] = {}
     with tempfile.TemporaryDirectory() as work:

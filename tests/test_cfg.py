@@ -23,6 +23,7 @@ from symwcet.cfg import (
     parse_program,
 )
 from symwcet.errors import DocumentError, IrreducibleLoop
+from symwcet.pipeline import analyze_text
 
 
 def fig2_program():
@@ -140,6 +141,21 @@ PARSE_MESSAGES = [
     ("missing variant cap", {"splits": [{"block": "b", "variants": [
         {"id": "v", "wcet": 1, "annotation": {"loop": "TOP"}}]}]},
      "variant v annotation: missing keys ['max']"),
+    ("splits not a list", {"splits": {"block": "b"}},
+     "splits must be a list"),
+    ("non-object annotation", {"annotations": ["b"]},
+     "annotation must be an object, got 'b'"),
+    ("non-object split", {"splits": [["b"]]},
+     "split must be an object, got ['b']"),
+    ("non-object variant", {"splits": [{"block": "b", "variants": [None]}]},
+     "variant must be an object, got None"),
+    ("unreachable block", {"blocks": [{"id": "a", "wcet": 1}, _B,
+                                      {"id": "c", "wcet": 3}]},
+     "blocks unreachable from entry: ['c']"),
+    ("block that cannot reach exit", {"blocks": [{"id": "a", "wcet": 1}, _B,
+                                                 {"id": "c", "wcet": 3}],
+                                      "edges": [["a", "b"], ["a", "c"]]},
+     "blocks that cannot reach exit: ['c']"),
 ]
 
 
@@ -149,6 +165,23 @@ def test_parse_messages_pinned(case, fields, message):
     with pytest.raises(DocumentError) as info:
         parse_program(_doc(**fields))
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("text", ["[]", "[{}]", "1", '"doc"', "null"])
+def test_parse_rejects_non_object_root(text):
+    with pytest.raises(DocumentError) as info:
+        parse_program(text)
+    assert str(info.value) == "document root must be a JSON object"
+
+
+def test_analyze_rejects_duplicate_annotation_target():
+    # The document parses; the pipeline refuses a second cap on one leaf.
+    doc = _doc(annotations=[{"target": "b", "loop": "TOP", "max": 1},
+                            {"target": "b", "loop": "TOP", "max": 2}])
+    parse_program(doc)
+    with pytest.raises(DocumentError) as info:
+        analyze_text(doc)
+    assert str(info.value) == "duplicate annotation target 'b'"
 
 
 @pytest.mark.parametrize("header", ["TOP", "BOT"])

@@ -368,6 +368,22 @@ def test_oracle_ok(capsys, fig2_path):
     assert payload["soundness"]["gap_percent"] == 0.0
 
 
+def test_oracle_pessimism_of_a_one_cycle_path(capsys, tmp_path):
+    # The worst path costs 1, the least cost that has a pessimism.
+    p = tmp_path / "one.json"
+    p.write_text(json.dumps({"name": "one", "blocks": [{"id": "a", "wcet": 1}],
+                             "edges": [], "entry": "a", "exit": "a"}))
+    code, out, _ = _run(capsys, ["oracle", "--input", str(p)])
+    assert code == 0
+    assert out.splitlines() == ["inclusion: ok (1 program paths, 1 tree paths)",
+                                "soundness: ok (bound 1, worst path 1)",
+                                "pessimism: 0.0%"]
+    code, payload, _ = _run_json(capsys, ["oracle", "--input", str(p)])
+    assert code == 0
+    assert payload["soundness"]["worst_path"] == 1
+    assert payload["soundness"]["gap_percent"] == 0.0
+
+
 # ---------------------------------------------------------------------------
 # One parser per process
 # ---------------------------------------------------------------------------

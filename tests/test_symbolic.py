@@ -22,7 +22,6 @@ from symwcet.awcet import (
     max_abstract,
     ms_merge,
     ms_ranksum,
-    node_value,
     parse_seq,
     plus_abstract,
     restrict_abstract,
@@ -619,10 +618,15 @@ def _reference_gamma_symbolic(t, f):
         kids = [build(c) for c in cft.child_nodes(node)]
         if isinstance(node, cft.Leaf):
             base = (WcetId(node.wcet) if isinstance(node.wcet, str)
-                    else Const(node_value(node, [], f)))
+                    else Const(abstract(TOP, const_seq(node.wcet))))
         elif all(isinstance(k, Const) for k in kids) and (
                 not isinstance(node, cft.Loop) or isinstance(node.bound, int)):
-            base = Const(node_value(node, [k.value for k in kids], f))
+            vals = [k.value for k in kids]
+            if isinstance(node, cft.Loop):
+                base = Const(loop_abstract(node.header, node.bound, *vals, f))
+            else:
+                op = max_abstract if isinstance(node, cft.Alt) else plus_abstract
+                base = Const(fold(vals, op, f))
         elif isinstance(node, cft.Alt):
             base = max_(kids)
         elif isinstance(node, cft.Seq):
