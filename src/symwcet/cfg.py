@@ -3,7 +3,9 @@
 Parses and validates JSON program documents, computes dominators, detects
 irreducible control flow, builds the natural-loop forest, and provides the
 loop lattice (loops ordered by nesting, completed with TOP and BOT) that the
-rest of the analysis is parameterized over.
+rest of the analysis is parameterized over.  A document's annotations and
+split variants are parsed into `Annotation`, the record the control-flow
+tree carries.
 
 Parsing numbers the blocks once, in document order, and the graph holds
 nothing but those numbers: edges, successors, predecessors, entry and
@@ -72,6 +74,15 @@ def parse_loop_ref(text: str) -> LoopRef:
     return loop_ref(text)
 
 
+@slot_init
+@dataclass(frozen=True, slots=True)
+class Annotation:
+    """Target runs at most `max` times per entry of `loop`."""
+
+    loop: LoopRef
+    max: int | str
+
+
 # ---------------------------------------------------------------------------
 # CFG data model
 # ---------------------------------------------------------------------------
@@ -93,35 +104,16 @@ class Cfg:
     exit: int
 
 
-@dataclass(frozen=True)
-class AnnotationSpec:
-    """Document-level iteration constraint: target executes at most `max`
-    times per entry of `loop` ("TOP" for once-per-run constraints)."""
-
-    target: str
-    loop: str
-    max: int | str
-
-
-@dataclass(frozen=True)
-class VariantSpec:
-    id: str
-    wcet: int | str
-    annotation: tuple[str, int | str] | None  # (loop, max)
-
-
-@dataclass(frozen=True)
-class SplitSpec:
-    block: str
-    variants: tuple[VariantSpec, ...]
+# A split variant: (id, cost, annotation or None), as `cft.split_leaf` takes it.
+Variant = tuple[str, int | str, Annotation | None]
 
 
 @dataclass
 class Program:
     cfg: Cfg
     loop_bounds: dict[str, int | str]
-    annotations: tuple[AnnotationSpec, ...]
-    splits: tuple[SplitSpec, ...]
+    annotations: tuple[tuple[str, Annotation], ...]  # (target, annotation)
+    splits: tuple[tuple[str, tuple[Variant, ...]], ...]  # (block, variants)
 
 
 # ---------------------------------------------------------------------------
@@ -148,6 +140,16 @@ def _check_value(v: object, what: str, minimum: int = 0) -> int | str:
     if not is_identifier(v):
         raise DocumentError(f"{what}: {v!r} is not a valid identifier")
     return v
+
+
+def _annotation(item: dict, index: dict[str, int], where: str,
+                cap_what: str) -> Annotation:
+    """The annotation an object with the keys loop and max gives: its loop
+    is TOP or a block, its cap an integer or an identifier."""
+    loop = item["loop"]
+    if not isinstance(loop, str) or (loop != "TOP" and loop not in index):
+        raise DocumentError(f"{where} loop {loop!r} is neither TOP nor a block")
+    return Annotation(parse_loop_ref(loop), _check_value(item["max"], cap_what))
 
 
 def parse_program(text: str) -> Program:
@@ -241,7 +243,7 @@ def parse_program(text: str) -> Program:
             raise DocumentError(f"loop bound for unknown block {header!r}")
         loop_bounds[header] = _check_value(bound, f"loop bound for {header}", minimum=1)
 
-    annotations: list[AnnotationSpec] = []
+    annotations: list[tuple[str, Annotation]] = []
     raw_ann = obj.get("annotations", [])
     if not isinstance(raw_ann, list):
         raise DocumentError("annotations must be a list")
@@ -253,13 +255,10 @@ def parse_program(text: str) -> Program:
         target = item["target"]
         if not isinstance(target, str):
             raise DocumentError(f"annotation target must be a string, got {target!r}")
-        loop = item["loop"]
-        if not isinstance(loop, str) or (loop != "TOP" and loop not in index):
-            raise DocumentError(f"annotation loop {loop!r} is neither TOP nor a block")
-        mx = _check_value(item["max"], f"annotation max for {target}")
-        annotations.append(AnnotationSpec(target, loop, mx))
+        annotations.append((target, _annotation(
+            item, index, "annotation", f"annotation max for {target}")))
 
-    splits: list[SplitSpec] = []
+    splits: list[tuple[str, tuple[Variant, ...]]] = []
     raw_splits = obj.get("splits", [])
     if not isinstance(raw_splits, list):
         raise DocumentError("splits must be a list")
@@ -273,7 +272,7 @@ def parse_program(text: str) -> Program:
         raw_vars = item["variants"]
         if not isinstance(raw_vars, list) or not raw_vars:
             raise DocumentError(f"split of {sblock!r}: variants must be non-empty")
-        variants: list[VariantSpec] = []
+        variants: list[Variant] = []
         for v in raw_vars:
             if not isinstance(v, dict):
                 raise DocumentError(f"variant must be an object, got {v!r}")
@@ -282,22 +281,16 @@ def parse_program(text: str) -> Program:
             if not is_identifier(vid):
                 raise DocumentError(f"variant id {vid!r} is not a valid identifier")
             vw = _check_value(v["wcet"], f"variant {vid} wcet")
-            vann = None
-            raw_va = v.get("annotation")
-            if raw_va is not None:
-                if not isinstance(raw_va, dict):
+            vann = v.get("annotation")
+            if vann is not None:
+                if not isinstance(vann, dict):
                     raise DocumentError(f"variant {vid}: annotation must be an object")
-                _require_keys(raw_va, {"loop", "max"}, {"loop", "max"},
+                _require_keys(vann, {"loop", "max"}, {"loop", "max"},
                               f"variant {vid} annotation")
-                vloop = raw_va["loop"]
-                if not isinstance(vloop, str) or (vloop != "TOP"
-                                                  and vloop not in index):
-                    raise DocumentError(
-                        f"variant {vid}: loop {vloop!r} is neither TOP nor a block")
-                vmax = _check_value(raw_va["max"], f"variant {vid} annotation max")
-                vann = (vloop, vmax)
-            variants.append(VariantSpec(vid, vw, vann))
-        splits.append(SplitSpec(sblock, tuple(variants)))
+                vann = _annotation(vann, index, f"variant {vid}:",
+                                   f"variant {vid} annotation max")
+            variants.append((vid, vw, vann))
+        splits.append((sblock, tuple(variants)))
 
     return Program(g, loop_bounds, tuple(annotations), tuple(splits))
 

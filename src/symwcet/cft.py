@@ -14,8 +14,9 @@ per node (`strip_annotations`, `to_sexpr`), recurse.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Sequence
 
-from .cfg import TOP, LoopRef
+from .cfg import TOP, Annotation, Variant
 from .errors import (
     AmbiguousTarget,
     DuplicateVariantId,
@@ -23,15 +24,6 @@ from .errors import (
     UnknownBlock,
 )
 from .records import slot_init
-
-
-@slot_init
-@dataclass(frozen=True, slots=True)
-class Annotation:
-    """Target runs at most `max` times per entry of `loop`."""
-
-    loop: LoopRef
-    max: int | str
 
 
 @slot_init
@@ -225,7 +217,7 @@ def attach_annotation(t: Cft, target: str, a: Annotation) -> Cft:
 def split_leaf(
     t: Cft,
     block: str,
-    variants: list[tuple[str, int | str, Annotation | None]],
+    variants: Sequence[Variant],
 ) -> Cft:
     """Replace one leaf with an Alt over annotated variant leaves.
 

@@ -22,7 +22,8 @@ from symwcet.cfg import (
     loop_ref,
     parse_program,
 )
-from symwcet.errors import DocumentError, IrreducibleLoop
+from symwcet.cft import leaves
+from symwcet.errors import DocumentError, DuplicateVariantId, IrreducibleLoop
 from symwcet.pipeline import analyze_text
 
 
@@ -149,6 +150,30 @@ PARSE_MESSAGES = [
      "split must be an object, got ['b']"),
     ("non-object variant", {"splits": [{"block": "b", "variants": [None]}]},
      "variant must be an object, got None"),
+    ("annotations not a list", {"annotations": {"target": "b"}},
+     "annotations must be a list"),
+    ("annotation without loop", {"annotations": [{"target": "b", "max": 1}]},
+     "annotation: missing keys ['loop']"),
+    ("non-string target", {"annotations": [{"target": 7, "loop": "TOP",
+                                            "max": 1}]},
+     "annotation target must be a string, got 7"),
+    ("unknown annotation loop", {"annotations": [{"target": "b", "loop": "zz",
+                                                  "max": 1}]},
+     "annotation loop 'zz' is neither TOP nor a block"),
+    ("unknown split block", {"splits": [{"block": "zz", "variants": [
+        {"id": "v", "wcet": 1}]}]},
+     "split references unknown block 'zz'"),
+    ("empty variants", {"splits": [{"block": "b", "variants": []}]},
+     "split of 'b': variants must be non-empty"),
+    ("bad variant id", {"splits": [{"block": "b", "variants": [
+        {"id": "9x", "wcet": 1}]}]},
+     "variant id '9x' is not a valid identifier"),
+    ("non-object variant annotation", {"splits": [{"block": "b", "variants": [
+        {"id": "v", "wcet": 1, "annotation": 3}]}]},
+     "variant v: annotation must be an object"),
+    ("unknown variant loop", {"splits": [{"block": "b", "variants": [
+        {"id": "v", "wcet": 1, "annotation": {"loop": "zz", "max": 1}}]}]},
+     "variant v: loop 'zz' is neither TOP nor a block"),
     ("unreachable block", {"blocks": [{"id": "a", "wcet": 1}, _B,
                                       {"id": "c", "wcet": 3}]},
      "blocks unreachable from entry: ['c']"),
@@ -182,6 +207,27 @@ def test_analyze_rejects_duplicate_annotation_target():
     with pytest.raises(DocumentError) as info:
         analyze_text(doc)
     assert str(info.value) == "duplicate annotation target 'b'"
+
+
+def test_null_variant_annotation_is_unannotated():
+    # The persistence shape's hit variant spells "no annotation" as null.
+    doc = _doc(splits=[{"block": "b", "variants": [
+        {"id": "b_miss", "wcet": 9, "annotation": {"loop": "TOP", "max": 1}},
+        {"id": "b_hit", "wcet": 2, "annotation": None}]}])
+    caps = {leaf.label: leaf.annotation
+            for leaf in leaves(analyze_text(doc).tree)}
+    assert caps["b_hit"] is None
+    assert (caps["b_miss"].loop, caps["b_miss"].max) == (TOP, 1)
+
+
+def test_analyze_checks_splits_before_annotation_targets():
+    doc = _doc(splits=[{"block": "b", "variants": [{"id": "v", "wcet": 1},
+                                                   {"id": "v", "wcet": 2}]}],
+               annotations=[{"target": "a", "loop": "TOP", "max": 1},
+                            {"target": "a", "loop": "TOP", "max": 2}])
+    with pytest.raises(DuplicateVariantId) as info:
+        analyze_text(doc)
+    assert str(info.value) == "split of 'b' repeats variant ids ['v', 'v']"
 
 
 @pytest.mark.parametrize("header", ["TOP", "BOT"])

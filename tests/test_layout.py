@@ -1,7 +1,8 @@
 """The library holds only what the program uses: every top-level function
 and class in src/symwcet is referred to, outside its own definition, from
 src/, perfbench/ or README.md, and every field of its classes is read
-there.  Code that only tests call lives in tests/."""
+there.  Code that only tests call lives in tests/.  Every source file
+also parses with the oldest grammar pyproject.toml accepts."""
 
 from __future__ import annotations
 
@@ -77,3 +78,21 @@ def test_every_record_field_has_a_non_test_reader():
                         and stmt.target.id not in readers):
                     unread.append(f"{path.name}: {cls.name}.{stmt.target.id}")
     assert unread == []
+
+
+def test_sources_parse_under_python_3_10_grammar():
+    """Every .py file under src/, tests/ and perfbench/ parses with the
+    grammar of Python 3.10, the oldest version pyproject.toml accepts
+    (no `except*`, for one).  This checks grammar only: a library API
+    added after 3.10 still passes, and only a 3.10 interpreter finds it."""
+    paths = sorted(path for top in ("src", "tests", "perfbench")
+                   for path in (ROOT / top).rglob("*.py"))
+    assert paths
+    rejected = []
+    for path in paths:
+        try:
+            ast.parse(path.read_text(), filename=str(path),
+                      feature_version=(3, 10))
+        except SyntaxError as exc:
+            rejected.append(f"{path.relative_to(ROOT)}: {exc}")
+    assert rejected == []
