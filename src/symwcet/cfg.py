@@ -19,12 +19,14 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, NoReturn, Sequence
 
 from .errors import DocumentError, IrreducibleLoop
 from .records import slot_init
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+# Identifiers joined by single spaces.
+_IDENTS_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*(?: [A-Za-z_][A-Za-z0-9_]*)*")
 
 Edge = tuple[int, int]  # (source, target) block numbers
 
@@ -121,6 +123,11 @@ class Program:
 # ---------------------------------------------------------------------------
 
 
+_DOCUMENT_KEYS = frozenset({"name", "blocks", "edges", "entry", "exit",
+                            "loop_bounds", "annotations", "splits"})
+_DOCUMENT_REQUIRED = frozenset({"name", "blocks", "edges", "entry", "exit"})
+
+
 def _require_keys(obj: dict, allowed: set[str], required: set[str], what: str) -> None:
     unknown = set(obj) - allowed
     if unknown:
@@ -152,6 +159,95 @@ def _annotation(item: dict, index: dict[str, int], where: str,
     return Annotation(parse_loop_ref(loop), _check_value(item["max"], cap_what))
 
 
+# The block and edge lists are checked in bulk: a few passes that run in C
+# over the whole list.  A bulk check that fails, or raises on an item of
+# another shape, hands the list to a per-item scan, which names the first
+# offender in document order; the scan is the error path only, so it
+# raises.
+
+
+def _identifiers(names: list) -> bool:
+    """Every name is a string and an identifier."""
+    joined = " ".join(names)  # TypeError on a name that is not a string
+    return (joined.count(" ") == len(names) - 1
+            and _IDENTS_RE.fullmatch(joined) is not None)
+
+
+def _number_blocks(raw: list) -> tuple[list[str], list[int | str],
+                                       dict[str, int]] | None:
+    """Block ids, costs and the id -> number index of a valid block list,
+    or None."""
+    try:
+        # Of the JSON values, only an object with the keys id and wcet gets
+        # past item["id"] and item["wcet"]; the lengths rule out more keys.
+        ids = [item["id"] for item in raw]
+        costs = [item["wcet"] for item in raw]
+        index = dict(zip(ids, range(len(ids))))
+        named = [c for c in costs if type(c) is not int]
+        ints = [c for c in costs if type(c) is int] if named else costs
+        if (sum(map(len, raw)) == 2 * len(raw) and len(index) == len(ids)
+                and "TOP" not in index and "BOT" not in index
+                and _identifiers(ids)
+                and min(ints, default=0) >= 0
+                and (not named or _identifiers(named))):
+            return ids, costs, index
+    except (KeyError, TypeError):  # an item of another shape, or unhashable
+        pass
+    return None
+
+
+def _block_fault(raw: list) -> NoReturn:
+    """Raise the DocumentError of the first invalid block."""
+    seen: set[str] = set()
+    for item in raw:
+        if not isinstance(item, dict):
+            raise DocumentError(f"block entry must be an object, got {item!r}")
+        _require_keys(item, {"id", "wcet"}, {"id", "wcet"}, "block")
+        bid = item["id"]
+        if not is_identifier(bid):
+            raise DocumentError(f"block id {bid!r} is not a valid identifier")
+        if bid == "TOP" or bid == "BOT":
+            raise DocumentError(f"block id {bid!r} is reserved for an end of "
+                                "the loop lattice")
+        if bid in seen:
+            raise DocumentError(f"duplicate block id {bid!r}")
+        seen.add(bid)
+        wcet = item["wcet"]
+        if type(wcet) is not int or wcet < 0:
+            _check_value(wcet, f"block {bid} wcet")
+    raise AssertionError("the bulk check refused a valid block list")
+
+
+def _number_edges(raw: list, index: dict[str, int]) -> list[Edge] | None:
+    """The edges of a valid edge list as block-number pairs, or None."""
+    try:
+        # A string or object of two ids would unpack like a pair.
+        if set(map(type, raw)) <= {list}:
+            edges = [(index[s], index[t]) for s, t in raw]
+            if len(set(edges)) == len(edges):
+                return edges
+    except (KeyError, TypeError, ValueError):  # unknown, unhashable, not a pair
+        pass
+    return None
+
+
+def _edge_fault(raw: list, index: dict[str, int]) -> NoReturn:
+    """Raise the DocumentError of the first invalid edge."""
+    seen: set[Edge] = set()
+    for item in raw:
+        if (not isinstance(item, list) or len(item) != 2
+                or not isinstance(item[0], str) or not isinstance(item[1], str)):
+            raise DocumentError(f"edge must be a [source, target] pair, got {item!r}")
+        s, t = index.get(item[0]), index.get(item[1])
+        if s is None or t is None:
+            end = item[0] if s is None else item[1]
+            raise DocumentError(f"edge {item!r} references unknown block {end!r}")
+        if (s, t) in seen:
+            raise DocumentError(f"duplicate edge {item!r}")
+        seen.add((s, t))
+    raise AssertionError("the bulk check refused a valid edge list")
+
+
 def parse_program(text: str) -> Program:
     """Parse and validate a JSON program document."""
     try:
@@ -160,13 +256,7 @@ def parse_program(text: str) -> Program:
         raise DocumentError(f"invalid JSON: {exc}") from None
     if not isinstance(obj, dict):
         raise DocumentError("document root must be a JSON object")
-    _require_keys(
-        obj,
-        allowed={"name", "blocks", "edges", "entry", "exit", "loop_bounds",
-                 "annotations", "splits"},
-        required={"name", "blocks", "edges", "entry", "exit"},
-        what="document",
-    )
+    _require_keys(obj, _DOCUMENT_KEYS, _DOCUMENT_REQUIRED, "document")
     name = obj["name"]
     if not isinstance(name, str):
         raise DocumentError("name must be a string")
@@ -174,51 +264,20 @@ def parse_program(text: str) -> Program:
     raw_blocks = obj["blocks"]
     if not isinstance(raw_blocks, list) or not raw_blocks:
         raise DocumentError("blocks must be a non-empty list")
-    blocks: list[str] = []
-    costs: list[int | str] = []
-    index: dict[str, int] = {}
-    for item in raw_blocks:
-        # The usual shape, exactly the keys id and wcet, needs no key check.
-        if not (isinstance(item, dict) and len(item) == 2
-                and "id" in item and "wcet" in item):
-            if not isinstance(item, dict):
-                raise DocumentError(f"block entry must be an object, got {item!r}")
-            _require_keys(item, {"id", "wcet"}, {"id", "wcet"}, "block")
-        bid = item["id"]
-        if not is_identifier(bid):
-            raise DocumentError(f"block id {bid!r} is not a valid identifier")
-        if bid == "TOP" or bid == "BOT":
-            raise DocumentError(f"block id {bid!r} is reserved for an end of "
-                                "the loop lattice")
-        if bid in index:
-            raise DocumentError(f"duplicate block id {bid!r}")
-        wcet = item["wcet"]
-        if type(wcet) is not int or wcet < 0:
-            wcet = _check_value(wcet, f"block {bid} wcet")
-        index[bid] = len(blocks)
-        blocks.append(bid)
-        costs.append(wcet)
+    numbered = _number_blocks(raw_blocks)
+    if numbered is None:
+        _block_fault(raw_blocks)
+    blocks, costs, index = numbered
 
     raw_edges = obj["edges"]
     if not isinstance(raw_edges, list):
         raise DocumentError("edges must be a list")
-    edges: list[Edge] = []
+    edges = _number_edges(raw_edges, index)
+    if edges is None:
+        _edge_fault(raw_edges, index)
     succs: list[list[int]] = [[] for _ in blocks]
     preds: list[list[int]] = [[] for _ in blocks]
-    seen_edges: set[Edge] = set()
-    for item in raw_edges:
-        if (not isinstance(item, list) or len(item) != 2
-                or not isinstance(item[0], str) or not isinstance(item[1], str)):
-            raise DocumentError(f"edge must be a [source, target] pair, got {item!r}")
-        s, t = index.get(item[0]), index.get(item[1])
-        if s is None or t is None:
-            end = item[0] if s is None else item[1]
-            raise DocumentError(f"edge {item!r} references unknown block {end!r}")
-        e = (s, t)
-        if e in seen_edges:
-            raise DocumentError(f"duplicate edge {item!r}")
-        seen_edges.add(e)
-        edges.append(e)
+    for s, t in edges:
         succs[s].append(t)
         preds[t].append(s)
 
@@ -241,7 +300,9 @@ def parse_program(text: str) -> Program:
     for header, bound in raw_bounds.items():
         if header not in index:
             raise DocumentError(f"loop bound for unknown block {header!r}")
-        loop_bounds[header] = _check_value(bound, f"loop bound for {header}", minimum=1)
+        if type(bound) is not int or bound < 1:
+            bound = _check_value(bound, f"loop bound for {header}", minimum=1)
+        loop_bounds[header] = bound
 
     annotations: list[tuple[str, Annotation]] = []
     raw_ann = obj.get("annotations", [])
@@ -380,32 +441,28 @@ def immediate_dominators(start: int, succ: Sequence[Sequence[int]],
 # ---------------------------------------------------------------------------
 
 
-def _tree_intervals(parent: Sequence[int], nodes: Iterable[int]
+def _tree_intervals(parent: Sequence[int], order: Sequence[int]
                     ) -> tuple[list[int], list[int]]:
-    """Preorder intervals on the forest of `nodes` that `parent` gives
-    (-1: a root), children in the order `nodes` lists them.  Node b lies
-    in the subtree of node a exactly when pre[a] <= pre[b] < post[a];
-    nodes not listed keep pre = post = -1."""
-    kids: dict[int, list[int]] = {}
-    for b in nodes:
-        kids.setdefault(parent[b], []).append(b)
-    pre = [-1] * len(parent)
-    post = [-1] * len(parent)
-    order: list[int] = []
-    stack = kids.get(-1, [])[::-1]
-    while stack:
-        b = stack.pop()
-        pre[b] = len(order)
-        post[b] = len(order) + 1
-        order.append(b)
-        below = kids.get(b)
-        if below:
-            stack.extend(reversed(below))
-    # A subtree ends where its last descendant in preorder does.
+    """Preorder intervals on the forest of the nodes in `order` that
+    `parent` gives (-1: a root), children in the order `order` lists them;
+    `order` lists every node after its parent.  Node b lies in the subtree
+    of node a exactly when pre[a] <= pre[b] < post[a]; nodes not listed
+    keep pre = post = -1.  Subtree sizes add up in one pass backwards over
+    `order`, and each node's interval is cut from its parent's in one pass
+    forwards."""
+    n = len(parent)
+    # Index -1, a root's parent, is one slot past the nodes: a virtual
+    # root above the forest.
+    size = [1] * (n + 1)
     for b in reversed(order):
-        p = parent[b]
-        if p >= 0 and post[p] < post[b]:
-            post[p] = post[b]
+        size[parent[b]] += size[b]
+    pre = [-1] * n
+    post = [-1] * n
+    free = [0] * (n + 1)  # node -> pre number of its next child
+    for b in order:
+        p = free[parent[b]]
+        free[parent[b]] = p + size[b]
+        pre[b], post[b], free[b] = p, p + size[b], p + 1
     return pre, post
 
 
@@ -459,9 +516,9 @@ class LoopForest:
     """The natural loops of a CFG, on its block numbers.
 
     A loop is known by its header's block number.  The loop tree is
-    numbered in preorder (children in document order of their headers), so
-    nesting is an interval test: loop a lies in loop b exactly when
-    `b.pre <= a.pre < b.post`.
+    numbered in preorder (children in the dominator pass's reverse
+    postorder of their headers), so nesting is an interval test: loop a
+    lies in loop b exactly when `b.pre <= a.pre < b.post`.
     """
 
     loops: dict[str, LoopInfo]  # header id -> LoopInfo, document order
@@ -496,7 +553,8 @@ def build_loop_forest(g: Cfg, bounds: dict[str, int | str] | None = None) -> Loo
     # is not a back edge means the graph is irreducible (Hecht & Ullman,
     # "Characterizations of reducible flow graphs", 1974); only then does
     # the cycle search run, to report it.
-    dom_pre, dom_post = _tree_intervals(idom, range(n))
+    # A node's immediate dominator comes before it in reverse postorder.
+    dom_pre, dom_post = _tree_intervals(idom, sorted(range(n), key=rpo.__getitem__))
     back_from: dict[int, list[int]] = {}  # header -> back-edge sources
     reducible = True
     for s, t in g.edges:
@@ -524,7 +582,8 @@ def build_loop_forest(g: Cfg, bounds: dict[str, int | str] | None = None) -> Loo
     root = list(range(n))
     block_loop = [-1] * n
     parent = [-1] * n
-    for h in sorted(back_from, key=rpo.__getitem__, reverse=True):
+    outer_first = sorted(back_from, key=rpo.__getitem__)
+    for h in reversed(outer_first):
         block_loop[h] = h
         stack = list(back_from[h])
         while stack:
@@ -544,7 +603,7 @@ def build_loop_forest(g: Cfg, bounds: dict[str, int | str] | None = None) -> Loo
             stack.extend(pred[top])
 
     headers = sorted(back_from)
-    loop_pre, loop_post = _tree_intervals(parent, headers)
+    loop_pre, loop_post = _tree_intervals(parent, outer_first)
     inner = [-1 if h < 0 else loop_pre[h] for h in block_loop]
 
     # One pass over the edges: an edge enters its target's loop from outside

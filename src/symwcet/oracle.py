@@ -36,12 +36,10 @@ def _require_int(value, what: str) -> int:
 # ---------------------------------------------------------------------------
 
 
-def gpaths_bounded(g: Cfg, f: LoopForest, end: str | None = None,
-                   max_paths: int = MAX_PATHS,
+def gpaths_bounded(g: Cfg, f: LoopForest, max_paths: int = MAX_PATHS,
                    max_nodes: int = MAX_NODES) -> list[tuple[str, ...]]:
-    """All entry-to-end paths taking each loop's back edges at most `bound`
-    times per entry of the loop."""
-    end_at = g.exit if end is None else g.block_index[end]
+    """All entry-to-exit paths taking each loop's back edges at most
+    `bound` times per entry of the loop."""
     # Back and entry edges lead to their loop's header, so the edge's
     # target keys its loop's counter.
     backs: set[tuple[int, int]] = set()
@@ -54,8 +52,9 @@ def gpaths_bounded(g: Cfg, f: LoopForest, end: str | None = None,
         entries.update(info.entry_edges)
 
     # A partial path is a linked cell (block, previous cell), so a step
-    # costs the same at any depth; a path is spelled out when it reaches end.
-    ids, succs = g.blocks, g.succs
+    # costs the same at any depth; a path is spelled out when it reaches the
+    # exit.
+    ids, succs, end = g.blocks, g.succs, g.exit
     paths: list[tuple[str, ...]] = []
     visited = 0
     stack: list[tuple[int, tuple, dict[int, int]]] = [
@@ -66,7 +65,7 @@ def gpaths_bounded(g: Cfg, f: LoopForest, end: str | None = None,
         visited += 1
         if visited > max_nodes:
             raise PathBudgetExceeded(f"more than {max_nodes} path nodes")
-        if block == end_at:
+        if block == end:
             path: list[str] = []
             link = cell
             while link is not None:

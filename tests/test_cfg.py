@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import json
 import random
 
@@ -14,6 +15,10 @@ from symwcet.cfg import (
     BOT,
     TOP,
     LoopRef,
+    _block_fault,
+    _edge_fault,
+    _number_blocks,
+    _number_edges,
     _tree_intervals,
     build_loop_forest,
     immediate_dominators,
@@ -78,9 +83,9 @@ def test_parse_rejects(mutate, fragment):
 
 _B = {"id": "b", "wcet": 2}
 
-# (case, document fields replaced, exact DocumentError text).  Blocks of
-# exactly the keys id and wcet skip the key check, so the cases around that
-# shape pin the messages of the full check.
+# (case, document fields replaced, exact DocumentError text).  The bulk
+# check reads the keys id and wcet without a key check, so the cases around
+# that shape pin the messages of the scan's full check.
 PARSE_MESSAGES = [
     ("extra key", {"blocks": [{"id": "a", "wcet": 1, "loop": 2}, _B]},
      "block: unknown keys ['loop']"),
@@ -190,6 +195,170 @@ def test_parse_messages_pinned(case, fields, message):
     with pytest.raises(DocumentError) as info:
         parse_program(_doc(**fields))
     assert str(info.value) == message
+
+
+_A = {"id": "a", "wcet": 1}
+
+# (case, document fields replaced, exact text of the first fault in
+# document order).  Each document holds two faults, or one that a pair
+# unpacking would let through: the blocks and edges are checked in bulk,
+# and only a failed bulk check looks for the offender.
+PARSE_PRECEDENCE = [
+    ("invalid id before duplicate id", {"blocks": [
+        _A, _B, {"id": "9z", "wcet": 1}, {"id": "a", "wcet": 1}]},
+     "block id '9z' is not a valid identifier"),
+    ("duplicate id before boolean cost", {"blocks": [
+        _A, _B, {"id": "a", "wcet": 1}, {"id": "c", "wcet": True}]},
+     "duplicate block id 'a'"),
+    ("duplicate id before negative cost", {"blocks": [
+        _A, _B, {"id": "a", "wcet": 1}, {"id": "c", "wcet": -1}]},
+     "duplicate block id 'a'"),
+    ("negative cost before duplicate id", {"blocks": [
+        {"id": "a", "wcet": -1}, _B, {"id": "a", "wcet": 1}]},
+     "block a wcet: must be >= 0, got -1"),
+    ("unhashable id", {"blocks": [{"id": ["x"], "wcet": 1}, _B]},
+     "block id ['x'] is not a valid identifier"),
+    ("duplicate id before unhashable id", {"blocks": [
+        _A, _B, {"id": "a", "wcet": 1}, {"id": ["x"], "wcet": 1}]},
+     "duplicate block id 'a'"),
+    ("id with a line break", {"blocks": [{"id": "a\nb", "wcet": 1}, _B]},
+     "block id 'a\\nb' is not a valid identifier"),
+    ("id with a space", {"blocks": [_A, {"id": "b c", "wcet": 1}, _B]},
+     "block id 'b c' is not a valid identifier"),
+    ("cost identifier with a space", {"blocks": [
+        _A, {"id": "c", "wcet": "w x"}, _B]},
+     "block c wcet: 'w x' is not a valid identifier"),
+    ("bad cost identifier before reserved id", {"blocks": [
+        {"id": "a", "wcet": "1x"}, _B, {"id": "TOP", "wcet": 1}]},
+     "block a wcet: '1x' is not a valid identifier"),
+    ("unknown block before duplicate edge", {"edges": [
+        ["a", "zz"], ["a", "b"], ["a", "b"]]},
+     "edge ['a', 'zz'] references unknown block 'zz'"),
+    ("duplicate edge before unknown block", {"edges": [
+        ["a", "b"], ["a", "b"], ["a", "zz"]]},
+     "duplicate edge ['a', 'b']"),
+    ("string edge of two block ids", {"edges": [["a", "b"], "ba"]},
+     "edge must be a [source, target] pair, got 'ba'"),
+    ("two-key object edge", {"edges": [{"a": 0, "b": 0}]},
+     "edge must be a [source, target] pair, got {'a': 0, 'b': 0}"),
+    ("non-string endpoint before unknown block", {"edges": [
+        ["a", "b"], ["a", 1], ["a", "zz"]]},
+     "edge must be a [source, target] pair, got ['a', 1]"),
+    ("unknown block before unhashable endpoint", {"edges": [
+        ["a", "zz"], ["a", ["b"]]]},
+     "edge ['a', 'zz'] references unknown block 'zz'"),
+]
+
+
+@pytest.mark.parametrize("case, fields, message", PARSE_PRECEDENCE,
+                         ids=[c[0] for c in PARSE_PRECEDENCE])
+def test_parse_names_the_first_fault(case, fields, message):
+    with pytest.raises(DocumentError) as info:
+        parse_program(_doc(**fields))
+    assert str(info.value) == message
+
+
+def _scan_refuses(fault, *args) -> bool:
+    """Whether the per-item scan names a fault; on a valid list it asserts
+    instead."""
+    try:
+        fault(*args)
+    except DocumentError:
+        return True
+    except AssertionError:
+        return False
+    raise AssertionError("the scan returned")
+
+
+_IDS = ("a", "b", "c", "d", "TOP", "BOT", "9z", "", "a b", "a\nb", "a\n",
+        " a", ["x"], {}, 1, None, True)
+_COSTS = (0, 1, 7, -1, 2**40, True, False, 1.5, "w", "w_2", "w x", "1x", "",
+          "a\n", None, [], {})
+_ENDS = ("a", "b", "c", "zz", "", 1, None, True, ["b"], {})
+_INDEX = {"a": 0, "b": 1, "c": 2}
+
+
+def _random_blocks(rng):
+    """A block list that is valid about half of the time."""
+    ids = rng.sample(("a", "b", "c", "d", "e_1"), rng.randint(1, 4))
+    fresh = [{"id": i, "wcet": rng.choice((0, 3, "w", "n_2"))} for i in ids]
+    items = list(fresh)
+    for _ in range(rng.randint(0, 2)):
+        at = rng.randrange(len(items))
+        if not isinstance(items[at], dict):
+            continue
+        item = dict(items[at])
+        shape = rng.randrange(6)
+        if shape == 0:
+            item["id"] = rng.choice(_IDS)
+        elif shape == 1:
+            item["wcet"] = rng.choice(_COSTS)
+        elif shape == 2:
+            item[rng.choice(("loop", "id2", "wcet "))] = 1
+        elif shape == 3:
+            item.pop(rng.choice(("id", "wcet")), None)
+        elif shape == 4:
+            item = rng.choice(("ab", ["a", 1], 0, None, [], {"id": "a"}))
+        else:
+            item = dict(rng.choice(fresh))  # a duplicate id
+        items[at] = item
+    return items
+
+
+def _random_edges(rng):
+    """An edge list over _INDEX's blocks that is valid about half of the
+    time."""
+    pairs = [["a", "b"], ["b", "c"], ["c", "a"], ["a", "c"], ["b", "b"]]
+    fresh = rng.sample(pairs, rng.randint(0, 4))
+    items = list(fresh)
+    for _ in range(rng.randint(0, 2)):
+        shape = rng.randrange(4)
+        if shape == 0:
+            item = [rng.choice(_ENDS), rng.choice(_ENDS)]
+        elif shape == 1:
+            item = rng.choice(("ab", "a", {"a": 0, "b": 0}, ["a"],
+                               ["a", "b", "c"], [], None, 0))
+        elif shape == 2 and fresh:
+            item = list(rng.choice(fresh))  # a duplicate edge
+        else:
+            continue
+        items.insert(rng.randint(0, len(items)), item)
+    return items
+
+
+def test_bulk_checks_agree_with_scans():
+    # The bulk checks and the per-item scans state the same rules twice; a
+    # rule kept on one side only would let the bulk check pass a list the
+    # scan refuses, or send a valid list to the scan.
+    from test_stress import SAMPLES, mutate
+
+    rng = random.Random(3)
+    blocks = [_random_blocks(rng) for _ in range(3000)]
+    edges = [(_random_edges(rng), _INDEX) for _ in range(3000)]
+    base = json.loads(_doc())
+    for _, fields, _ in PARSE_MESSAGES + PARSE_PRECEDENCE:
+        blocks.append(fields.get("blocks", base["blocks"]))
+        edges.append((fields.get("edges", base["edges"]), {"a": 0, "b": 1}))
+    samples = [json.loads(p.read_text()) for p in sorted(SAMPLES.glob("*.json"))]
+    for _ in range(1000):
+        doc = rng.choice(samples)
+        index = {b["id"]: i for i, b in enumerate(doc["blocks"])}
+        doc = mutate(doc, rng)
+        if isinstance(doc.get("blocks"), list) and doc["blocks"]:
+            blocks.append(doc["blocks"])
+        if isinstance(doc.get("edges"), list):
+            edges.append((doc["edges"], index))
+
+    verdicts = collections.Counter()
+    for raw in blocks:
+        refused = _number_blocks(raw) is None
+        assert refused == _scan_refuses(_block_fault, raw), raw
+        verdicts["blocks", refused] += 1
+    for raw, index in edges:
+        refused = _number_edges(raw, index) is None
+        assert refused == _scan_refuses(_edge_fault, raw, index), raw
+        verdicts["edges", refused] += 1
+    assert min(verdicts.values()) >= 1000, verdicts
 
 
 @pytest.mark.parametrize("text", ["[]", "[{}]", "1", '"doc"', "null"])
@@ -318,7 +487,8 @@ def test_dominates_matches_removal_oracle():
         g = parse_program(json.dumps(doc)).cfg
         f = build_loop_forest(g)
         nodes = range(len(g.blocks))
-        pre, post = _tree_intervals(f.idom, nodes)
+        pre, post = _tree_intervals(f.idom,
+                                    sorted(nodes, key=f.rpo.__getitem__))
         cuts = {d: _reachable_without(g, d) for d in nodes}
         for i in nodes:
             for j in nodes:
@@ -413,8 +583,9 @@ def _three_pass_loop_forest(g):
     on block ids.
 
     Returns the forest as `_forest_view` shows it, and the bodies."""
-    idom, _ = immediate_dominators(g.entry, g.succs, g.preds)
-    pre, post = _tree_intervals(idom, range(len(g.blocks)))
+    idom, rpo = immediate_dominators(g.entry, g.succs, g.preds)
+    pre, post = _tree_intervals(idom, sorted(range(len(g.blocks)),
+                                             key=rpo.__getitem__))
     index = g.block_index
     edges = _id_edges(g, g.edges)
     backs = []
