@@ -524,7 +524,6 @@ class LoopForest:
     loops: dict[str, LoopInfo]  # header id -> LoopInfo, document order
     block_loop: list[int]  # block -> header of the innermost loop around it, -1: none
     parent: list[int]  # header -> header of the enclosing loop, -1: none (and for non-headers)
-    inner_pre: dict[str, int]  # block id -> pre number of its innermost loop (absent: none)
     idom: list[int]  # block -> immediate dominator (entry: -1)
     # block -> number in the reverse postorder of the dominator pass's DFS
     rpo: list[int]
@@ -555,23 +554,23 @@ def build_loop_forest(g: Cfg, bounds: dict[str, int | str] | None = None) -> Loo
     # the cycle search run, to report it.
     # A node's immediate dominator comes before it in reverse postorder.
     dom_pre, dom_post = _tree_intervals(idom, sorted(range(n), key=rpo.__getitem__))
-    back_from: dict[int, list[int]] = {}  # header -> back-edge sources
+    back_edges: dict[int, list[Edge]] = {}  # header -> back edges into it
     reducible = True
-    for s, t in g.edges:
+    for e in g.edges:
+        s, t = e
         if rpo[t] <= rpo[s]:
             if dom_pre[t] <= dom_pre[s] < dom_post[t]:
-                back_from.setdefault(t, []).append(s)
+                back_edges.setdefault(t, []).append(e)
             else:
                 reducible = False
     if not reducible:
-        check_reducible(g, {(s, t) for t, srcs in back_from.items()
-                            for s in srcs})
+        check_reducible(g, {e for es in back_edges.values() for e in es})
         raise AssertionError("a retreating edge that is not a back edge, "
                              "but no cycle without back edges")
 
     bounds = bounds or {}
     for header in bounds:
-        if g.block_index.get(header) not in back_from:
+        if g.block_index.get(header) not in back_edges:
             raise DocumentError(f"loop bound for {header!r}, which is not a loop header")
 
     # Innermost first.  A block is a root of the union-find until the
@@ -582,10 +581,10 @@ def build_loop_forest(g: Cfg, bounds: dict[str, int | str] | None = None) -> Loo
     root = list(range(n))
     block_loop = [-1] * n
     parent = [-1] * n
-    outer_first = sorted(back_from, key=rpo.__getitem__)
+    outer_first = sorted(back_edges, key=rpo.__getitem__)
     for h in reversed(outer_first):
         block_loop[h] = h
-        stack = list(back_from[h])
+        stack = [s for s, _ in back_edges[h]]
         while stack:
             b = stack.pop()
             top = root[b]
@@ -602,7 +601,7 @@ def build_loop_forest(g: Cfg, bounds: dict[str, int | str] | None = None) -> Loo
             root[top] = h
             stack.extend(pred[top])
 
-    headers = sorted(back_from)
+    headers = sorted(back_edges)
     loop_pre, loop_post = _tree_intervals(parent, outer_first)
     inner = [-1 if h < 0 else loop_pre[h] for h in block_loop]
 
@@ -619,13 +618,14 @@ def build_loop_forest(g: Cfg, bounds: dict[str, int | str] | None = None) -> Loo
             exits[level].append(e)
             level = parent[level]
 
-    loops = {ids[h]: LoopInfo(ids[h], loop_pre[h], loop_post[h],
-                              tuple((s, h) for s in back_from[h]),
-                              tuple(entries[h]), tuple(exits[h]),
-                              bounds.get(ids[h], f"x_{ids[h]}"))
-             for h in headers}
-    inner_pre = {ids[b]: p for b, p in enumerate(inner) if p >= 0}
-    return LoopForest(loops, block_loop, parent, inner_pre, idom, rpo)
+    loops = {}
+    for h in headers:
+        name = ids[h]
+        bound = bounds[name] if name in bounds else f"x_{name}"
+        loops[name] = LoopInfo(name, loop_pre[h], loop_post[h],
+                               tuple(back_edges[h]), tuple(entries[h]),
+                               tuple(exits[h]), bound)
+    return LoopForest(loops, block_loop, parent, idom, rpo)
 
 
 # ---------------------------------------------------------------------------
@@ -639,12 +639,12 @@ def loop_leq(a: LoopRef, b: LoopRef, f: LoopForest) -> bool:
         return True
     if a.kind == "top" or b.kind == "bot":
         return False
-    # Block a.header lies in loop b when its innermost loop does.  A header
-    # outside this forest is comparable only to itself and the lattice
-    # extremes.
-    info = f.loops.get(b.header)
-    return (info is not None
-            and info.pre <= f.inner_pre.get(a.header, -1) < info.post)
+    # Loop a lies in loop b when a's interval starts in b's.  A name that
+    # heads no loop of this forest is comparable only to itself and the
+    # lattice extremes.
+    inner, outer = f.loops.get(a.header), f.loops.get(b.header)
+    return (inner is not None and outer is not None
+            and outer.pre <= inner.pre < outer.post)
 
 
 def loop_meet(a: LoopRef, b: LoopRef, f: LoopForest) -> LoopRef:

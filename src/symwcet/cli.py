@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 
@@ -62,14 +61,14 @@ def _build_parser() -> _Parser:
     common(sp)
     sp.add_argument("--stats", action="store_true",
                     help="report operand counts before and after rewriting")
-    sp.add_argument("--fuel", type=int, default=None,
+    sp.add_argument("--fuel", type=int, default=DEFAULT_FUEL,
                     help="rewrite step budget (default %d)" % DEFAULT_FUEL)
 
     sp = sub.add_parser("wcet", help="evaluate the WCET for given bindings")
     common(sp)
     sp.add_argument("--bind", action="append", default=[], metavar="ID=VALUE",
                     help="bind an identifier (repeatable)")
-    sp.add_argument("--fuel", type=int, default=None)
+    sp.add_argument("--fuel", type=int, default=DEFAULT_FUEL)
     sp.add_argument("--self-check", action="store_true",
                     help="also evaluate the unsimplified formula and compare")
 
@@ -77,7 +76,7 @@ def _build_parser() -> _Parser:
     common(sp)
     sp.add_argument("--bind", action="append", default=[], metavar="ID=VALUE")
     sp.add_argument("--sweep", required=True, metavar="ID=LO..HI")
-    sp.add_argument("--fuel", type=int, default=None)
+    sp.add_argument("--fuel", type=int, default=DEFAULT_FUEL)
 
     sp = sub.add_parser("oracle", help="cross-check against path enumeration")
     common(sp)
@@ -95,19 +94,6 @@ def _budget(value: int, what: str) -> int:
         raise SymwcetError(f"{what} must be a non-negative integer, "
                            f"got {value}")
     return value
-
-
-def _fuel(args) -> int:
-    if getattr(args, "fuel", None) is not None:
-        return _budget(args.fuel, "--fuel")
-    env = os.environ.get("SYMWCET_FUEL")
-    if not env:
-        return DEFAULT_FUEL
-    try:
-        return _budget(int(env), "SYMWCET_FUEL")
-    except ValueError:
-        raise SymwcetError(f"SYMWCET_FUEL must be a non-negative integer, "
-                           f"got {env!r}") from None
 
 
 def _load(args) -> Analysis:
@@ -214,7 +200,7 @@ def cmd_tree(args) -> int:
 
 
 def cmd_formula(args) -> int:
-    fuel = _fuel(args)
+    fuel = _budget(args.fuel, "--fuel")
     a = _load(args)
     raw, simplified = _formula_of(a, fuel)
     text = symbolic.render(simplified)
@@ -231,7 +217,7 @@ def cmd_formula(args) -> int:
 
 
 def cmd_wcet(args) -> int:
-    fuel = _fuel(args)
+    fuel = _budget(args.fuel, "--fuel")
     a = _load(args)
     raw, simplified = _formula_of(a, fuel)
     bindings = _typed_bindings(_parse_bindings(args.bind),
@@ -268,7 +254,7 @@ _SWEEP_RE = re.compile(r"(?P<id>[^=]+)=(?P<lo>\d+)\.\.(?P<hi>\d+)\Z")
 
 
 def cmd_sweep(args) -> int:
-    fuel = _fuel(args)
+    fuel = _budget(args.fuel, "--fuel")
     a = _load(args)
     m = _SWEEP_RE.match(args.sweep)
     if not m:

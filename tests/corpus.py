@@ -90,7 +90,6 @@ def _main(argv: list[str]) -> int:
         print(__doc__, file=sys.stderr)
         return 1
     sys.path.insert(0, str(GOLDEN.parent.parent / "src"))
-    os.environ.pop("SYMWCET_FUEL", None)
     digests: dict[str, dict[str, str]] = {}
     files: dict[str, list[str]] = {}
     with tempfile.TemporaryDirectory() as work:

@@ -663,8 +663,8 @@ def test_forest_matches_three_pass_reference():
     # The forest takes its back edges from the dominator pass's own DFS
     # numbering, and runs the cycle search only on an irreducible graph.
     # Nesting is read off loop-tree intervals: block b lies in loop h
-    # exactly when the reference's body of h holds b, and an id that is no
-    # block lies in no loop.
+    # exactly when the reference's body of h holds b, and loop_leq orders
+    # two headers as their bodies nest.
     rng = random.Random(2024)
     kinds = {"irreducible": 0, "forest": 0}
     loops = 0
@@ -682,12 +682,21 @@ def test_forest_matches_three_pass_reference():
         assert view == ref_view, doc
         assert [list(m) for m in view] == [list(m) for m in ref_view], doc
         for h, body in bodies.items():
-            for b in [*g.blocks, "nowhere"]:
-                assert loop_leq(loop_ref(b), loop_ref(h), f) == (b in body), \
-                    (doc, b, h)
+            assert _body(g, f, h) == body, (doc, h)
+            for inner in bodies:
+                assert loop_leq(loop_ref(inner), loop_ref(h), f) == (
+                    inner in body), (doc, inner, h)
         loops += len(bodies) > 0
     assert kinds["irreducible"] >= 200 and kinds["forest"] >= 1000, kinds
     assert loops >= 600, loops
+
+
+def _body(g, f, h):
+    """The blocks of loop h: those whose innermost loop's interval starts
+    in h's."""
+    outer = f.loops[h]
+    return {b for b, inner in zip(g.blocks, f.block_loop) if inner >= 0
+            and outer.pre <= f.loops[g.blocks[inner]].pre < outer.post}
 
 
 def _chain_forest(doc, depth):
@@ -737,12 +746,8 @@ def test_fig2_loop_forest():
     assert set(f.loops) == {"b1", "b2"}
     outer, inner = f.loops["b1"], f.loops["b2"]
     g, ix = p.cfg, p.cfg.block_index
-
-    def body(h):
-        return {b for b in g.blocks if loop_leq(loop_ref(b), loop_ref(h), f)}
-
-    assert body("b1") == {"b1", "b2", "b3", "b4", "b6"}
-    assert body("b2") == {"b2", "b4"}
+    assert _body(g, f, "b1") == {"b1", "b2", "b3", "b4", "b6"}
+    assert _body(g, f, "b2") == {"b2", "b4"}
     assert outer.bound == 3 and inner.bound == 2
     assert _id_edges(g, outer.back_edges) == (("b3", "b1"),)
     assert _id_edges(g, inner.entry_edges) == (("b1", "b2"),)
@@ -784,8 +789,9 @@ def fig2_bodies():
 
 L1 = loop_ref("b1")
 L2 = loop_ref("b2")
+B4 = loop_ref("b4")  # a block inside loop b2 that heads no loop
 ALIEN = loop_ref("zz")  # header the forest has never heard of
-ELEMS = [TOP, BOT, L1, L2, ALIEN]
+ELEMS = [TOP, BOT, L1, L2, B4, ALIEN]
 
 
 def test_lattice_pinned_order(fig2_forest):
@@ -795,6 +801,8 @@ def test_lattice_pinned_order(fig2_forest):
     assert not loop_leq(TOP, L1, f)
     assert loop_leq(ALIEN, ALIEN, f) and loop_leq(ALIEN, TOP, f)
     assert not loop_leq(ALIEN, L1, f) and not loop_leq(L1, ALIEN, f)
+    assert loop_leq(B4, B4, f) and loop_leq(B4, TOP, f)
+    assert not loop_leq(B4, L2, f) and not loop_leq(L2, B4, f)
 
 
 def test_lattice_pinned_join_meet(fig2_forest):
@@ -815,7 +823,8 @@ def test_loop_refs_are_tuples_of_their_fields():
 
 
 # The lattice as written before its fast paths, comparing whole references
-# and reading nesting off the loop bodies spelled out as sets.
+# and reading nesting off the loop bodies spelled out as sets.  A name that
+# heads no loop is comparable only to itself and the extremes.
 
 
 def ref_loop_leq(a, b, bodies):
@@ -824,7 +833,7 @@ def ref_loop_leq(a, b, bodies):
     if a == TOP or b == BOT:
         return False
     body = bodies.get(b.header)
-    return body is not None and a.header in body
+    return body is not None and a.header in bodies and a.header in body
 
 
 def ref_loop_meet(a, b, bodies):
@@ -838,7 +847,8 @@ def ref_loop_meet(a, b, bodies):
 def test_lattice_matches_reference(fig2_forest, fig2_bodies):
     f = fig2_forest
     # Equal references that are distinct objects, besides the shared ones.
-    copies = [LoopRef("top"), LoopRef("bot"), loop_ref("b1"), loop_ref("zz")]
+    copies = [LoopRef("top"), LoopRef("bot"), loop_ref("b1"), loop_ref("b4"),
+              loop_ref("zz")]
     for a in ELEMS + copies:
         for b in ELEMS + copies:
             assert loop_leq(a, b, f) == ref_loop_leq(a, b, fig2_bodies), (a, b)

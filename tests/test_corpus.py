@@ -12,7 +12,6 @@ from symwcet.pipeline import analyze_text
 
 
 def test_corpus_outputs_match_digests(tmp_path, monkeypatch):
-    monkeypatch.delenv("SYMWCET_FUEL", raising=False)
     monkeypatch.chdir(tmp_path)
     want = json.loads(corpus.DIGESTS.read_text())
     got: dict[str, dict[str, str]] = {}

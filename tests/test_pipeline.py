@@ -79,8 +79,8 @@ for doc in docs:
     costs, counts = symbolic.identifiers(raw)
     bindings = {c: abstract(TOP, const_seq(3)) for c in costs}
     bindings.update({c: 2 for c in counts})
-    out.append([a.forest.block_loop, list(a.forest.inner_pre.items()),
-                list(a.forest.loops),
+    out.append([a.forest.block_loop,
+                [(h, info.pre, info.post) for h, info in a.forest.loops.items()],
                 cft.to_sexpr(a.tree), cft.to_sexpr(a.tree, lambda s: s),
                 list(a.rename_map.items()), list(a.variant_map.items()),
                 symbolic.render(raw), symbolic.render(simplified),
